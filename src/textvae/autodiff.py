@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError
 
 # np.exp overflows to inf a little above this
 _EXP_MAX = 700.0
@@ -46,53 +46,13 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
-        return float(self.data)
+        return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routing goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sum(self):
-        return reduce_sum(self)
-
-    def mean(self):
-        return reduce_mean(self)
 
 
 class Tape:
@@ -300,27 +260,6 @@ def log(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-_POINTWISE = {
-    "add": add,
-    "mul": mul,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "negate": negate,
-    "scale": scale,
-}
-
-
-def pointwise(op_kind: str, *operands) -> Tensor:
-    """Dispatch an elementwise operation by name."""
-    try:
-        fn = _POINTWISE[op_kind]
-    except KeyError:
-        raise ConfigError(f"unknown pointwise op {op_kind!r}; choose from {sorted(_POINTWISE)}")
-    return fn(*operands)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and structural operations
 
@@ -389,28 +328,6 @@ def concat_rows(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def concat_cols(tensors) -> Tensor:
-    """Concatenate matrices with equal row counts horizontally."""
-    ts = [_as_tensor(t) for t in tensors]
-    if not ts:
-        raise DimensionError("concat_cols of an empty sequence")
-    rows = ts[0].shape[0]
-    for t in ts:
-        if t.data.ndim != 2 or t.shape[0] != rows:
-            raise DimensionError(f"concat_cols: inconsistent shape {t.shape}, expected {rows} rows")
-    widths = [t.shape[1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-    out = Tensor(np.concatenate([t.data for t in ts], axis=1))
-
-    def backward(g):
-        return tuple(
-            g[:, offsets[i]:offsets[i + 1]] if t.requires_grad else None
-            for i, t in enumerate(ts)
-        )
-
-    return _record(out, tuple(ts), backward)
-
-
 def column_sums(x) -> Tensor:
     """Sum each column of a (m,n) matrix, producing a (1,n) row."""
     x = _as_tensor(x)
@@ -473,36 +390,6 @@ def softmax_cross_entropy_cols(logits, targets) -> Tensor:
     return _record(out, (logits,), backward)
 
 
-def softmax_cross_entropy(logits, target: int) -> Tensor:
-    """Scalar cross entropy of a logit vector against one target index."""
-    logits = _as_tensor(logits)
-    ld = logits.data
-    if ld.ndim == 1:
-        col = Tensor(ld[:, None])
-
-        def reshape_back(g):
-            return (g[:, 0],)
-
-        logits_col = _record(col, (logits,), reshape_back)
-    elif ld.ndim == 2 and ld.shape[1] == 1:
-        logits_col = logits
-    else:
-        raise DimensionError(f"softmax_cross_entropy expects a vector, got shape {logits.shape}")
-    row = softmax_cross_entropy_cols(logits_col, [int(target)])
-    return reduce_sum(row)
-
-
-def reduce_sum(x) -> Tensor:
-    x = _as_tensor(x)
-    shp = x.shape
-    out = Tensor(x.data.sum())
-
-    def backward(g):
-        return (np.broadcast_to(g, shp),)
-
-    return _record(out, (x,), backward)
-
-
 def reduce_mean(x) -> Tensor:
     x = _as_tensor(x)
     shp = x.shape
@@ -524,22 +411,6 @@ def squared_l2_norm(x) -> Tensor:
         return (2.0 * xd * g,)
 
     return _record(out, (x,), backward)
-
-
-_REDUCE = {
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "squared_l2_norm": squared_l2_norm,
-}
-
-
-def reduce(op_kind: str, x) -> Tensor:
-    """Dispatch a reduction by name."""
-    try:
-        fn = _REDUCE[op_kind]
-    except KeyError:
-        raise ConfigError(f"unknown reduce op {op_kind!r}; choose from {sorted(_REDUCE)}")
-    return fn(x)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from . import autodiff as ad
 from .autodiff import Tensor, grad_check
-from .corpus import CorpusSplit, SyntheticSpec, Vocabulary, build_vocab, generate_synthetic, load_text, split_hashes
+from .corpus import (CorpusSplit, SyntheticSpec, Vocabulary, build_vocab, generate_synthetic,
+                     load_text, make_batch, split_hashes)
 from .errors import (
     ConfigError,
     DataError,
@@ -28,10 +29,10 @@ from .errors import (
     TextVaeError,
     TrainingError,
 )
-from .layers import LstmParams, lstm_step
+from .layers import lstm_step
 from .metrics import EvalConfig, MetricsReport, bleu, evaluate
-from .model import VaeParams, decode_greedy, load_checkpoint, save_checkpoint
-from .objectives import elbo_step, kl_diag_gaussian
+from .model import GaussianPosterior, VaeParams, decode_greedy, load_checkpoint, save_checkpoint
+from .objectives import elbo_step, kl_columns
 from .training import TrainConfig, pretrain_then_reset, train
 
 EXIT_CODES = {
@@ -343,21 +344,21 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
     rep = grad_check(lambda: ad.reduce_mean(ad.sigmoid(ad.matmul(w, x))), {"w": w}, tol=1e-5)
     results.append(("gradients: sigmoid(matmul)", rep.passed, str(rep)))
 
-    lstm = LstmParams.init(2, 3, rng)
-    xi = Tensor(rng.uniform(-1, 1, (2, 1)))
-    h0 = Tensor(np.zeros((3, 1)))
-    rep = grad_check(lambda: ad.squared_l2_norm(lstm_step(xi, h0, h0, lstm)[0]),
-                     dict(lstm.named("lstm")), tol=1e-4)
+    params = VaeParams.init(6, 4, 4, 2, rng)
+    xi = Tensor(rng.uniform(-1, 1, (4, 1)))
+    h0 = Tensor(np.zeros((4, 1)))
+    lstm = {n: t for n, t in params.named_parameters() if n.startswith("enc.lstm.")}
+    rep = grad_check(lambda: ad.squared_l2_norm(lstm_step(xi, h0, h0, params, "enc.lstm")[0]),
+                     lstm, tol=1e-4)
     results.append(("gradients: lstm step", rep.passed, str(rep)))
 
-    params = VaeParams.init(6, 4, 4, 2, rng)
     cfg = TrainConfig(latent_dim=2, embed_dim=4, hidden_dim=4, warmup_steps=10,
                       alpha=0.1, keep_prob=0.7, free_bits=1.0, seed=0)
     eps = rng.standard_normal((2, 1))
     mask = np.array([[1.0, 0.0, 1.0, 1.0]])
 
     def f():
-        return elbo_step((4, 5, 4), cfg, params, np.random.default_rng(0),
+        return elbo_step(make_batch([(4, 5, 4)]), cfg, params, np.random.default_rng(0),
                          eps=eps, mask=mask, beta_override=0.5).total
 
     rep = grad_check(f, dict(params.named_parameters()), tol=1e-4)
@@ -366,15 +367,13 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
 
 
 def _selfcheck_kl() -> list[tuple[str, bool, str]]:
-    from .model import GaussianPosterior
-
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(5):
         mu = rng.uniform(-2, 2, 4)
         logvar = rng.uniform(-1, 1, 4)
         post = GaussianPosterior(mu=Tensor(mu.reshape(-1, 1)), logvar=Tensor(logvar.reshape(-1, 1)))
-        closed = kl_diag_gaussian(post)[0].item()
+        closed = kl_columns(post).item()
         z = mu + np.exp(0.5 * logvar) * rng.standard_normal((100_000, 4))
         log_q = -0.5 * (np.log(2 * np.pi) + logvar + (z - mu) ** 2 / np.exp(logvar)).sum(axis=1)
         log_p = -0.5 * (np.log(2 * np.pi) + z ** 2).sum(axis=1)

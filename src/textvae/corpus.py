@@ -80,12 +80,6 @@ def load_text(path) -> list[list[str]]:
     return [line.split() for line in lines if line.strip()]
 
 
-def save_text(sentences, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in sentences:
-            fh.write(" ".join(sent) + "\n")
-
-
 @dataclass
 class CorpusSplit:
     """Train/dev/test id-sequence lists over one vocabulary."""

@@ -1,115 +1,33 @@
-"""Embedding table, LSTM cell/sequence, linear projection, word-dropout masks.
+"""LSTM cell, linear projection, word-dropout masks.
 
 All layers operate on column-oriented tensors: a batch of B vectors of
-dimension m is an (m, B) matrix, a single sequence of n positions is a
-matrix with n columns.
+dimension m is an (m, B) matrix.  Layer weights live in a name -> Tensor
+store (see ``model.VaeParams``); a layer reads its tensors by name prefix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 
-class EmbeddingTable:
-    """Trainable (embed_dim x vocab_size) matrix; column j embeds token j."""
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, params, prefix: str) -> tuple[Tensor, Tensor]:
+    """One LSTM cell update over a column batch.
 
-    def __init__(self, embed_dim: int, vocab_size: int, rng: np.random.Generator, scale: float = 0.1):
-        self.weight = Tensor(rng.uniform(-scale, scale, (embed_dim, vocab_size)), requires_grad=True)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.weight.shape[1]
-
-    def lookup(self, ids) -> Tensor:
-        """Gather embeddings for a sequence of token ids, one per column."""
-        return ad.select_columns(self.weight, ids)
-
-
-@dataclass
-class LstmParams:
-    """Gate weights/biases over concatenated [input; hidden] columns."""
-
-    w_i: Tensor
-    w_f: Tensor
-    w_o: Tensor
-    w_c: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_c: Tensor
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_i.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_i.shape[1] - self.hidden_dim
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator) -> "LstmParams":
-        bound = 1.0 / np.sqrt(hidden_dim)
-
-        def w():
-            return Tensor(rng.uniform(-bound, bound, (hidden_dim, input_dim + hidden_dim)),
-                          requires_grad=True)
-
-        def b(fill=0.0):
-            return Tensor(np.full((hidden_dim, 1), fill), requires_grad=True)
-
-        # forget-gate bias starts at 1 so early training keeps memory open
-        return cls(w_i=w(), w_f=w(), w_o=w(), w_c=w(),
-                   b_i=b(), b_f=b(1.0), b_o=b(), b_c=b())
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{k}", getattr(self, k))
-                for k in ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c")]
-
-
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update over a column batch."""
+    Gate weights ``{prefix}.w_{i,f,o,c}`` act on the concatenated [input;
+    hidden] columns; biases ``{prefix}.b_{i,f,o,c}`` are (hidden, 1) columns.
+    """
     xh = ad.concat_rows(x, h)
-    i = ad.sigmoid(ad.add_col(ad.matmul(params.w_i, xh), params.b_i))
-    f = ad.sigmoid(ad.add_col(ad.matmul(params.w_f, xh), params.b_f))
-    o = ad.sigmoid(ad.add_col(ad.matmul(params.w_o, xh), params.b_o))
-    g = ad.tanh(ad.add_col(ad.matmul(params.w_c, xh), params.b_c))
+    i = ad.sigmoid(ad.add_col(ad.matmul(params[f"{prefix}.w_i"], xh), params[f"{prefix}.b_i"]))
+    f = ad.sigmoid(ad.add_col(ad.matmul(params[f"{prefix}.w_f"], xh), params[f"{prefix}.b_f"]))
+    o = ad.sigmoid(ad.add_col(ad.matmul(params[f"{prefix}.w_o"], xh), params[f"{prefix}.b_o"]))
+    g = ad.tanh(ad.add_col(ad.matmul(params[f"{prefix}.w_c"], xh), params[f"{prefix}.b_c"]))
     c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_next = ad.mul(o, ad.tanh(c_next))
     return h_next, c_next
-
-
-def lstm_sequence(inputs: Tensor, h0: Tensor, c0: Tensor, params: LstmParams) -> Tensor:
-    """Run the cell over the columns of (input_dim, n), returning hidden (d, n).
-
-    Position t of the output depends only on input columns <= t.
-    """
-    if inputs.data.ndim != 2:
-        raise DimensionError(f"lstm_sequence expects a matrix of columns, got {inputs.shape}")
-    in_dim, n = inputs.shape
-    if in_dim != params.input_dim:
-        raise DimensionError(f"input dim {in_dim} does not match LSTM input dim {params.input_dim}")
-    if n < 1:
-        raise DimensionError("lstm_sequence needs at least one position")
-    d = params.hidden_dim
-    if h0.shape != (d, 1) or c0.shape != (d, 1):
-        raise DimensionError(f"initial state shapes {h0.shape}/{c0.shape}, expected ({d}, 1)")
-    h, c = h0, c0
-    cols = []
-    for t in range(n):
-        x = ad.select_columns(inputs, [t])
-        h, c = lstm_step(x, h, c, params)
-        cols.append(h)
-    return ad.concat_cols(cols)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -117,28 +35,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return ad.add_col(ad.matmul(weight, x), bias)
 
 
-@dataclass
-class MaskPair:
-    """Complementary word-dropout masks from a single Bernoulli draw."""
+def sample_masks(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli(keep_prob) word-dropout masks as a float64 0/1 array.
 
-    d: np.ndarray
-    complement: np.ndarray
-    keep_prob: float
-
-
-def sample_mask_pair(n: int, b: float, rng: np.random.Generator) -> MaskPair:
-    """Draw d[j] ~ Bernoulli(b) per position; complement is the same draw flipped."""
-    if not 0.0 <= b <= 1.0:
-        raise ConfigError(f"keep probability must lie in [0, 1], got {b}")
-    d = (rng.random(n) < b).astype(np.float64)
-    return MaskPair(d=d, complement=1.0 - d, keep_prob=float(b))
-
-
-def apply_mask(embeddings: Tensor, mask: np.ndarray) -> Tensor:
-    """Zero whole embedding columns where mask is 0; gradient only flows through kept columns."""
-    mask = np.asarray(mask, dtype=np.float64).reshape(-1)
-    if embeddings.data.ndim != 2 or mask.shape[0] != embeddings.shape[1]:
-        raise DimensionError(
-            f"mask length {mask.shape[0]} does not match {embeddings.shape[1]} columns")
-    mask_mat = Tensor(np.broadcast_to(mask[None, :], embeddings.shape).copy())
-    return ad.mul(embeddings, mask_mat)
+    One (B, n) draw consumes the generator exactly like B successive draws
+    of n, row by row.
+    """
+    if not 0.0 <= keep_prob <= 1.0:
+        raise ConfigError(f"keep probability must lie in [0, 1], got {keep_prob}")
+    return (rng.random(shape) < keep_prob).astype(np.float64)

@@ -1,8 +1,12 @@
 """Evaluation metrics: reconstruction NLL, perplexity, active units, mutual
 information, BLEU.
 
-All metrics are read-only over the model parameters and draw their noise
-from an explicit generator, so a seeded evaluation is reproducible.
+``evaluate`` is the one corpus-level entry point: it pools the NLL into
+perplexity and computes AU and MI from a single pass over the posteriors.
+The functions it builds on score one sentence or take precomputed
+posteriors.  All metrics are read-only over the model parameters and draw
+their noise from an explicit generator, so a seeded evaluation is
+reproducible.
 """
 
 from __future__ import annotations
@@ -48,25 +52,6 @@ def reconstruction_nll(x, params: VaeParams, n_samples: int = 100,
     return float(-log_lik.data.mean())
 
 
-def perplexity(corpus, params: VaeParams, n_samples: int = 100,
-               rng: np.random.Generator | None = None) -> float:
-    """Corpus-pooled per-word perplexity: exp(total NLL / total words).
-
-    Word counts include the end sentinel, which the model predicts.
-    """
-    sents = list(corpus)
-    if not sents:
-        raise DataError("cannot compute perplexity of an empty corpus")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    total_nll = 0.0
-    total_words = 0
-    for sent in sents:
-        total_nll += reconstruction_nll(sent, params, n_samples, rng)
-        total_words += len(sent) + 1
-    return float(np.exp(total_nll / total_words))
-
-
 # ---------------------------------------------------------------------------
 # latent-variable usage
 
@@ -89,14 +74,6 @@ def active_units_from_means(mus: np.ndarray, threshold: float = 0.01):
         raise DataError("active units need at least 2 sentences")
     variances = mus.var(axis=0)
     return int(np.sum(variances > threshold)), variances
-
-
-def active_units(corpus, params: VaeParams, threshold: float = 0.01):
-    sents = list(corpus)
-    if len(sents) < 2:
-        raise DataError("active units need at least 2 sentences")
-    mus, _ = collect_posteriors(sents, params)
-    return active_units_from_means(mus, threshold)
 
 
 def _diag_gaussian_logpdf(z: np.ndarray, mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
@@ -131,20 +108,6 @@ def mutual_information_from_posteriors(mus: np.ndarray, logvars: np.ndarray,
     if abs(raw) < 1e-9:
         return 0.0, raw
     return max(raw, 0.0), raw
-
-
-def mutual_information(corpus, params: VaeParams, n_z_samples: int = 10,
-                       rng: np.random.Generator | None = None) -> float:
-    sents = list(corpus)
-    if not sents:
-        raise DataError("cannot estimate mutual information on an empty corpus")
-    if n_z_samples < 1:
-        raise DataError(f"n_z_samples must be >= 1, got {n_z_samples}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    mus, logvars = collect_posteriors(sents, params)
-    clamped, _ = mutual_information_from_posteriors(mus, logvars, n_z_samples, rng)
-    return clamped
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,22 @@
 The latent vector conditions the decoder three ways at once: projected into
 the initial hidden state, projected into the initial memory cell, and
 concatenated to every input embedding.  Encoder and decoder own disjoint
-parameter sets (separate embedding tables included) so the decoder can be
-reset without touching encoder features.
+parameter sets (separate embedding tables included), named ``enc.*`` and
+``dec.*`` in one ordered store, so the decoder can be reset without
+touching encoder features.
 
 Batch convention: sentences are rows of a padded (B, L) id matrix; all
-dense activations are column-per-sentence matrices.
+dense activations are column-per-sentence matrices.  Every encode and
+decode, for one sentence or many, goes through the batched functions here.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import END, RESERVED_TOKENS, START, Vocabulary
 from .errors import DataError, DimensionError
-from .layers import EmbeddingTable, LstmParams, linear, lstm_step
+from .layers import linear, lstm_step
 
 CHECKPOINT_MAGIC = b"TEXTVAE1\n"
 
@@ -36,108 +40,67 @@ class GaussianPosterior:
 
 
 @dataclass
-class LatentSample:
-    """A reparameterized draw z = mu + exp(logvar/2) * eps and its noise."""
-
-    z: Tensor
-    eps: np.ndarray
-
-
-@dataclass
 class VaeParams:
+    """Model dimensions plus every trainable tensor in one ordered store.
+
+    The store's order is the checkpoint order; ``init`` fills it in the
+    order the tensors are drawn from the generator.
+    """
+
     vocab_size: int
     embed_dim: int
     hidden_dim: int
     latent_dim: int
-
-    enc_embed: EmbeddingTable
-    enc_lstm: LstmParams
-    enc_mu_w: Tensor
-    enc_mu_b: Tensor
-    enc_logvar_w: Tensor
-    enc_logvar_b: Tensor
-
-    dec_embed: EmbeddingTable
-    dec_lstm: LstmParams
-    dec_h0_w: Tensor
-    dec_h0_b: Tensor
-    dec_c0_w: Tensor
-    dec_c0_b: Tensor
-    dec_out_w: Tensor
-    dec_out_b: Tensor
+    tensors: dict[str, Tensor]
 
     @classmethod
     def init(cls, vocab_size: int, embed_dim: int, hidden_dim: int, latent_dim: int,
              rng: np.random.Generator) -> "VaeParams":
-        def head(rows, cols):
-            bound = 1.0 / np.sqrt(cols)
-            return (Tensor(rng.uniform(-bound, bound, (rows, cols)), requires_grad=True),
-                    Tensor(np.zeros((rows, 1)), requires_grad=True))
+        tensors: dict[str, Tensor] = {}
 
-        enc_embed = EmbeddingTable(embed_dim, vocab_size, rng)
-        enc_lstm = LstmParams.init(embed_dim, hidden_dim, rng)
-        enc_mu_w, enc_mu_b = head(latent_dim, hidden_dim)
-        enc_logvar_w, enc_logvar_b = head(latent_dim, hidden_dim)
-        dec_embed = EmbeddingTable(embed_dim, vocab_size, rng)
-        dec_lstm = LstmParams.init(embed_dim + latent_dim, hidden_dim, rng)
-        dec_h0_w, dec_h0_b = head(hidden_dim, latent_dim)
-        dec_c0_w, dec_c0_b = head(hidden_dim, latent_dim)
-        dec_out_w, dec_out_b = head(vocab_size, hidden_dim)
-        return cls(vocab_size=vocab_size, embed_dim=embed_dim, hidden_dim=hidden_dim,
-                   latent_dim=latent_dim, enc_embed=enc_embed, enc_lstm=enc_lstm,
-                   enc_mu_w=enc_mu_w, enc_mu_b=enc_mu_b,
-                   enc_logvar_w=enc_logvar_w, enc_logvar_b=enc_logvar_b,
-                   dec_embed=dec_embed, dec_lstm=dec_lstm,
-                   dec_h0_w=dec_h0_w, dec_h0_b=dec_h0_b,
-                   dec_c0_w=dec_c0_w, dec_c0_b=dec_c0_b,
-                   dec_out_w=dec_out_w, dec_out_b=dec_out_b)
+        def draw(name, bound, shape):
+            tensors[name] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
 
-    def encoder_parameters(self) -> list[tuple[str, Tensor]]:
-        return ([("enc.embed", self.enc_embed.weight)]
-                + self.enc_lstm.named("enc.lstm")
-                + [("enc.mu_w", self.enc_mu_w), ("enc.mu_b", self.enc_mu_b),
-                   ("enc.logvar_w", self.enc_logvar_w), ("enc.logvar_b", self.enc_logvar_b)])
+        def column(name, rows, fill=0.0):
+            tensors[name] = Tensor(np.full((rows, 1), fill), requires_grad=True)
 
-    def decoder_parameters(self) -> list[tuple[str, Tensor]]:
-        return ([("dec.embed", self.dec_embed.weight)]
-                + self.dec_lstm.named("dec.lstm")
-                + [("dec.h0_w", self.dec_h0_w), ("dec.h0_b", self.dec_h0_b),
-                   ("dec.c0_w", self.dec_c0_w), ("dec.c0_b", self.dec_c0_b),
-                   ("dec.out_w", self.dec_out_w), ("dec.out_b", self.dec_out_b)])
+        heads = {"enc": (("mu", latent_dim, hidden_dim), ("logvar", latent_dim, hidden_dim)),
+                 "dec": (("h0", hidden_dim, latent_dim), ("c0", hidden_dim, latent_dim),
+                         ("out", vocab_size, hidden_dim))}
+        for side, lstm_in in (("enc", embed_dim), ("dec", embed_dim + latent_dim)):
+            draw(f"{side}.embed", 0.1, (embed_dim, vocab_size))
+            for gate in "ifoc":
+                draw(f"{side}.lstm.w_{gate}", 1.0 / np.sqrt(hidden_dim),
+                     (hidden_dim, lstm_in + hidden_dim))
+            for gate in "ifoc":
+                # forget-gate bias starts at 1 so early training keeps memory open
+                column(f"{side}.lstm.b_{gate}", hidden_dim, 1.0 if gate == "f" else 0.0)
+            for head, rows, cols in heads[side]:
+                draw(f"{side}.{head}_w", 1.0 / np.sqrt(cols), (rows, cols))
+                column(f"{side}.{head}_b", rows)
+        return cls(vocab_size, embed_dim, hidden_dim, latent_dim, tensors)
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self.tensors[name]
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return self.encoder_parameters() + self.decoder_parameters()
+        return list(self.tensors.items())
 
     def reset_decoder(self, rng: np.random.Generator) -> None:
-        """Redraw every decoder-side parameter from the fresh-init distribution."""
+        """Redraw every decoder-side parameter from the fresh-init distribution.
+
+        A whole fresh init is drawn (encoder included) and only its ``dec.*``
+        entries are kept, so the generator advances by one full init.
+        """
         fresh = VaeParams.init(self.vocab_size, self.embed_dim, self.hidden_dim,
                                self.latent_dim, rng)
-        self.dec_embed = fresh.dec_embed
-        self.dec_lstm = fresh.dec_lstm
-        self.dec_h0_w, self.dec_h0_b = fresh.dec_h0_w, fresh.dec_h0_b
-        self.dec_c0_w, self.dec_c0_b = fresh.dec_c0_w, fresh.dec_c0_b
-        self.dec_out_w, self.dec_out_b = fresh.dec_out_w, fresh.dec_out_b
+        for name, t in fresh.tensors.items():
+            if name.startswith("dec."):
+                self.tensors[name] = t
 
     def clone(self) -> "VaeParams":
-        import copy
-
-        other = copy.copy(self)
-        other.enc_embed = EmbeddingTable.__new__(EmbeddingTable)
-        other.enc_embed.weight = _copy_tensor(self.enc_embed.weight)
-        other.dec_embed = EmbeddingTable.__new__(EmbeddingTable)
-        other.dec_embed.weight = _copy_tensor(self.dec_embed.weight)
-        other.enc_lstm = LstmParams(**{k: _copy_tensor(getattr(self.enc_lstm, k))
-                                       for k in ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c")})
-        other.dec_lstm = LstmParams(**{k: _copy_tensor(getattr(self.dec_lstm, k))
-                                       for k in ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c")})
-        for name in ("enc_mu_w", "enc_mu_b", "enc_logvar_w", "enc_logvar_b",
-                     "dec_h0_w", "dec_h0_b", "dec_c0_w", "dec_c0_b", "dec_out_w", "dec_out_b"):
-            setattr(other, name, _copy_tensor(getattr(self, name)))
-        return other
-
-
-def _copy_tensor(t: Tensor) -> Tensor:
-    return Tensor(t.data.copy(), requires_grad=t.requires_grad)
+        return replace(self, tensors={name: Tensor(t.data.copy(), requires_grad=t.requires_grad)
+                                      for name, t in self.tensors.items()})
 
 
 def _row_mask(values: np.ndarray, rows: int) -> Tensor:
@@ -167,8 +130,8 @@ def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> Gau
     h = Tensor(np.zeros((d, B)))
     c = Tensor(np.zeros((d, B)))
     for t in range(L):
-        x = params.enc_embed.lookup(ids[:, t])
-        h_new, c_new = lstm_step(x, h, c, params.enc_lstm)
+        x = ad.select_columns(params["enc.embed"], ids[:, t])
+        h_new, c_new = lstm_step(x, h, c, params, "enc.lstm")
         if np.all(t < lengths):
             h, c = h_new, c_new
         else:
@@ -176,20 +139,12 @@ def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> Gau
             frozen = _row_mask((t >= lengths).astype(np.float64), d)
             h = ad.add(ad.mul(h_new, active), ad.mul(h, frozen))
             c = ad.add(ad.mul(c_new, active), ad.mul(c, frozen))
-    mu = linear(h, params.enc_mu_w, params.enc_mu_b)
-    logvar = linear(h, params.enc_logvar_w, params.enc_logvar_b)
+    mu = linear(h, params["enc.mu_w"], params["enc.mu_b"])
+    logvar = linear(h, params["enc.logvar_w"], params["enc.logvar_b"])
     return GaussianPosterior(mu=mu, logvar=logvar)
 
 
-def encode(x, params: VaeParams) -> GaussianPosterior:
-    """Posterior for one sentence of token ids."""
-    x = tuple(int(i) for i in x)
-    if not x:
-        raise DataError("cannot encode an empty sentence")
-    return encode_batch(np.array([x]), np.array([len(x)]), params)
-
-
-def reparameterize(post: GaussianPosterior, eps: np.ndarray) -> LatentSample:
+def reparameterize(post: GaussianPosterior, eps: np.ndarray) -> Tensor:
     """z = mu + exp(logvar/2) * eps; gradient reaches mu and logvar, never eps."""
     eps = np.asarray(eps, dtype=np.float64)
     if eps.ndim == 1:
@@ -197,8 +152,7 @@ def reparameterize(post: GaussianPosterior, eps: np.ndarray) -> LatentSample:
     if eps.shape != post.mu.shape:
         raise DimensionError(f"eps shape {eps.shape} does not match mu shape {post.mu.shape}")
     sigma = ad.exp(ad.scale(post.logvar, 0.5))
-    z = ad.add(post.mu, ad.mul(sigma, Tensor(eps)))
-    return LatentSample(z=z, eps=eps)
+    return ad.add(post.mu, ad.mul(sigma, Tensor(eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +190,17 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
             raise DimensionError(f"mask shape {mask.shape}, expected {(B, n_steps)}")
     in_ids, targets = _wrap_for_teacher_forcing(ids, lengths)
     w = params.embed_dim
-    h = linear(z, params.dec_h0_w, params.dec_h0_b)
-    c = linear(z, params.dec_c0_w, params.dec_c0_b)
+    h = linear(z, params["dec.h0_w"], params["dec.h0_b"])
+    c = linear(z, params["dec.c0_w"], params["dec.c0_b"])
     total_ce = Tensor(np.zeros((1, B)))
     steps = []
     for t in range(n_steps):
-        emb = params.dec_embed.lookup(in_ids[:, t])
+        emb = ad.select_columns(params["dec.embed"], in_ids[:, t])
         if mask is not None:
             emb = ad.mul(emb, _row_mask(mask[:, t], w))
         x = ad.concat_rows(emb, z)
-        h, c = lstm_step(x, h, c, params.dec_lstm)
-        logits = linear(h, params.dec_out_w, params.dec_out_b)
+        h, c = lstm_step(x, h, c, params, "dec.lstm")
+        logits = linear(h, params["dec.out_w"], params["dec.out_b"])
         ce = ad.softmax_cross_entropy_cols(logits, targets[:, t])
         valid = (t < lengths + 1).astype(np.float64)
         total_ce = ad.add(total_ce, ad.mul(ce, Tensor(valid[None, :])))
@@ -255,41 +209,19 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
     return log_lik, steps
 
 
-def decode_teacher_forced(z, x, mask: np.ndarray | None, params: VaeParams):
-    """Log-likelihood and hidden matrix for one sentence.
-
-    ``x`` is the raw token sequence; start/end sentinels are added here, so
-    the decoder runs len(x)+1 steps (the end sentinel is predicted, making
-    length part of the model).  ``mask`` has one entry per decoder input
-    position (len(x)+1, the start sentinel included).
-    """
-    z = z.z if isinstance(z, LatentSample) else z
-    x = tuple(int(i) for i in x)
-    if not x:
-        raise DataError("cannot decode an empty sentence")
-    ids = np.array([x], dtype=np.int64)
-    lengths = np.array([len(x)], dtype=np.int64)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64).reshape(1, -1)
-    log_lik, steps = decode_batch(z, ids, lengths, params, mask=mask)
-    H = ad.concat_cols([h for h, _ in steps])
-    return ad.reduce_sum(log_lik), H
-
-
 def decode_greedy(z, max_len: int, params: VaeParams) -> list[int]:
     """Feed back the argmax token from the start sentinel until END or max_len."""
-    z = z.z if isinstance(z, LatentSample) else z
     if not isinstance(z, Tensor):
         z = Tensor(np.asarray(z, dtype=np.float64).reshape(-1, 1))
-    h = linear(z, params.dec_h0_w, params.dec_h0_b)
-    c = linear(z, params.dec_c0_w, params.dec_c0_b)
+    h = linear(z, params["dec.h0_w"], params["dec.h0_b"])
+    c = linear(z, params["dec.c0_w"], params["dec.c0_b"])
     out: list[int] = []
     token = START
     for _ in range(max_len):
-        emb = params.dec_embed.lookup([token])
+        emb = ad.select_columns(params["dec.embed"], [token])
         x = ad.concat_rows(emb, z)
-        h, c = lstm_step(x, h, c, params.dec_lstm)
-        logits = linear(h, params.dec_out_w, params.dec_out_b)
+        h, c = lstm_step(x, h, c, params, "dec.lstm")
+        logits = linear(h, params["dec.out_w"], params["dec.out_b"])
         token = int(np.argmax(logits.data[:, 0]))
         if token == END:
             break
@@ -310,7 +242,11 @@ def _config_echo(params: VaeParams, extra: dict | None) -> dict:
 
 
 def save_checkpoint(path, params: VaeParams, vocab: Vocabulary, config: dict | None = None) -> None:
-    """Single self-describing file: JSON header + raw little-endian float64 blobs."""
+    """Single self-describing file: JSON header + raw little-endian float64 blobs.
+
+    The file is written beside ``path`` under a temporary name and moved into
+    place, so a failed save leaves any previous checkpoint intact.
+    """
     named = params.named_parameters()
     header = {
         "config": _config_echo(params, config),
@@ -319,12 +255,19 @@ def save_checkpoint(path, params: VaeParams, vocab: Vocabulary, config: dict | N
         "vocab_hash": vocab.hash,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, t in named:
-            fh.write(t.data.astype("<f8").tobytes(order="C"))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _, t in named:
+                fh.write(t.data.astype("<f8").tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
@@ -337,35 +280,38 @@ def load_checkpoint(path):
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise DataError(f"{path} is not a checkpoint file")
     off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off: off + hlen].decode("utf-8"))
+    try:
+        (hlen,) = struct.unpack_from("<Q", raw, off)
+        off += 8
+        header = json.loads(raw[off: off + hlen].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise DataError(f"checkpoint {path} header is not a JSON object")
+        cfg, tokens, vocab_hash = header["config"], header["vocab"], header["vocab_hash"]
+        dims = [cfg[k] for k in ("vocab_size", "embed_dim", "hidden_dim", "latent_dim")]
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"checkpoint {path} has a malformed header: {exc!r}") from exc
     off += hlen
 
-    cfg = header["config"]
-    tokens = header["vocab"]
     if tokens[:4] != list(RESERVED_TOKENS):
         raise DataError(f"checkpoint {path} carries a malformed vocabulary")
     vocab = Vocabulary(tokens[4:])
-    if vocab.hash != header["vocab_hash"]:
+    if vocab.hash != vocab_hash:
         raise DataError(f"checkpoint {path} vocabulary hash mismatch")
 
-    params = VaeParams.init(cfg["vocab_size"], cfg["embed_dim"], cfg["hidden_dim"],
-                            cfg["latent_dim"], np.random.default_rng(0))
-    named = dict(params.named_parameters())
-    for spec in header["tensors"]:
-        name, shape = spec["name"], tuple(spec["shape"])
-        if name not in named:
+    params = VaeParams.init(*dims, np.random.default_rng(0))
+    for name, shape in specs:
+        if name not in params.tensors:
             raise DataError(f"checkpoint {path} has unknown tensor {name!r}")
-        expected = named[name].shape
+        expected = params[name].shape
         if shape != expected:
             raise DataError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected}")
         n_bytes = 8 * int(np.prod(shape)) if shape else 8
         if off + n_bytes > len(raw):
             raise DataError(f"checkpoint {path} is truncated in tensor {name!r}")
         arr = np.frombuffer(raw[off: off + n_bytes], dtype="<f8").reshape(shape)
-        named[name].data = arr.astype(np.float64).copy()
-        named[name].grad = np.zeros_like(named[name].data)
+        params[name].data = arr.astype(np.float64).copy()
+        params[name].grad = np.zeros_like(params[name].data)
         off += n_bytes
     if off != len(raw):
         raise DataError(f"checkpoint {path} has trailing or missing data")

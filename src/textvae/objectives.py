@@ -1,4 +1,5 @@
-"""ELBO assembly: closed-form KL, annealing, free bits, fraternal twin pass.
+"""ELBO assembly: closed-form KL, linear KL annealing, free bits, fraternal
+twin pass, all over padded batches.
 
 All losses are built in minimization form: the training step minimizes
 
@@ -19,42 +20,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Batch, make_batch
+from .corpus import Batch
 from .errors import ConfigError
-from .layers import sample_mask_pair
-from .model import GaussianPosterior, LatentSample, VaeParams, decode_batch, encode_batch, reparameterize
-
-
-@dataclass
-class AnnealSchedule:
-    """Linear KL warmup: beta(t) = min(t / warmup_steps, 1)."""
-
-    warmup_steps: int
-    kind: str = "linear"
-
-    def __post_init__(self):
-        if self.kind != "linear":
-            raise ConfigError(f"unknown annealing kind {self.kind!r}")
-        if self.warmup_steps < 1:
-            raise ConfigError(f"warmup_steps must be positive, got {self.warmup_steps}")
-
-
-def anneal_weight(step: int, schedule: AnnealSchedule) -> float:
-    if step < 0:
-        raise ConfigError(f"step must be >= 0, got {step}")
-    return min(step / schedule.warmup_steps, 1.0)
+from .layers import sample_masks
+from .model import GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize
 
 
 def _kl_elementwise(mu: Tensor, logvar: Tensor) -> Tensor:
     # 0.5 * (mu^2 + exp(logvar) - 1 - logvar), per coordinate
     inner = ad.sub(ad.sub(ad.add(ad.mul(mu, mu), ad.exp(logvar)), 1.0), logvar)
     return ad.scale(inner, 0.5)
-
-
-def kl_diag_gaussian(post: GaussianPosterior) -> tuple[Tensor, Tensor]:
-    """KL(q || N(0, I)) for a single posterior: (total scalar, per-dimension vector)."""
-    per_dim = _kl_elementwise(post.mu, post.logvar)
-    return ad.reduce_sum(per_dim), per_dim
 
 
 def kl_columns(post: GaussianPosterior) -> Tensor:
@@ -105,7 +80,7 @@ def fraternal_batch(z: Tensor, batch: Batch, keep_prob: float, params: VaeParams
     B, L = batch.ids.shape
     n_steps = L + 1
     if mask is None:
-        mask = np.stack([sample_mask_pair(n_steps, keep_prob, rng).d for _ in range(B)])
+        mask = sample_masks((B, n_steps), keep_prob, rng)
     else:
         mask = np.asarray(mask, dtype=np.float64).reshape(B, n_steps)
     ll_a, steps_a = decode_batch(z, batch.ids, batch.lengths, params, mask=mask)
@@ -113,19 +88,6 @@ def fraternal_batch(z: Tensor, batch: Batch, keep_prob: float, params: VaeParams
     mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)
     penalty = _hidden_gap_penalty(steps_a, steps_b, batch.lengths, params.hidden_dim)
     return mean_ll, penalty
-
-
-def fraternal_pass(x, z, b: float, alpha: float, rng: np.random.Generator,
-                   params: VaeParams, mask: np.ndarray | None = None):
-    """Single-sentence twin pass; shares one latent sample across both decodes."""
-    if alpha < 0:
-        raise ConfigError(f"fraternal alpha must be >= 0, got {alpha}")
-    z = z.z if isinstance(z, LatentSample) else z
-    batch = make_batch([tuple(int(i) for i in x)])
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64).reshape(1, -1)
-    mean_ll, penalty = fraternal_batch(z, batch, b, params, rng, mask=mask)
-    return ad.reduce_sum(mean_ll), ad.reduce_sum(penalty)
 
 
 @dataclass
@@ -150,10 +112,10 @@ class LossBreakdown:
         }
 
 
-def elbo_step(x, config, params: VaeParams, rng: np.random.Generator, step: int = 0,
+def elbo_step(batch: Batch, config, params: VaeParams, rng: np.random.Generator, step: int = 0,
               eps: np.ndarray | None = None, mask: np.ndarray | None = None,
               beta_override: float | None = None, deterministic_z: bool = False) -> LossBreakdown:
-    """One surrogate-objective evaluation over a sentence or batch.
+    """One surrogate-objective evaluation over a padded batch.
 
     ``config`` needs alpha, keep_prob, free_bits, warmup_steps and latent_dim
     attributes (TrainConfig satisfies this).  One latent sample is drawn per
@@ -162,12 +124,6 @@ def elbo_step(x, config, params: VaeParams, rng: np.random.Generator, step: int 
     """
     if config.alpha < 0:
         raise ConfigError(f"fraternal alpha must be >= 0, got {config.alpha}")
-    if isinstance(x, Batch):
-        batch = x
-    elif x and isinstance(x[0], (int, np.integer)):
-        batch = make_batch([x])
-    else:
-        batch = make_batch(x)
     B = batch.size
 
     post = encode_batch(batch.ids, batch.lengths, params)
@@ -176,7 +132,7 @@ def elbo_step(x, config, params: VaeParams, rng: np.random.Generator, step: int 
     else:
         if eps is None:
             eps = rng.standard_normal((config.latent_dim, B))
-        z = reparameterize(post, eps).z
+        z = reparameterize(post, eps)
 
     if config.alpha > 0:
         mean_ll, penalty_cols = fraternal_batch(z, batch, config.keep_prob, params, rng, mask=mask)
@@ -184,9 +140,7 @@ def elbo_step(x, config, params: VaeParams, rng: np.random.Generator, step: int 
     else:
         single_mask = mask
         if single_mask is None and config.keep_prob < 1.0:
-            n_steps = batch.ids.shape[1] + 1
-            single_mask = np.stack(
-                [sample_mask_pair(n_steps, config.keep_prob, rng).d for _ in range(B)])
+            single_mask = sample_masks((B, batch.ids.shape[1] + 1), config.keep_prob, rng)
         mean_ll, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=single_mask)
         penalty = Tensor(0.0)
 
@@ -207,7 +161,7 @@ def elbo_step(x, config, params: VaeParams, rng: np.random.Generator, step: int 
     else:
         if config.warmup_steps is None:
             raise ConfigError("warmup_steps is unresolved; train() resolves it, or pass beta_override")
-        beta = anneal_weight(step, AnnealSchedule(config.warmup_steps))
+        beta = min(step / config.warmup_steps, 1.0)  # linear KL warmup
 
     total = ad.add(reconstruction, ad.scale(kl_effective, beta))
     if config.alpha > 0:

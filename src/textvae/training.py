@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import tape, zero_grads
 from .corpus import CorpusSplit, batches
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, NumericError, TrainingError
 from .model import VaeParams
 from .objectives import elbo_step
 
@@ -89,13 +89,19 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """Bias-corrected Adam update, in place on the parameter tensors."""
+    """Bias-corrected Adam update, in place on the parameter tensors.
+
+    Every gradient is checked before anything is updated: a non-finite
+    gradient raises TrainingError with the parameters and state untouched.
+    """
+    params = list(params)
+    for name, _ in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingError(f"non-finite gradient in parameter {name!r}")
     state.t += 1
     t = state.t
     for name, p in params:
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -149,7 +155,9 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int,
     """Optimize the surrogate objective by mini-batch Adam.
 
     ``phase="pretrain"`` runs the deterministic-autoencoder variant: z = mu,
-    beta forced to 0, no fraternal term, no word dropout.
+    beta forced to 0, no fraternal term, no word dropout.  A step that
+    fails numerically raises TrainingError carrying the best parameters so
+    far and the log.
     """
     config.validate()
     if not corpus.train:
@@ -181,20 +189,22 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int,
         seen = 0
         for batch in batches(corpus.train, config.batch_size, seed=config.seed, epoch=epoch):
             zero_grads(named)
-            with tape() as t:
-                lb = elbo_step(batch, config, params, rng, step=step,
-                               beta_override=0.0 if pretrain else None,
-                               deterministic_z=pretrain)
-                t.backward(lb.total)
-            scalars = lb.scalars()
-            if not np.isfinite(scalars["total"]):
-                raise TrainingError(
-                    f"training diverged at epoch {epoch}, step {step}: loss {scalars['total']}",
-                    params=best, log=log)
-            if config.clip_norm > 0:
-                clip_gradients(named, config.clip_norm)
-            adam_step(named, {n: t.grad for n, t in named}, state, config.lr,
-                      config.adam_beta1, config.adam_beta2, config.adam_eps)
+            try:
+                with tape() as t:
+                    lb = elbo_step(batch, config, params, rng, step=step,
+                                   beta_override=0.0 if pretrain else None,
+                                   deterministic_z=pretrain)
+                    t.backward(lb.total)
+                scalars = lb.scalars()
+                if not np.isfinite(scalars["total"]):
+                    raise TrainingError(f"loss {scalars['total']}")
+                if config.clip_norm > 0:
+                    clip_gradients(named, config.clip_norm)
+                adam_step(named, {n: t.grad for n, t in named}, state, config.lr,
+                          config.adam_beta1, config.adam_beta2, config.adam_eps)
+            except (NumericError, TrainingError) as exc:
+                raise TrainingError(f"training diverged at epoch {epoch}, step {step}: {exc}",
+                                    params=best, log=log) from exc
             for k in sums:
                 sums[k] += scalars[k] * batch.size
             seen += batch.size

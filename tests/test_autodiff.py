@@ -6,14 +6,16 @@ from textvae.autodiff import (
     Tensor,
     grad_check,
     matmul,
-    pointwise,
-    reduce,
-    softmax_cross_entropy,
     softmax_cross_entropy_cols,
     tape,
     zero_grads,
 )
-from textvae.errors import ConfigError, ContractError, DimensionError, NumericError
+from textvae.errors import ContractError, DimensionError, NumericError
+
+
+def cross_entropy(logits, target):
+    """Scalar cross entropy of one logit vector, through the batched op."""
+    return ad.reduce_mean(softmax_cross_entropy_cols(logits, [target]))
 
 
 def test_matmul_identity():
@@ -32,7 +34,7 @@ def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
-    report = grad_check(lambda: reduce("sum", matmul(a, b)), {"a": a, "b": b}, tol=1e-6)
+    report = grad_check(lambda: ad.reduce_mean(matmul(a, b)), {"a": a, "b": b}, tol=1e-6)
     assert report.passed, str(report)
 
 
@@ -43,8 +45,8 @@ def test_matmul_shape_mismatch():
 
 
 def test_sigmoid_tanh_at_zero():
-    assert pointwise("sigmoid", Tensor(0.0)).item() == 0.5
-    assert pointwise("tanh", Tensor(0.0)).item() == 0.0
+    assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+    assert ad.tanh(Tensor(0.0)).item() == 0.0
 
 
 def test_sigmoid_gradient_at_zero():
@@ -80,22 +82,26 @@ def test_elementwise_shape_mismatch():
 
 def test_scalar_broadcast():
     x = Tensor([1.0, 2.0, 3.0])
-    assert np.array_equal((x + 1.0).data, [2.0, 3.0, 4.0])
-    assert np.array_equal((2.0 * x).data, [2.0, 4.0, 6.0])
+    assert np.array_equal(ad.add(x, 1.0).data, [2.0, 3.0, 4.0])
+    assert np.array_equal(ad.mul(2.0, x).data, [2.0, 4.0, 6.0])
+    assert np.array_equal(ad.sub(x, 1.0).data, [0.0, 1.0, 2.0])
 
 
-def test_unknown_pointwise_kind():
-    with pytest.raises(ConfigError):
-        pointwise("cosh", Tensor(0.0))
+def test_item_accepts_any_size_one_tensor():
+    assert Tensor(2.5).item() == 2.5
+    assert Tensor(np.full((1,), 3.0)).item() == 3.0
+    assert Tensor(np.ones((1, 1))).item() == 1.0
+    with pytest.raises(ContractError):
+        Tensor(np.ones((1, 2))).item()
 
 
 def test_cross_entropy_uniform_logits():
-    out = softmax_cross_entropy(Tensor(np.zeros(4)), 2)
+    out = cross_entropy(Tensor(np.zeros((4, 1))), 2)
     assert abs(out.item() - np.log(4.0)) < 1e-12
 
 
 def test_cross_entropy_large_logits_stable():
-    out = softmax_cross_entropy(Tensor([1000.0, 0.0]), 0)
+    out = cross_entropy(Tensor([[1000.0], [0.0]]), 0)
     assert 0.0 <= out.item() < 1e-12
 
 
@@ -107,19 +113,19 @@ def test_cross_entropy_matches_bruteforce_oracle():
     probs = np.exp(logits) / np.exp(logits).sum()
     expected = -np.log(probs[target])
 
-    t = Tensor(logits, requires_grad=True)
+    t = Tensor(logits[:, None], requires_grad=True)
     with tape() as tp:
-        out = softmax_cross_entropy(t, target)
+        out = cross_entropy(t, target)
         tp.backward(out)
     assert abs(out.item() - expected) < 1e-10
     onehot = np.zeros(10)
     onehot[target] = 1.0
-    assert np.max(np.abs(t.grad - (probs - onehot))) < 1e-10
+    assert np.max(np.abs(t.grad[:, 0] - (probs - onehot))) < 1e-10
 
 
 def test_cross_entropy_target_out_of_range():
     with pytest.raises(IndexError):
-        softmax_cross_entropy(Tensor(np.zeros(4)), 4)
+        cross_entropy(Tensor(np.zeros((4, 1))), 4)
 
 
 def test_cross_entropy_cols_matches_scalar_version():
@@ -128,21 +134,21 @@ def test_cross_entropy_cols_matches_scalar_version():
     targets = [0, 5, 2, 3, 1]
     row = softmax_cross_entropy_cols(Tensor(logits), targets)
     for j, tgt in enumerate(targets):
-        single = softmax_cross_entropy(Tensor(logits[:, j]), tgt)
+        single = cross_entropy(Tensor(logits[:, [j]]), tgt)
         assert abs(row.data[0, j] - single.item()) < 1e-12
 
 
 def test_reduce_trivials():
-    assert reduce("squared_l2_norm", Tensor([3.0, 4.0])).item() == 25.0
-    assert reduce("mean", Tensor([1.0, 2.0, 3.0])).item() == 2.0
+    assert ad.squared_l2_norm(Tensor([3.0, 4.0])).item() == 25.0
+    assert ad.reduce_mean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
 
 
 def test_sum_gradient_is_ones():
-    x = Tensor([5.0, -1.0, 2.0], requires_grad=True)
+    x = Tensor([[5.0], [-1.0], [2.0]], requires_grad=True)
     with tape() as t:
-        t.backward(reduce("sum", x))
-    assert np.array_equal(x.grad, np.ones(3))
-    report = grad_check(lambda: reduce("sum", x), {"x": x}, tol=1e-6)
+        t.backward(ad.reduce_mean(ad.column_sums(x)))
+    assert np.array_equal(x.grad, np.ones((3, 1)))
+    report = grad_check(lambda: ad.reduce_mean(ad.column_sums(x)), {"x": x}, tol=1e-6)
     assert report.passed
 
 
@@ -175,21 +181,21 @@ def test_backward_linearity_of_sums():
     xd = rng.uniform(-2, 2, 4)
     x1 = Tensor(xd, requires_grad=True)
     with tape() as t:
-        loss = ad.add(ad.squared_l2_norm(x1), ad.reduce_sum(ad.tanh(x1)))
+        loss = ad.add(ad.squared_l2_norm(x1), ad.reduce_mean(ad.tanh(x1)))
         t.backward(loss)
 
     x2 = Tensor(xd, requires_grad=True)
     with tape() as t:
         t.backward(ad.squared_l2_norm(x2))
     with tape() as t:
-        t.backward(ad.reduce_sum(ad.tanh(x2)))
+        t.backward(ad.reduce_mean(ad.tanh(x2)))
     assert np.max(np.abs(x1.grad - x2.grad)) < 1e-12
 
 
 def test_zero_grads_resets():
     x = Tensor([1.0], requires_grad=True)
     with tape() as t:
-        t.backward(ad.reduce_sum(x))
+        t.backward(ad.reduce_mean(x))
     assert x.grad[0] == 1.0
     zero_grads([("x", x)])
     assert x.grad[0] == 0.0
@@ -214,20 +220,10 @@ def test_structural_ops_gradients():
         cat = ad.concat_rows(a, b)
         sel = ad.select_columns(cat, [0, 2, 2])
         plus = ad.add_col(ad.select_columns(a, [0, 1]), c)
-        return ad.add(ad.squared_l2_norm(sel), ad.reduce_sum(ad.column_sums(plus)))
+        return ad.add(ad.squared_l2_norm(sel), ad.reduce_mean(ad.column_sums(plus)))
 
     report = grad_check(f, {"a": a, "b": b, "c": c}, tol=1e-6)
     assert report.passed, str(report)
-
-
-def test_concat_cols_roundtrip_and_grad():
-    rng = np.random.default_rng(6)
-    parts = [Tensor(rng.uniform(-1, 1, (3, 1)), requires_grad=True) for _ in range(4)]
-    out = ad.concat_cols(parts)
-    assert out.shape == (3, 4)
-    report = grad_check(lambda: ad.squared_l2_norm(ad.concat_cols(parts)),
-                        [(f"p{i}", p) for i, p in enumerate(parts)], tol=1e-6)
-    assert report.passed
 
 
 def test_maximum_scalar_kink():
@@ -254,7 +250,7 @@ def test_grad_check_detects_corrupted_backward():
     w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
     ad._CORRUPT_TANH_BACKWARD = True
     try:
-        report = grad_check(lambda: ad.reduce_sum(ad.tanh(w)), {"w": w}, tol=1e-5)
+        report = grad_check(lambda: ad.reduce_mean(ad.tanh(w)), {"w": w}, tol=1e-5)
     finally:
         ad._CORRUPT_TANH_BACKWARD = False
     assert not report.passed
@@ -264,7 +260,7 @@ def test_grad_check_detects_corrupted_backward():
 def test_grad_check_constant_function():
     x = Tensor([1.0, 2.0], requires_grad=True)
     const = Tensor(7.0)
-    report = grad_check(lambda: ad.reduce_sum(ad.mul(const, const)), {"x": x}, tol=1e-6)
+    report = grad_check(lambda: ad.reduce_mean(ad.mul(const, const)), {"x": x}, tol=1e-6)
     assert report.passed
     assert report.max_error == 0.0
 
@@ -273,7 +269,7 @@ def test_grad_check_rejects_nondeterminism():
     rng = np.random.default_rng(9)
     x = Tensor([1.0], requires_grad=True)
     with pytest.raises(ContractError):
-        grad_check(lambda: ad.reduce_sum(ad.scale(x, float(rng.uniform()))), {"x": x})
+        grad_check(lambda: ad.reduce_mean(ad.scale(x, float(rng.uniform()))), {"x": x})
 
 
 def test_gradient_flows_through_deep_chain_vs_fd():

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from textvae.cli import EXIT_CODES, main
-from textvae.corpus import Vocabulary, save_text
+from textvae.errors import NumericError
 from textvae.model import VaeParams, decode_greedy, load_checkpoint
+
+
+def save_text(sentences, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for sent in sentences:
+            fh.write(" ".join(sent) + "\n")
 
 
 def write_config(tmp_path, **overrides):
@@ -68,6 +74,35 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
     assert main(argv) == 0  # identical invocation overwrites in place
     assert (out / "checkpoint.bin").read_bytes() == first_ckpt
     assert (out / "manifest.json").read_bytes() == first_manifest
+
+
+@pytest.mark.parametrize("failure", ["exp overflow", "non-finite gradient"])
+def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
+    import textvae.training as training_mod
+
+    real = training_mod.elbo_step
+    calls = {"n": 0}
+
+    def failing(batch, config, params, rng, **kwargs):
+        calls["n"] += 1
+        lb = real(batch, config, params, rng, **kwargs)
+        if calls["n"] == 8:  # epoch 0 is 5 train steps and 1 dev batch; this is step 6
+            if failure == "exp overflow":
+                raise NumericError("exp would overflow: max input 800")
+            params["dec.out_b"].grad[0, 0] = np.nan
+        return lb
+
+    monkeypatch.setattr(training_mod, "elbo_step", failing)
+    cfg = write_config(tmp_path, train={"epochs": 3})
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CODES["numeric"]
+    records = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
+    assert [r["epoch"] for r in records[:-1]] == [0]
+    assert records[-1]["phase"] == "aborted"
+    assert "epoch 1, step 6" in records[-1]["error"]
+    assert json.loads((out / "manifest.json").read_text())["diverged"] is True
+    params, _, _ = load_checkpoint(out / "checkpoint.bin")
+    assert all(np.all(np.isfinite(t.data)) for _, t in params.named_parameters())
 
 
 def test_flag_overrides_win_over_config(tmp_path):

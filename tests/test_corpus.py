@@ -15,7 +15,6 @@ from textvae.corpus import (
     generate_synthetic,
     load_text,
     make_batch,
-    save_text,
 )
 from textvae.errors import ConfigError, DataError
 
@@ -90,7 +89,7 @@ def test_load_text_missing_file(tmp_path):
 def test_text_roundtrip(tmp_path):
     sents = [["a", "b"], ["c"], ["d", "e", "f"]]
     path = tmp_path / "out.txt"
-    save_text(sents, path)
+    path.write_text("".join(" ".join(s) + "\n" for s in sents), encoding="utf-8")
     assert load_text(path) == sents
 
 

@@ -9,15 +9,12 @@ from textvae.metrics import (
     BLEU_EPSILON,
     EvalConfig,
     MetricsReport,
-    active_units,
     active_units_from_means,
     bleu,
     collect_posteriors,
     corpus_bleu,
     evaluate,
-    mutual_information,
     mutual_information_from_posteriors,
-    perplexity,
     reconstruction_nll,
 )
 from textvae.model import VaeParams
@@ -29,15 +26,21 @@ def tiny_params(seed=0, vocab_size=6, latent_dim=2):
 
 def uniform_decoder_params(seed=0):
     p = tiny_params(seed)
-    for _, t in p.decoder_parameters():
-        t.data[...] = 0.0
+    for name, t in p.named_parameters():
+        if name.startswith("dec."):
+            t.data[...] = 0.0
     return p
 
 
 def collapse_encoder(p):
-    for t in (p.enc_mu_w, p.enc_mu_b, p.enc_logvar_w, p.enc_logvar_b):
-        t.data[...] = 0.0
+    for name in ("enc.mu_w", "enc.mu_b", "enc.logvar_w", "enc.logvar_b"):
+        p[name].data[...] = 0.0
     return p
+
+
+def perplexity(corpus, p, n_samples, rng):
+    """The corpus perplexity that evaluate() reports."""
+    return evaluate(corpus, p, EvalConfig(n_samples=n_samples, mi_samples=1, max_gen_len=2), rng).ppl
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +56,8 @@ def test_nll_uniform_decoder_is_length_times_log_vocab():
 
 def test_nll_degenerate_posterior_has_no_sampling_variance():
     p = tiny_params(1)
-    p.enc_logvar_w.data[...] = 0.0
-    p.enc_logvar_b.data[...] = -20.0
+    p["enc.logvar_w"].data[...] = 0.0
+    p["enc.logvar_b"].data[...] = -20.0
     a = reconstruction_nll((4, 5), p, n_samples=1, rng=np.random.default_rng(0))
     b = reconstruction_nll((4, 5), p, n_samples=1, rng=np.random.default_rng(999))
     assert abs(a - b) < 1e-3  # sigma = e^-10: samples pinned to mu
@@ -92,10 +95,10 @@ def test_perplexity_uniform_decoder_equals_vocab_size():
 
 def test_perplexity_half_probability_token_is_two():
     p = tiny_params(4)
-    p.dec_out_w.data[...] = 0.0
-    p.dec_out_b.data[...] = 0.0
-    p.dec_out_b.data[4, 0] = 50.0   # the one real token
-    p.dec_out_b.data[END, 0] = 50.0
+    p["dec.out_w"].data[...] = 0.0
+    p["dec.out_b"].data[...] = 0.0
+    p["dec.out_b"].data[4, 0] = 50.0   # the one real token
+    p["dec.out_b"].data[END, 0] = 50.0
     ppl = perplexity([(4,)], p, n_samples=2, rng=np.random.default_rng(0))
     assert abs(ppl - 2.0) < 1e-9
 
@@ -168,10 +171,13 @@ def test_active_units_needs_two_sentences():
 def test_active_units_on_model_corpus():
     p = tiny_params(7)
     corpus = [(4, 5), (5, 4), (4, 4), (5, 5)]
-    count, variances = active_units(corpus, p)
+    count, variances = active_units_from_means(collect_posteriors(corpus, p)[0])
     mus = np.stack([collect_posteriors([s], p)[0][0] for s in corpus])
     assert np.max(np.abs(variances - mus.var(axis=0))) < 1e-12
     assert count == int(np.sum(mus.var(axis=0) > 0.01))
+    report = evaluate(corpus, p, EvalConfig(n_samples=1, mi_samples=1, max_gen_len=2),
+                      np.random.default_rng(0))
+    assert report.au == count
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,8 @@ def test_mi_bounded_by_log_n():
 def test_mi_model_wrapper_collapsed():
     p = collapse_encoder(tiny_params(8))
     corpus = [(4, 5), (5, 4), (4,), (5, 5)]
-    assert mutual_information(corpus, p, 5, np.random.default_rng(0)) == 0.0
+    mus, logvars = collect_posteriors(corpus, p)
+    assert mutual_information_from_posteriors(mus, logvars, 5, np.random.default_rng(0))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

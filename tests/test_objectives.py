@@ -5,16 +5,8 @@ import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check, tape
 from textvae.corpus import make_batch
 from textvae.errors import ConfigError
-from textvae.model import GaussianPosterior, VaeParams, encode, reparameterize
-from textvae.objectives import (
-    AnnealSchedule,
-    anneal_weight,
-    elbo_step,
-    fraternal_pass,
-    free_bits,
-    kl_columns,
-    kl_diag_gaussian,
-)
+from textvae.model import GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize
+from textvae.objectives import elbo_step, fraternal_batch, free_bits, kl_columns
 from textvae.training import TrainConfig
 
 
@@ -27,24 +19,26 @@ def posterior(mu, logvar):
                              logvar=Tensor(np.asarray(logvar, float).reshape(-1, 1), requires_grad=True))
 
 
+def kl(post):
+    return kl_columns(post).item()
+
+
 def test_kl_zero_at_prior():
-    total, per_dim = kl_diag_gaussian(posterior([0.0, 0.0], [0.0, 0.0]))
-    assert total.item() == 0.0
-    assert np.array_equal(per_dim.data, np.zeros((2, 1)))
+    assert kl(posterior([0.0, 0.0], [0.0, 0.0])) == 0.0
 
 
 def test_kl_half_per_unit_mean():
-    total, per_dim = kl_diag_gaussian(posterior([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]))
-    assert abs(total.item() - 1.5) < 1e-15
-    assert np.max(np.abs(per_dim.data - 0.5)) < 1e-15
+    assert abs(kl(posterior([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])) - 1.5) < 1e-15
+    # one column per sentence: unit means in 0, 1 and 2 of three dimensions
+    batch = GaussianPosterior(mu=Tensor(np.triu(np.ones((3, 3)))), logvar=Tensor(np.zeros((3, 3))))
+    assert np.max(np.abs(kl_columns(batch).data - [[0.5, 1.0, 1.5]])) < 1e-15
 
 
 def test_kl_nonnegative_random():
     rng = np.random.default_rng(0)
     for _ in range(50):
         k = int(rng.integers(1, 6))
-        total, _ = kl_diag_gaussian(posterior(rng.uniform(-3, 3, k), rng.uniform(-2, 2, k)))
-        assert total.item() >= 0.0
+        assert kl(posterior(rng.uniform(-3, 3, k), rng.uniform(-2, 2, k))) >= 0.0
 
 
 def test_kl_matches_monte_carlo_oracle():
@@ -52,7 +46,7 @@ def test_kl_matches_monte_carlo_oracle():
     rng = np.random.default_rng(1)
     mu = rng.uniform(-2, 2, 4)
     logvar = rng.uniform(-1, 1, 4)
-    total, _ = kl_diag_gaussian(posterior(mu, logvar))
+    total = kl(posterior(mu, logvar))
 
     n = 100_000
     sigma = np.exp(0.5 * logvar)
@@ -60,27 +54,32 @@ def test_kl_matches_monte_carlo_oracle():
     log_q = -0.5 * (np.log(2 * np.pi) + logvar + (z - mu) ** 2 / np.exp(logvar)).sum(axis=1)
     log_p = -0.5 * (np.log(2 * np.pi) + z ** 2).sum(axis=1)
     mc = float(np.mean(log_q - log_p))
-    assert abs(mc - total.item()) / total.item() < 0.01
+    assert abs(mc - total) / total < 0.01
 
 
 def test_kl_gradcheck():
     p = posterior([0.3, -1.2], [0.4, -0.3])
-    report = grad_check(lambda: kl_diag_gaussian(p)[0],
+    report = grad_check(lambda: ad.reduce_mean(kl_columns(p)),
                         {"mu": p.mu, "logvar": p.logvar}, tol=1e-6)
     assert report.passed
 
 
 def test_anneal_weight_linear():
-    sched = AnnealSchedule(warmup_steps=100)
-    assert anneal_weight(0, sched) == 0.0
-    assert anneal_weight(100, sched) == 1.0
-    assert anneal_weight(50, sched) == 0.5
-    assert anneal_weight(1000, sched) == 1.0
+    p = tiny_params(1)
+    cfg = _config(warmup_steps=100)
+    batch = make_batch([(4,)])
+
+    def beta(step):
+        return elbo_step(batch, cfg, p, np.random.default_rng(0), step=step).beta
+
+    assert beta(0) == 0.0
+    assert beta(100) == 1.0
+    assert beta(50) == 0.5
+    assert beta(1000) == 1.0
     prev = -1.0
     for step in range(0, 300, 7):
-        beta = anneal_weight(step, sched)
-        assert beta >= prev
-        prev = beta
+        assert beta(step) >= prev
+        prev = beta(step)
 
 
 def test_free_bits_values():
@@ -94,15 +93,13 @@ def test_free_bits_blocks_gradient_below_threshold():
     # the kink: below lambda the branch is constant
     p = posterior([0.1, 0.1], [0.0, 0.0])
     with tape() as t:
-        total, _ = kl_diag_gaussian(p)
-        t.backward(free_bits(total, 8.0))
+        t.backward(ad.reduce_mean(free_bits(kl_columns(p), 8.0)))
     assert np.array_equal(p.mu.grad, np.zeros((2, 1)))
     assert np.array_equal(p.logvar.grad, np.zeros((2, 1)))
 
     p2 = posterior([3.0, 3.0], [0.0, 0.0])  # KL = 9 > 8: gradient flows
     with tape() as t:
-        total, _ = kl_diag_gaussian(p2)
-        t.backward(free_bits(total, 8.0))
+        t.backward(ad.reduce_mean(free_bits(kl_columns(p2), 8.0)))
     assert np.any(p2.mu.grad != 0.0)
 
 
@@ -121,7 +118,7 @@ def test_free_bits_per_dimension_option():
 
     p2 = posterior([2.0, 0.0], [0.0, 0.0])
     with tape() as t:
-        t.backward(free_bits_per_dimension(p2, 2.0, 2).sum())
+        t.backward(ad.reduce_mean(free_bits_per_dimension(p2, 2.0, 2)))
     assert p2.mu.grad[0, 0] != 0.0   # active dimension keeps gradient
     assert p2.mu.grad[1, 0] == 0.0   # clamped dimension is constant
 
@@ -129,33 +126,34 @@ def test_free_bits_per_dimension_option():
 def test_elbo_per_dim_free_bits_config():
     p = tiny_params(18)
     cfg = _config(free_bits=1.0, free_bits_per_dim=True, warmup_steps=5)
-    lb = elbo_step((4, 5), cfg, p, np.random.default_rng(0), step=5)
+    lb = elbo_step(make_batch([(4, 5)]), cfg, p, np.random.default_rng(0), step=5)
     assert lb.kl_effective.item() >= 1.0 - 1e-12
     assert lb.kl_effective.item() >= lb.kl_raw.item() - 1e-12
 
 
 def test_fraternal_zero_decoder_zero_penalty():
     p = tiny_params(2)
-    for _, t in p.decoder_parameters():
-        t.data[...] = 0.0
+    for name, t in p.named_parameters():
+        if name.startswith("dec."):
+            t.data[...] = 0.0
     z = Tensor(np.random.default_rng(0).standard_normal((2, 1)))
-    _, penalty = fraternal_pass([4, 5, 4], z, 0.7, 0.1, np.random.default_rng(1), p)
+    _, penalty = fraternal_batch(z, make_batch([(4, 5, 4)]), 0.7, p, np.random.default_rng(1))
     assert penalty.item() == 0.0
 
 
 def test_fraternal_penalty_matches_bruteforce_oracle():
-    from textvae.model import decode_teacher_forced
-
     p = tiny_params(3)
     z = Tensor(np.random.default_rng(2).standard_normal((2, 1)))
-    x = [4, 5, 5, 4]
-    d = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-    mean_ll, penalty = fraternal_pass(x, z, 0.7, 0.1, np.random.default_rng(3), p, mask=d)
+    batch = make_batch([(4, 5, 5, 4)])
+    d = np.array([[1.0, 0.0, 1.0, 1.0, 0.0]])
+    mean_ll, penalty = fraternal_batch(z, batch, 0.7, p, np.random.default_rng(3), mask=d)
 
-    ll1, H1 = decode_teacher_forced(z, x, d, p)
-    ll2, H2 = decode_teacher_forced(z, x, 1.0 - d, p)
-    n_steps, hidden = len(x) + 1, p.hidden_dim
-    expected_penalty = float(((H1.data - H2.data) ** 2).sum()) / (n_steps * hidden)
+    ll1, steps1 = decode_batch(z, batch.ids, batch.lengths, p, mask=d)
+    ll2, steps2 = decode_batch(z, batch.ids, batch.lengths, p, mask=1.0 - d)
+    H1 = np.concatenate([h.data for h, _ in steps1], axis=1)
+    H2 = np.concatenate([h.data for h, _ in steps2], axis=1)
+    n_steps, hidden = d.shape[1], p.hidden_dim
+    expected_penalty = float(((H1 - H2) ** 2).sum()) / (n_steps * hidden)
     assert abs(penalty.item() - expected_penalty) < 1e-12
     assert abs(mean_ll.item() - 0.5 * (ll1.item() + ll2.item())) < 1e-12
 
@@ -163,10 +161,10 @@ def test_fraternal_penalty_matches_bruteforce_oracle():
 def test_fraternal_symmetric_under_mask_swap():
     p = tiny_params(4)
     z = Tensor(np.random.default_rng(4).standard_normal((2, 1)))
-    x = [4, 5, 4]
-    d = np.array([1.0, 0.0, 1.0, 0.0])
-    ll_a, pen_a = fraternal_pass(x, z, 0.5, 0.1, np.random.default_rng(0), p, mask=d)
-    ll_b, pen_b = fraternal_pass(x, z, 0.5, 0.1, np.random.default_rng(0), p, mask=1.0 - d)
+    batch = make_batch([(4, 5, 4)])
+    d = np.array([[1.0, 0.0, 1.0, 0.0]])
+    ll_a, pen_a = fraternal_batch(z, batch, 0.5, p, np.random.default_rng(0), mask=d)
+    ll_b, pen_b = fraternal_batch(z, batch, 0.5, p, np.random.default_rng(0), mask=1.0 - d)
     assert abs(pen_a.item() - pen_b.item()) < 1e-12
     assert abs(ll_a.item() - ll_b.item()) < 1e-12
 
@@ -174,7 +172,7 @@ def test_fraternal_symmetric_under_mask_swap():
 def test_fraternal_rejects_negative_alpha():
     p = tiny_params(5)
     with pytest.raises(ConfigError):
-        fraternal_pass([4], Tensor(np.zeros((2, 1))), 0.5, -0.1, np.random.default_rng(0), p)
+        elbo_step(make_batch([(4,)]), _config(alpha=-0.1), p, np.random.default_rng(0))
 
 
 def _config(**kw):
@@ -186,17 +184,14 @@ def _config(**kw):
 
 def test_elbo_autoencoder_limit():
     # beta=0, alpha=0, b=1: total is the plain negative log-likelihood
-    from textvae.model import decode_teacher_forced
-
     p = tiny_params(6)
-    x = (4, 5, 4)
+    batch = make_batch([(4, 5, 4)])
     rng = np.random.default_rng(7)
     eps = rng.standard_normal((2, 1))
-    lb = elbo_step(x, _config(), p, rng, step=0, eps=eps)
+    lb = elbo_step(batch, _config(), p, rng, step=0, eps=eps)
     assert lb.beta == 0.0
-    post = encode(x, p)
-    z = reparameterize(post, eps)
-    ll, _ = decode_teacher_forced(z, x, None, p)
+    post = encode_batch(batch.ids, batch.lengths, p)
+    ll, _ = decode_batch(reparameterize(post, eps), batch.ids, batch.lengths, p)
     assert abs(lb.total.item() + ll.item()) < 1e-12
     assert abs(lb.total.item() - lb.reconstruction.item()) < 1e-15
     assert lb.fraternal_penalty.item() == 0.0
@@ -204,9 +199,9 @@ def test_elbo_autoencoder_limit():
 
 def test_elbo_standard_negative_elbo():
     p = tiny_params(8)
-    x = (5, 4)
+    batch = make_batch([(5, 4)])
     eps = np.random.default_rng(9).standard_normal((2, 1))
-    lb = elbo_step(x, _config(warmup_steps=10), p, np.random.default_rng(0), step=10, eps=eps)
+    lb = elbo_step(batch, _config(warmup_steps=10), p, np.random.default_rng(0), step=10, eps=eps)
     assert lb.beta == 1.0
     assert abs(lb.total.item() - (lb.reconstruction.item() + lb.kl_raw.item())) < 1e-12
     assert abs(lb.kl_effective.item() - lb.kl_raw.item()) < 1e-15
@@ -216,7 +211,7 @@ def test_elbo_total_formula_with_all_terms():
     p = tiny_params(10)
     cfg = _config(alpha=0.1, keep_prob=0.7, free_bits=1.0, warmup_steps=2)
     rng = np.random.default_rng(11)
-    lb = elbo_step([(4, 5, 4), (5, 5)], cfg, p, rng, step=1)
+    lb = elbo_step(make_batch([(4, 5, 4), (5, 5)]), cfg, p, rng, step=1)
     expected = (lb.reconstruction.item() + lb.beta * lb.kl_effective.item()
                 + cfg.alpha * lb.fraternal_penalty.item())
     assert abs(lb.total.item() - expected) < 1e-12
@@ -230,13 +225,13 @@ def test_elbo_full_config_gradient_check():
     # frozen eps and mask; every parameter vs central finite differences
     p = tiny_params(12)
     cfg = _config(alpha=0.1, keep_prob=0.7, free_bits=1.0)
-    x = (4, 5, 4)
+    batch = make_batch([(4, 5, 4)])
     rng = np.random.default_rng(13)
     eps = rng.standard_normal((2, 1))
     mask = np.array([[1.0, 0.0, 1.0, 1.0]])
 
     def f():
-        lb = elbo_step(x, cfg, p, np.random.default_rng(0), step=5,
+        lb = elbo_step(batch, cfg, p, np.random.default_rng(0), step=5,
                        eps=eps, mask=mask, beta_override=0.5)
         return lb.total
 
@@ -249,8 +244,9 @@ def test_elbo_deterministic_with_frozen_noise():
     cfg = _config(alpha=0.1, keep_prob=0.7)
     eps = np.random.default_rng(15).standard_normal((2, 1))
     mask = np.array([[1.0, 1.0, 0.0]])
-    a = elbo_step((4, 5), cfg, p, np.random.default_rng(0), eps=eps, mask=mask).total.item()
-    b = elbo_step((4, 5), cfg, p, np.random.default_rng(99), eps=eps, mask=mask).total.item()
+    batch = make_batch([(4, 5)])
+    a = elbo_step(batch, cfg, p, np.random.default_rng(0), eps=eps, mask=mask).total.item()
+    b = elbo_step(batch, cfg, p, np.random.default_rng(99), eps=eps, mask=mask).total.item()
     assert a == b
 
 
@@ -261,7 +257,7 @@ def test_elbo_batched_matches_single_sentences():
     sents = [(4, 5), (5, 4, 4, 5, 5), (4,), (5, 5, 4), (4, 4), (5,), (4, 5, 5, 5), (5, 4)]
     batched = elbo_step(make_batch(sents), cfg, p, np.random.default_rng(0),
                         beta_override=1.0, deterministic_z=True)
-    singles = [elbo_step(s, cfg, p, np.random.default_rng(0),
+    singles = [elbo_step(make_batch([s]), cfg, p, np.random.default_rng(0),
                          beta_override=1.0, deterministic_z=True) for s in sents]
     assert abs(batched.total.item() - np.mean([s.total.item() for s in singles])) < 1e-10
     assert abs(batched.kl_raw.item() - np.mean([s.kl_raw.item() for s in singles])) < 1e-10
@@ -277,7 +273,7 @@ def test_elbo_batched_fraternal_matches_single_sentences():
                         beta_override=1.0, deterministic_z=True, mask=mask)
     totals, penalties = [], []
     for j, s in enumerate(sents):
-        lb = elbo_step(s, cfg, p, np.random.default_rng(0), beta_override=1.0,
+        lb = elbo_step(make_batch([s]), cfg, p, np.random.default_rng(0), beta_override=1.0,
                        deterministic_z=True, mask=mask[j: j + 1, : len(s) + 1])
         totals.append(lb.total.item())
         penalties.append(lb.fraternal_penalty.item())

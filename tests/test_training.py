@@ -50,6 +50,25 @@ def test_adam_rejects_nonfinite_gradient():
     assert "'p'" in str(exc.value)
 
 
+def test_adam_nonfinite_gradient_updates_nothing():
+    # a NaN in the last gradient leaves every parameter and the state untouched
+    a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    b = Tensor(np.array([[3.0]]), requires_grad=True)
+    named = [("a", a), ("b", b)]
+    state = AdamState()
+    adam_step(named, {"a": np.ones((1, 2)), "b": np.ones((1, 1))}, state, lr=0.1)
+    before = {n: t.data.copy() for n, t in named}
+    moments = {n: (state.m[n].copy(), state.v[n].copy()) for n, _ in named}
+    with pytest.raises(TrainingError) as exc:
+        adam_step(named, {"a": np.ones((1, 2)), "b": np.array([[np.inf]])}, state, lr=0.1)
+    assert "'b'" in str(exc.value)
+    assert state.t == 1
+    for n, t in named:
+        assert np.array_equal(t.data, before[n]), n
+        assert np.array_equal(state.m[n], moments[n][0]), n
+        assert np.array_equal(state.v[n], moments[n][1]), n
+
+
 def test_adam_minimizes_quadratic():
     # direct simulation oracle: 50 steps on f(x) = x^2 from x = 1
     x = Tensor(np.array([[1.0]]), requires_grad=True)
@@ -138,13 +157,14 @@ def test_pretrain_reset_redraws_decoder_only():
     phase_cfg = replace(cfg, epochs=cfg.pretrain_epochs, alpha=0.0, keep_prob=1.0, free_bits=0.0)
     ref = train(split, phase_cfg, len(vocab), phase="pretrain",
                 rng=np.random.default_rng(cfg.seed))
-    pre_enc = {n: t.data.copy() for n, t in ref.final_params.encoder_parameters()}
-    pre_dec = {n: t.data.copy() for n, t in ref.final_params.decoder_parameters()}
+    pre = {n: t.data.copy() for n, t in ref.final_params.named_parameters()}
 
     params, log = pretrain_then_reset(split, cfg, len(vocab))
-    for n, t in params.encoder_parameters():
-        assert np.array_equal(t.data, pre_enc[n]), n
-    changed = [n for n, t in params.decoder_parameters() if not np.array_equal(t.data, pre_dec[n])]
+    for n, t in params.named_parameters():
+        if n.startswith("enc."):
+            assert np.array_equal(t.data, pre[n]), n
+    changed = [n for n, t in params.named_parameters()
+               if n.startswith("dec.") and not np.array_equal(t.data, pre[n])]
     assert any(n.startswith("dec.lstm") for n in changed)
     assert any(n.startswith("dec.embed") for n in changed)
     assert log[-1]["phase"] == "reset"
@@ -153,7 +173,7 @@ def test_pretrain_reset_redraws_decoder_only():
 
 def test_pretrained_encoder_separates_template_classes():
     # after AE pretraining, posterior means cluster by template (silhouette > 0)
-    from textvae.model import encode
+    from textvae.metrics import collect_posteriors
 
     spec = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                          n_train=300, n_dev=30, n_test=30, seed=5)
@@ -161,12 +181,8 @@ def test_pretrained_encoder_separates_template_classes():
     cfg = small_config(pretrain_epochs=5, seed=3)
     params, _ = pretrain_then_reset(split, cfg, len(vocab))
 
-    mus, labels = [], []
-    for sent in split.test:
-        mus.append(encode(sent, params).mu.data[:, 0])
-        labels.append(int(vocab.id_to_token[sent[0]][1]))
-    mus = np.stack(mus)
-    labels = np.array(labels)
+    mus, _ = collect_posteriors(split.test, params)
+    labels = np.array([int(vocab.id_to_token[sent[0]][1]) for sent in split.test])
 
     def mean_dist(x, group):
         d = np.linalg.norm(group - x, axis=1)
