@@ -186,16 +186,6 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def negate(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor(-x.data)
-
-    def backward(g):
-        return (-g,)
-
-    return _record(out, (x,), backward)
-
-
 def scale(x, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
@@ -243,19 +233,6 @@ def exp(x) -> Tensor:
 
     def backward(g):
         return (g * y,)
-
-    return _record(out, (x,), backward)
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.data.size and np.min(x.data) <= 0:
-        raise NumericError(f"log requires strictly positive input, min {np.min(x.data):.3g}")
-    xd = x.data
-    out = Tensor(np.log(xd))
-
-    def backward(g):
-        return (g / xd,)
 
     return _record(out, (x,), backward)
 

@@ -33,7 +33,7 @@ from .layers import lstm_step
 from .metrics import EvalConfig, MetricsReport, bleu, evaluate
 from .model import GaussianPosterior, VaeParams, decode_greedy, load_checkpoint, save_checkpoint
 from .objectives import elbo_step, kl_columns
-from .training import TrainConfig, pretrain_then_reset, train
+from .training import TrainConfig, TrainResult, train
 
 EXIT_CODES = {
     "ok": 0,
@@ -177,6 +177,29 @@ def _manifest(command: str, args, config_echo: dict, split, vocab: Vocabulary) -
 # commands
 
 
+def _train_and_save(split: CorpusSplit, tcfg: TrainConfig, vocab: Vocabulary,
+                    out: Path) -> TrainResult:
+    """Train, then write ``checkpoint.bin`` and ``train_log.jsonl`` into ``out``.
+
+    A run that diverges still writes its last good checkpoint and its log,
+    closed by an "aborted" record, before the TrainingError propagates.
+    """
+    error = None
+    try:
+        result = train(split, tcfg, len(vocab))
+        params, log = result.params, result.log
+    except TrainingError as exc:
+        error, params = exc, exc.params
+        log = exc.log + [{"phase": "aborted", "error": str(exc)}]
+    save_checkpoint(out / "checkpoint.bin", params, vocab, config=tcfg.to_dict())
+    with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
+        for record in log:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    if error is not None:
+        raise error
+    return result
+
+
 def cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
     tcfg = _train_config(cfg, args)
@@ -187,37 +210,20 @@ def cmd_train(args) -> int:
     config_echo = {"train": tcfg.to_dict(), "eval": _eval_config(cfg).to_dict(),
                    "vocab_size": len(vocab)}
     manifest = _manifest("train", args, config_echo, split, vocab)
-
-    rng = np.random.default_rng(tcfg.seed)
-    params, pre_log = pretrain_then_reset(split, tcfg, len(vocab), rng=rng)
-    diverged = False
-    try:
-        result = train(split, tcfg, len(vocab), init_params=params, rng=rng)
-        log = pre_log + result.log
-        best = result.params
-    except TrainingError as exc:
-        diverged = True
-        log = pre_log + (exc.log or [])
-        log.append({"phase": "aborted", "error": str(exc)})
-        best = exc.params
-        if best is None:
-            raise
-
     vocab.save(out / "vocab.txt")
-    save_checkpoint(out / "checkpoint.bin", best, vocab, config=config_echo["train"])
-    with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
-        for record in log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    if diverged:
-        manifest["diverged"] = True
+    try:
+        result = _train_and_save(split, tcfg, vocab, out)
+    except TrainingError:
+        _write_json(out / "manifest.json", {**manifest, "diverged": True})
+        print(f"training diverged; last good checkpoint written to {out / 'checkpoint.bin'}")
+        raise
     _write_json(out / "manifest.json", manifest)
 
-    if diverged:
-        print(f"training diverged; last good checkpoint written to {out / 'checkpoint.bin'}")
-        return EXIT_CODES["numeric"]
-    final = log[-1]
-    print(f"trained {tcfg.epochs} epochs; final total {final['total']:.4f} "
-          f"(kl {final['kl_raw']:.4f}); artifacts in {out}")
+    summary = f"trained {tcfg.epochs} epochs"
+    if tcfg.epochs:
+        final = result.log[-1]
+        summary += f"; final total {final['total']:.4f} (kl {final['kl_raw']:.4f})"
+    print(f"{summary}; artifacts in {out}")
     return 0
 
 
@@ -263,14 +269,7 @@ def cmd_sweep(args) -> int:
         run_dir = out / f"alpha_{alpha:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            rng = np.random.default_rng(tcfg.seed)
-            params, pre_log = pretrain_then_reset(split, tcfg, len(vocab), rng=rng)
-            result = train(split, tcfg, len(vocab), init_params=params, rng=rng)
-            save_checkpoint(run_dir / "checkpoint.bin", result.params, vocab,
-                            config=tcfg.to_dict())
-            with open(run_dir / "train_log.jsonl", "w", encoding="utf-8") as fh:
-                for record in pre_log + result.log:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+            result = _train_and_save(split, tcfg, vocab, run_dir)
             report = evaluate(split.test, result.params, ecfg, np.random.default_rng(args.seed))
             (run_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
             rows.append(report.table_row(f"{alpha:g}"))
@@ -288,6 +287,20 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _decode_and_write(args, params: VaeParams, vocab: Vocabulary, zs, filename: str,
+                      config_echo: dict) -> int:
+    """Greedy-decode each latent in ``zs``; print the sentences and write them to ``--out-dir``."""
+    lines = [" ".join(vocab.decode(decode_greedy(z, args.max_len, params))) for z in zs]
+    for line in lines:
+        print(line)
+    if args.out_dir:
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_json(out / "manifest.json", _manifest(args.command, args, config_echo, None, vocab))
+    return 0
+
+
 def cmd_interpolate(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
@@ -295,40 +308,17 @@ def cmd_interpolate(args) -> int:
     rng = np.random.default_rng(args.seed)
     z1 = rng.standard_normal(params.latent_dim)
     z2 = rng.standard_normal(params.latent_dim)
-    lines = []
-    for t in np.linspace(0.0, 1.0, args.steps):
-        z = (1.0 - t) * z1 + t * z2
-        tokens = decode_greedy(z, args.max_len, params)
-        lines.append(" ".join(vocab.decode(tokens)))
-    for line in lines:
-        print(line)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "interpolations.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_json(out / "manifest.json",
-                    _manifest("interpolate", args, {"steps": args.steps,
-                                                    "max_len": args.max_len}, None, vocab))
-    return 0
+    zs = [(1.0 - t) * z1 + t * z2 for t in np.linspace(0.0, 1.0, args.steps)]
+    return _decode_and_write(args, params, vocab, zs, "interpolations.txt",
+                             {"steps": args.steps, "max_len": args.max_len})
 
 
 def cmd_sample(args) -> int:
     params, vocab, _ = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(args.seed)
-    lines = []
-    for _ in range(args.n):
-        z = rng.standard_normal(params.latent_dim)
-        tokens = decode_greedy(z, args.max_len, params)
-        lines.append(" ".join(vocab.decode(tokens)))
-    for line in lines:
-        print(line)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "samples.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_json(out / "manifest.json",
-                    _manifest("sample", args, {"n": args.n, "max_len": args.max_len}, None, vocab))
-    return 0
+    zs = [rng.standard_normal(params.latent_dim) for _ in range(args.n)]
+    return _decode_and_write(args, params, vocab, zs, "samples.txt",
+                             {"n": args.n, "max_len": args.max_len})
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,6 @@ class Vocabulary:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(self.id_to_token) + "\n")
 
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh if line.strip()]
-        if tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
-            raise DataError(f"vocabulary file {path} does not start with the reserved tokens")
-        return cls(tokens[len(RESERVED_TOKENS):])
-
 
 def build_vocab(sentences, max_size: int) -> Vocabulary:
     """Keep the most frequent tokens, ties broken lexicographically."""

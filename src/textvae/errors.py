@@ -21,7 +21,7 @@ class DimensionError(TextVaeError):
 
 
 class NumericError(TextVaeError):
-    """Numeric domain violation (log of non-positive, exp overflow)."""
+    """Numeric domain violation (exp overflow)."""
 
 
 class ContractError(TextVaeError):

@@ -205,7 +205,7 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
         valid = (t < lengths + 1).astype(np.float64)
         total_ce = ad.add(total_ce, ad.mul(ce, Tensor(valid[None, :])))
         steps.append((h, valid))
-    log_lik = ad.negate(total_ce)
+    log_lik = ad.scale(total_ce, -1.0)
     return log_lik, steps
 
 

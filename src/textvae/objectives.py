@@ -144,7 +144,7 @@ def elbo_step(batch: Batch, config, params: VaeParams, rng: np.random.Generator,
         mean_ll, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=single_mask)
         penalty = Tensor(0.0)
 
-    reconstruction = ad.negate(ad.reduce_mean(mean_ll))
+    reconstruction = ad.scale(ad.reduce_mean(mean_ll), -1.0)
     kl_cols = kl_columns(post)
     kl_raw = ad.reduce_mean(kl_cols)
     if config.free_bits > 0:

@@ -132,7 +132,6 @@ class TrainResult:
     params: VaeParams          # best-validation checkpoint
     final_params: VaeParams
     log: list[dict]
-    best_epoch: int
 
 
 def _dev_elbo(dev_sentences, config: TrainConfig, params: VaeParams, seed, batch_size: int) -> float:
@@ -149,37 +148,20 @@ def _dev_elbo(dev_sentences, config: TrainConfig, params: VaeParams, seed, batch
     return total / count
 
 
-def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int,
-          init_params: VaeParams | None = None, phase: str = "train",
-          rng: np.random.Generator | None = None) -> TrainResult:
-    """Optimize the surrogate objective by mini-batch Adam.
+def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: VaeParams,
+               rng: np.random.Generator, log: list[dict]) -> VaeParams:
+    """Run ``config.epochs`` epochs of one phase, appending a record per epoch to ``log``.
 
-    ``phase="pretrain"`` runs the deterministic-autoencoder variant: z = mu,
-    beta forced to 0, no fraternal term, no word dropout.  A step that
-    fails numerically raises TrainingError carrying the best parameters so
-    far and the log.
+    ``phase="pretrain"`` is the deterministic-autoencoder variant: z = mu and
+    beta forced to 0.  Returns the best-validation parameters.  A step that
+    fails numerically raises TrainingError carrying those parameters and
+    ``log``.
     """
-    config.validate()
-    if not corpus.train:
-        raise ConfigError("training corpus is empty")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    if init_params is None:
-        params = VaeParams.init(vocab_size, config.embed_dim, config.hidden_dim,
-                                config.latent_dim, rng)
-    else:
-        params = init_params
-
-    n_batches = (len(corpus.train) + config.batch_size - 1) // config.batch_size
-    if config.warmup_steps is None:
-        config = replace(config, warmup_steps=max(1, 10 * n_batches))
-
     pretrain = phase == "pretrain"
     named = params.named_parameters()
     state = AdamState()
-    log: list[dict] = []
     best = params.clone()
-    best_val, best_epoch = float("inf"), -1
+    best_val = float("inf")
     step = 0
     t0 = time.perf_counter()
 
@@ -203,8 +185,8 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int,
                 adam_step(named, {n: t.grad for n, t in named}, state, config.lr,
                           config.adam_beta1, config.adam_beta2, config.adam_eps)
             except (NumericError, TrainingError) as exc:
-                raise TrainingError(f"training diverged at epoch {epoch}, step {step}: {exc}",
-                                    params=best, log=log) from exc
+                raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
+                                    f"{exc}", params=best, log=log) from exc
             for k in sums:
                 sums[k] += scalars[k] * batch.size
             seen += batch.size
@@ -221,35 +203,41 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int,
 
         val = record["val_elbo"] if np.isfinite(record["val_elbo"]) else record["total"]
         if val < best_val:
-            best_val, best_epoch = val, epoch
+            best_val = val
             best = params.clone()
 
-    if config.epochs == 0:
-        best, best_epoch = params.clone(), 0
-    return TrainResult(params=best, final_params=params, log=log, best_epoch=best_epoch)
+    return best
 
 
-def pretrain_then_reset(corpus: CorpusSplit, config: TrainConfig, vocab_size: int,
-                        rng: np.random.Generator | None = None):
-    """Deterministic-autoencoder pretraining, then a fresh decoder.
+def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int) -> TrainResult:
+    """Optimize the surrogate objective by mini-batch Adam.
 
-    Phase 1 trains with z = mu, beta = 0, no fraternal term and no word
-    dropout; afterwards every decoder-side parameter (embeddings included)
-    is redrawn while the encoder is kept bitwise intact.  Returns
-    (params, log) ready for the standard loop.
+    With ``pretrain_epochs > 0`` the run first trains a deterministic
+    autoencoder (z = mu, beta = 0, no fraternal term, no word dropout), then
+    redraws every decoder-side parameter while keeping the encoder, and only
+    then starts the standard loop.  Init, pretraining, the reset and the
+    standard loop all draw from one ``default_rng(config.seed)`` in that
+    order.  A step that fails numerically, in either phase, raises
+    TrainingError carrying the best parameters of that phase so far and the
+    whole log.
     """
     config.validate()
-    if config.pretrain_epochs < 1:
-        params = VaeParams.init(vocab_size, config.embed_dim, config.hidden_dim,
-                                config.latent_dim, rng or np.random.default_rng(config.seed))
-        return params, []
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    phase_cfg = replace(config, epochs=config.pretrain_epochs, alpha=0.0,
-                        keep_prob=1.0, free_bits=0.0)
-    result = train(corpus, phase_cfg, vocab_size, phase="pretrain", rng=rng)
-    params = result.final_params
-    params.reset_decoder(rng)
-    log = result.log + [{"phase": "reset", "epoch": config.pretrain_epochs,
-                         "note": "decoder parameters redrawn; encoder kept"}]
-    return params, log
+    if not corpus.train:
+        raise ConfigError("training corpus is empty")
+    rng = np.random.default_rng(config.seed)
+    params = VaeParams.init(vocab_size, config.embed_dim, config.hidden_dim,
+                            config.latent_dim, rng)
+    n_batches = (len(corpus.train) + config.batch_size - 1) // config.batch_size
+    if config.warmup_steps is None:
+        config = replace(config, warmup_steps=max(1, 10 * n_batches))
+
+    log: list[dict] = []
+    if config.pretrain_epochs > 0:
+        phase_cfg = replace(config, epochs=config.pretrain_epochs, alpha=0.0,
+                            keep_prob=1.0, free_bits=0.0)
+        _run_phase("pretrain", corpus, phase_cfg, params, rng, log)
+        params.reset_decoder(rng)
+        log.append({"phase": "reset", "epoch": config.pretrain_epochs,
+                    "note": "decoder parameters redrawn; encoder kept"})
+    best = _run_phase("train", corpus, config, params, rng, log)
+    return TrainResult(params=best, final_params=params, log=log)

@@ -53,8 +53,9 @@ def test_train_writes_artifacts(tmp_path):
             "fraternal_penalty", "total", "wall_time"} <= set(records[-1])
 
 
-def test_train_lr_zero_checkpoint_equals_init(tmp_path):
-    cfg = write_config(tmp_path, train={"lr": 0.0})
+@pytest.mark.parametrize("overrides", [{"lr": 0.0}, {"epochs": 0}], ids=["lr 0", "epochs 0"])
+def test_train_without_updates_checkpoint_equals_init(tmp_path, overrides):
+    cfg = write_config(tmp_path, train=overrides)
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
     params, vocab, _ = load_checkpoint(out / "checkpoint.bin")
@@ -76,9 +77,20 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
     assert (out / "manifest.json").read_bytes() == first_manifest
 
 
-@pytest.mark.parametrize("failure", ["exp overflow", "non-finite gradient"])
+def read_log(run_dir):
+    return [json.loads(l) for l in (run_dir / "train_log.jsonl").read_text().splitlines()]
+
+
+def assert_finite_checkpoint(path):
+    params, _, _ = load_checkpoint(path)
+    assert all(np.all(np.isfinite(t.data)) for _, t in params.named_parameters())
+
+
+@pytest.mark.parametrize("failure", ["exp overflow", "non-finite gradient", "pretrain exp overflow"])
 def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     import textvae.training as training_mod
+
+    phase = "pretrain" if failure.startswith("pretrain") else "train"
 
     real = training_mod.elbo_step
     calls = {"n": 0}
@@ -87,22 +99,22 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
         calls["n"] += 1
         lb = real(batch, config, params, rng, **kwargs)
         if calls["n"] == 8:  # epoch 0 is 5 train steps and 1 dev batch; this is step 6
-            if failure == "exp overflow":
+            if failure.endswith("exp overflow"):
                 raise NumericError("exp would overflow: max input 800")
             params["dec.out_b"].grad[0, 0] = np.nan
         return lb
 
     monkeypatch.setattr(training_mod, "elbo_step", failing)
-    cfg = write_config(tmp_path, train={"epochs": 3})
+    cfg = write_config(tmp_path, train={"epochs": 3,
+                                        "pretrain_epochs": 3 if phase == "pretrain" else 0})
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CODES["numeric"]
-    records = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
-    assert [r["epoch"] for r in records[:-1]] == [0]
+    records = read_log(out)
+    assert [(r["phase"], r["epoch"]) for r in records[:-1]] == [(phase, 0)]
     assert records[-1]["phase"] == "aborted"
-    assert "epoch 1, step 6" in records[-1]["error"]
+    assert f"{phase} epoch 1, step 6" in records[-1]["error"]
     assert json.loads((out / "manifest.json").read_text())["diverged"] is True
-    params, _, _ = load_checkpoint(out / "checkpoint.bin")
-    assert all(np.all(np.isfinite(t.data)) for _, t in params.named_parameters())
+    assert_finite_checkpoint(out / "checkpoint.bin")
 
 
 def test_flag_overrides_win_over_config(tmp_path):
@@ -208,6 +220,32 @@ def test_sweep_single_alpha(tmp_path):
     table = (out / "sweep_table.txt").read_text().splitlines()
     assert len(table) == 2  # header + one row
     assert table[1].startswith("0")
+
+
+def test_sweep_diverged_alpha_keeps_last_good_and_continues(tmp_path, monkeypatch):
+    import textvae.training as training_mod
+
+    real = training_mod.elbo_step
+
+    def failing(batch, config, params, rng, step=0, **kwargs):
+        if config.alpha == 0.1 and step == 7:  # epoch 1 of the alpha=0.1 run
+            raise NumericError("exp would overflow: max input 800")
+        return real(batch, config, params, rng, step=step, **kwargs)
+
+    monkeypatch.setattr(training_mod, "elbo_step", failing)
+    cfg = write_config(tmp_path, train={"epochs": 2})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out), "--alphas", "0.1,0"]) == 0
+    table = (out / "sweep_table.txt").read_text().splitlines()
+    assert "FAILED" in table[1] and "train epoch 1, step 7" in table[1]
+    assert table[2].startswith("0 ") and "FAILED" not in table[2]
+    records = read_log(out / "alpha_0.1")
+    assert [r["epoch"] for r in records[:-1]] == [0]
+    assert records[-1]["phase"] == "aborted"
+    assert_finite_checkpoint(out / "alpha_0.1" / "checkpoint.bin")
+    assert not (out / "alpha_0.1" / "report.txt").exists()
+    assert (out / "alpha_0" / "report.txt").exists()
+    assert [r["epoch"] for r in read_log(out / "alpha_0")] == [0, 1]
 
 
 def test_sweep_deterministic(tmp_path):

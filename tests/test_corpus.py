@@ -4,6 +4,7 @@ import pytest
 from textvae.corpus import (
     END,
     PAD,
+    RESERVED_TOKENS,
     START,
     UNK,
     Batch,
@@ -63,7 +64,9 @@ def test_vocab_save_load_roundtrip(tmp_path):
     v = build_vocab([["a", "b", "b"]], max_size=8)
     path = tmp_path / "vocab.txt"
     v.save(path)
-    v2 = Vocabulary.load(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["<pad>", "<unk>", "<s>", "</s>", "b", "a"]
+    v2 = Vocabulary(lines[len(RESERVED_TOKENS):])
     assert v2.id_to_token == v.id_to_token
     assert v2.hash == v.hash
 

@@ -5,7 +5,7 @@ from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
 from textvae.errors import ConfigError, TrainingError
 from textvae.model import VaeParams
-from textvae.training import AdamState, TrainConfig, adam_step, pretrain_then_reset, train
+from textvae.training import AdamState, TrainConfig, adam_step, train
 
 SMALL_SPEC = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                            n_train=120, n_dev=20, n_test=20, seed=42)
@@ -79,15 +79,19 @@ def test_adam_minimizes_quadratic():
     assert abs(float(x.data[0, 0])) < 0.5
 
 
+def fresh_init(cfg, vocab):
+    """The parameters train() starts from when there is no pretraining."""
+    return VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim,
+                          np.random.default_rng(cfg.seed))
+
+
 def test_train_lr_zero_keeps_initial_params():
     split, vocab = generate_synthetic(SMALL_SPEC)
     cfg = small_config(lr=0.0, epochs=1)
-    rng = np.random.default_rng(cfg.seed)
-    init = VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
-    snapshot = {n: t.data.copy() for n, t in init.named_parameters()}
-    result = train(split, cfg, len(vocab), init_params=init)
-    for n, t in result.final_params.named_parameters():
-        assert np.array_equal(t.data, snapshot[n]), n
+    init = fresh_init(cfg, vocab)
+    result = train(split, cfg, len(vocab))
+    for (n, t), (_, t0) in zip(result.final_params.named_parameters(), init.named_parameters()):
+        assert np.array_equal(t.data, t0.data), n
 
 
 def test_train_same_seed_identical_logs_and_params():
@@ -137,38 +141,39 @@ def test_train_divergence_aborts_with_last_good(monkeypatch):
 
 
 def test_pretrain_zero_epochs_passthrough():
+    # with no pretraining, epochs=0 returns the seeded init and an empty log
     split, vocab = generate_synthetic(SMALL_SPEC)
-    cfg = small_config(pretrain_epochs=0)
-    params, log = pretrain_then_reset(split, cfg, len(vocab))
-    rng = np.random.default_rng(cfg.seed)
-    fresh = VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
-    for (n, a), (_, b) in zip(params.named_parameters(), fresh.named_parameters()):
+    cfg = small_config(pretrain_epochs=0, epochs=0)
+    result = train(split, cfg, len(vocab))
+    for (n, a), (_, b) in zip(result.params.named_parameters(),
+                              fresh_init(cfg, vocab).named_parameters()):
         assert np.array_equal(a.data, b.data), n
-    assert log == []
+    assert result.log == []
 
 
-def test_pretrain_reset_redraws_decoder_only():
+def test_pretrain_reset_redraws_decoder_only(monkeypatch):
     split, vocab = generate_synthetic(SMALL_SPEC)
-    cfg = small_config(pretrain_epochs=1)
+    cfg = small_config(pretrain_epochs=1, epochs=0)
 
-    # reproduce phase 1 without the reset to capture the pre-reset state
-    from dataclasses import replace
+    # snapshot the pretrained state right before the reset redraws the decoder
+    real_reset = VaeParams.reset_decoder
+    pre = {}
 
-    phase_cfg = replace(cfg, epochs=cfg.pretrain_epochs, alpha=0.0, keep_prob=1.0, free_bits=0.0)
-    ref = train(split, phase_cfg, len(vocab), phase="pretrain",
-                rng=np.random.default_rng(cfg.seed))
-    pre = {n: t.data.copy() for n, t in ref.final_params.named_parameters()}
+    def spy(params, rng):
+        pre.update({n: t.data.copy() for n, t in params.named_parameters()})
+        real_reset(params, rng)
 
-    params, log = pretrain_then_reset(split, cfg, len(vocab))
-    for n, t in params.named_parameters():
+    monkeypatch.setattr(VaeParams, "reset_decoder", spy)
+    result = train(split, cfg, len(vocab))
+    assert pre, "reset_decoder was not called"
+    for n, t in result.params.named_parameters():
         if n.startswith("enc."):
             assert np.array_equal(t.data, pre[n]), n
-    changed = [n for n, t in params.named_parameters()
+    changed = [n for n, t in result.params.named_parameters()
                if n.startswith("dec.") and not np.array_equal(t.data, pre[n])]
     assert any(n.startswith("dec.lstm") for n in changed)
     assert any(n.startswith("dec.embed") for n in changed)
-    assert log[-1]["phase"] == "reset"
-    assert any(rec.get("phase") == "pretrain" for rec in log[:-1])
+    assert [rec["phase"] for rec in result.log] == ["pretrain", "reset"]
 
 
 def test_pretrained_encoder_separates_template_classes():
@@ -178,8 +183,8 @@ def test_pretrained_encoder_separates_template_classes():
     spec = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                          n_train=300, n_dev=30, n_test=30, seed=5)
     split, vocab = generate_synthetic(spec)
-    cfg = small_config(pretrain_epochs=5, seed=3)
-    params, _ = pretrain_then_reset(split, cfg, len(vocab))
+    cfg = small_config(pretrain_epochs=5, epochs=0, seed=3)
+    params = train(split, cfg, len(vocab)).params
 
     mus, _ = collect_posteriors(split.test, params)
     labels = np.array([int(vocab.id_to_token[sent[0]][1]) for sent in split.test])
