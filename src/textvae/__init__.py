@@ -8,4 +8,4 @@ them with NLL, PPL, active units, mutual information, and BLEU.
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, Tape, grad_check, tape, zero_grads  # noqa: F401
+from .autodiff import Tensor, Tape, grad_check, tape  # noqa: F401

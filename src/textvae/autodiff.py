@@ -3,8 +3,8 @@
 A dynamic tape records every differentiable operation in execution order.
 Operations compute eagerly with numpy; each recorded entry carries a backward
 rule that maps the output adjoint to input adjoints.  ``Tape.backward`` walks
-the record once in reverse and accumulates ``∂loss/∂tensor`` into ``.grad``
-(+= semantics, so twin-pass losses and repeated calls compose).
+the record once in reverse and returns ``∂loss/∂t`` for every leaf ``t`` the
+loss depends on, as a dict keyed by tensor.  Tensors carry no gradient state.
 
 Everything is 64-bit: gradient checks at 1e-4 relative error are not
 reachable in single precision.
@@ -29,14 +29,12 @@ _CORRUPT_TANH_BACKWARD = False
 
 
 class Tensor:
-    """Dense float64 array with an attached gradient buffer."""
+    """Dense float64 array; hashes by identity, so it can key a gradient dict."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.grad = np.zeros_like(arr)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -48,9 +46,6 @@ class Tensor:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -59,9 +54,10 @@ class Tape:
     """Ordered record of operations; inputs always precede their users.
 
     One backward pass visits every recorded operation exactly once, in
-    reverse order.  Adjoints are kept in a scratch map during the walk and
-    flushed into ``.grad`` at the end, so calling backward twice adds the
-    full gradient twice (accumulation semantics).
+    reverse order, and returns the gradients of the leaves (tensors no
+    recorded op produced).  An op's output adjoint is complete when the walk
+    reaches that op and is dropped there, so no intermediate adjoint outlives
+    the walk.
     """
 
     def __init__(self):
@@ -73,26 +69,23 @@ class Tape:
     def record(self, out: Tensor, inputs: tuple, backward_fn) -> None:
         self._entries.append((out, inputs, backward_fn))
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """Return ``{leaf: ∂loss/∂leaf}`` for every leaf the loss depends on."""
         if loss.shape != ():
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-        # id -> (tensor, adjoint); tensor ref kept so ids stay unique
-        adjoints: dict[int, list] = {id(loss): [loss, np.ones(())]}
+        adjoints: dict[Tensor, np.ndarray] = {loss: np.ones(())} if loss.requires_grad else {}
         for out, inputs, backward_fn in reversed(self._entries):
-            slot = adjoints.get(id(out))
-            if slot is None:
+            g = adjoints.pop(out, None)
+            if g is None:
                 continue  # not an ancestor of the loss
-            for inp, contrib in zip(inputs, backward_fn(slot[1])):
+            for inp, contrib in zip(inputs, backward_fn(g)):
                 if contrib is None or not inp.requires_grad:
                     continue
-                islot = adjoints.get(id(inp))
-                if islot is None:
-                    adjoints[id(inp)] = [inp, np.array(contrib, dtype=np.float64, copy=True)]
+                if inp in adjoints:
+                    adjoints[inp] += contrib
                 else:
-                    islot[1] += contrib
-        for tensor, adj in adjoints.values():
-            if tensor.requires_grad:
-                tensor.grad += adj
+                    adjoints[inp] = np.array(contrib, dtype=np.float64, copy=True)
+        return adjoints
 
 
 _TAPE_STACK: list[Tape] = []
@@ -122,13 +115,6 @@ def _as_tensor(x) -> Tensor:
     if isinstance(x, (numbers.Number, np.ndarray, list, tuple)):
         return Tensor(x)
     raise TypeError(f"cannot treat {type(x).__name__} as a Tensor")
-
-
-def zero_grads(params) -> None:
-    """Zero the gradient buffers of an iterable of (name, Tensor) or Tensors."""
-    for p in params:
-        t = p[1] if isinstance(p, tuple) else p
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +422,9 @@ def grad_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport
     if not np.array_equal(first.data, second.data):
         raise ContractError("grad_check target is non-deterministic: two forward passes disagree")
 
-    zero_grads(named)
     with tape() as t:
-        loss = f()
-        t.backward(loss)
-    analytic = {name: p.grad.copy() for name, p in named}
+        grads = t.backward(f())
+    analytic = {name: grads.get(p, np.zeros_like(p.data)) for name, p in named}
 
     per_param: dict[str, float] = {}
     worst, worst_name = 0.0, ""

@@ -75,6 +75,11 @@ def _load_config_file(path) -> dict:
     unknown = set(cfg) - known
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}; expected {sorted(known)}")
+    for name in ("train", "synthetic", "eval"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+    if not isinstance(cfg.get("vocab_size", 0), int):
+        raise ConfigError("config field 'vocab_size' must be an integer")
     return cfg
 
 
@@ -101,7 +106,7 @@ def _train_config(cfg: dict, args) -> TrainConfig:
 def _eval_config(cfg: dict) -> EvalConfig:
     section = dict(cfg.get("eval", {}))
     try:
-        return EvalConfig(**section)
+        return EvalConfig(**section).validate()
     except TypeError as exc:
         raise ConfigError(f"bad eval config: {exc}") from exc
 
@@ -263,7 +268,7 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = [MetricsReport.table_header("alpha")]
-    failures = 0
+    failed, error = [], None
     for alpha in alphas:
         tcfg = replace(base, alpha=alpha)
         run_dir = out / f"alpha_{alpha:g}"
@@ -274,16 +279,20 @@ def cmd_sweep(args) -> int:
             (run_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
             rows.append(report.table_row(f"{alpha:g}"))
         except TextVaeError as exc:
-            failures += 1
+            failed.append(alpha)
+            error = exc
             rows.append(f"{alpha:<24g} FAILED: {exc}")
         print(rows[-1])
 
     table = "\n".join(rows) + "\n"
     (out / "sweep_table.txt").write_text(table, encoding="utf-8")
     config_echo = {"train": base.to_dict(), "eval": ecfg.to_dict(), "alphas": alphas}
-    _write_json(out / "manifest.json", _manifest("sweep", args, config_echo, split, vocab))
+    _write_json(out / "manifest.json",
+                {**_manifest("sweep", args, config_echo, split, vocab), "failed_alphas": failed})
     print(f"\nsweep table written to {out / 'sweep_table.txt'}"
-          + (f" ({failures} run(s) failed)" if failures else ""))
+          + (f" ({len(failed)} run(s) failed)" if failed else ""))
+    if len(failed) == len(alphas):
+        raise error  # no alpha succeeded: exit with the code of the last failure
     return 0
 
 

@@ -129,6 +129,10 @@ class SyntheticSpec:
         lo, hi = self.length_range
         if not 1 <= lo <= hi:
             raise ConfigError(f"bad length_range {self.length_range}")
+        for name, low in (("n_train", 1), ("n_dev", 0), ("n_test", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         return self
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .corpus import make_batch
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import VaeParams, decode_batch, decode_greedy, encode_batch
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -187,6 +187,15 @@ class EvalConfig:
     mi_samples: int = 10       # posterior draws per sentence for MI
     au_threshold: float = 0.01
     max_gen_len: int = 30
+
+    def validate(self) -> "EvalConfig":
+        for name in ("n_samples", "mi_samples", "max_gen_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not self.au_threshold >= 0:
+            raise ConfigError(f"au_threshold must be >= 0, got {self.au_threshold!r}")
+        return self
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -289,6 +289,10 @@ def load_checkpoint(path):
         cfg, tokens, vocab_hash = header["config"], header["vocab"], header["vocab_hash"]
         dims = [cfg[k] for k in ("vocab_size", "embed_dim", "hidden_dim", "latent_dim")]
         specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+        if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
+            raise DataError(f"checkpoint {path} vocabulary is not a list of strings")
+        if not all(type(d) is int and d >= 1 for d in dims):
+            raise DataError(f"checkpoint {path} has non-positive or non-integer dims {dims}")
     except (struct.error, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: {exc!r}") from exc
     off += hlen
@@ -300,9 +304,9 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path} vocabulary hash mismatch")
 
     params = VaeParams.init(*dims, np.random.default_rng(0))
+    if [name for name, _ in specs] != list(params.tensors):
+        raise DataError(f"checkpoint {path} does not list each model tensor once, in order")
     for name, shape in specs:
-        if name not in params.tensors:
-            raise DataError(f"checkpoint {path} has unknown tensor {name!r}")
         expected = params[name].shape
         if shape != expected:
             raise DataError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected}")
@@ -311,7 +315,6 @@ def load_checkpoint(path):
             raise DataError(f"checkpoint {path} is truncated in tensor {name!r}")
         arr = np.frombuffer(raw[off: off + n_bytes], dtype="<f8").reshape(shape)
         params[name].data = arr.astype(np.float64).copy()
-        params[name].grad = np.zeros_like(params[name].data)
         off += n_bytes
     if off != len(raw):
         raise DataError(f"checkpoint {path} has trailing or missing data")

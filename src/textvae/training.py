@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .autodiff import tape, zero_grads
+from .autodiff import tape
 from .corpus import CorpusSplit, batches
 from .errors import ConfigError, NumericError, TrainingError
 from .model import VaeParams
@@ -117,13 +117,14 @@ def adam_step(params, grads, state: AdamState, lr: float,
     return state
 
 
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float((t.grad ** 2).sum()) for _, t in params))
+def clip_gradients(grads: dict, max_norm: float) -> float:
+    """Scale the gradients in ``grads`` in place so their global L2 norm is at
+    most ``max_norm`` (0 clips nothing); returns the norm before clipping."""
+    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         factor = max_norm / total
-        for _, t in params:
-            t.grad *= factor
+        for g in grads.values():
+            g *= factor
     return total
 
 
@@ -169,20 +170,21 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
         sums = {k: 0.0 for k in ("reconstruction", "kl_raw", "kl_effective",
                                  "beta", "fraternal_penalty", "total")}
         seen = 0
+        norms = []
         for batch in batches(corpus.train, config.batch_size, seed=config.seed, epoch=epoch):
-            zero_grads(named)
             try:
                 with tape() as t:
                     lb = elbo_step(batch, config, params, rng, step=step,
                                    beta_override=0.0 if pretrain else None,
                                    deterministic_z=pretrain)
-                    t.backward(lb.total)
+                    adjoints = t.backward(lb.total)
                 scalars = lb.scalars()
                 if not np.isfinite(scalars["total"]):
                     raise TrainingError(f"loss {scalars['total']}")
-                if config.clip_norm > 0:
-                    clip_gradients(named, config.clip_norm)
-                adam_step(named, {n: t.grad for n, t in named}, state, config.lr,
+                # parameters the loss does not reach (enc.logvar_* in pretraining) get zeros
+                grads = {n: adjoints.get(p, np.zeros_like(p.data)) for n, p in named}
+                norms.append(clip_gradients(grads, config.clip_norm))
+                adam_step(named, grads, state, config.lr,
                           config.adam_beta1, config.adam_beta2, config.adam_eps)
             except (NumericError, TrainingError) as exc:
                 raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
@@ -193,6 +195,7 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
             step += 1
 
         record = {k: sums[k] / seen for k in sums}
+        record["grad_norm"] = float(np.mean(norms))
         record["epoch"] = epoch
         record["phase"] = phase
         record["val_elbo"] = _dev_elbo(corpus.dev, config, params,

@@ -1,5 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import textvae.autodiff as ad
 from textvae.autodiff import (
@@ -8,7 +12,6 @@ from textvae.autodiff import (
     matmul,
     softmax_cross_entropy_cols,
     tape,
-    zero_grads,
 )
 from textvae.errors import ContractError, DimensionError, NumericError
 
@@ -53,10 +56,9 @@ def test_sigmoid_gradient_at_zero():
     x = Tensor(0.0, requires_grad=True)
     report = grad_check(lambda: ad.sigmoid(x), {"x": x}, tol=1e-6)
     assert report.passed
-    zero_grads([x])
     with tape() as t:
-        t.backward(ad.sigmoid(x))
-    assert abs(float(x.grad) - 0.25) < 1e-12
+        grads = t.backward(ad.sigmoid(x))
+    assert abs(float(grads[x]) - 0.25) < 1e-12
 
 
 def test_sigmoid_saturates_without_nan():
@@ -111,11 +113,11 @@ def test_cross_entropy_matches_bruteforce_oracle():
     t = Tensor(logits[:, None], requires_grad=True)
     with tape() as tp:
         out = cross_entropy(t, target)
-        tp.backward(out)
+        grads = tp.backward(out)
     assert abs(out.item() - expected) < 1e-10
     onehot = np.zeros(10)
     onehot[target] = 1.0
-    assert np.max(np.abs(t.grad[:, 0] - (probs - onehot))) < 1e-10
+    assert np.max(np.abs(grads[t][:, 0] - (probs - onehot))) < 1e-10
 
 
 def test_cross_entropy_target_out_of_range():
@@ -141,8 +143,8 @@ def test_reduce_trivials():
 def test_sum_gradient_is_ones():
     x = Tensor([[5.0], [-1.0], [2.0]], requires_grad=True)
     with tape() as t:
-        t.backward(ad.reduce_mean(ad.column_sums(x)))
-    assert np.array_equal(x.grad, np.ones((3, 1)))
+        grads = t.backward(ad.reduce_mean(ad.column_sums(x)))
+    assert np.array_equal(grads[x], np.ones((3, 1)))
     report = grad_check(lambda: ad.reduce_mean(ad.column_sums(x)), {"x": x}, tol=1e-6)
     assert report.passed
 
@@ -150,8 +152,8 @@ def test_sum_gradient_is_ones():
 def test_squared_l2_backward_analytic():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with tape() as t:
-        t.backward(ad.squared_l2_norm(x))
-    assert np.array_equal(x.grad, [2.0, 4.0])
+        grads = t.backward(ad.squared_l2_norm(x))
+    assert np.array_equal(grads[x], [2.0, 4.0])
 
 
 def test_backward_requires_scalar():
@@ -162,38 +164,31 @@ def test_backward_requires_scalar():
             t.backward(y)
 
 
-def test_backward_accumulates_across_calls():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    with tape() as t:
-        loss = ad.squared_l2_norm(x)
-        t.backward(loss)
-        t.backward(loss)
-    assert np.array_equal(x.grad, [4.0, 8.0])
-
-
 def test_backward_linearity_of_sums():
-    rng = np.random.default_rng(3)
-    xd = rng.uniform(-2, 2, 4)
-    x1 = Tensor(xd, requires_grad=True)
+    # the gradient of a sum is the sum of the two returned gradient dicts
+    x = Tensor(np.random.default_rng(3).uniform(-2, 2, 4), requires_grad=True)
     with tape() as t:
-        loss = ad.add(ad.squared_l2_norm(x1), ad.reduce_mean(ad.tanh(x1)))
-        t.backward(loss)
-
-    x2 = Tensor(xd, requires_grad=True)
+        both = t.backward(ad.add(ad.squared_l2_norm(x), ad.reduce_mean(ad.tanh(x))))
     with tape() as t:
-        t.backward(ad.squared_l2_norm(x2))
+        first = t.backward(ad.squared_l2_norm(x))
     with tape() as t:
-        t.backward(ad.reduce_mean(ad.tanh(x2)))
-    assert np.max(np.abs(x1.grad - x2.grad)) < 1e-12
+        second = t.backward(ad.reduce_mean(ad.tanh(x)))
+    assert np.max(np.abs(both[x] - (first[x] + second[x]))) < 1e-12
 
 
-def test_zero_grads_resets():
-    x = Tensor([1.0], requires_grad=True)
+def test_backward_returns_exactly_the_reachable_leaves():
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    unreached = Tensor([5.0], requires_grad=True)
+    const = Tensor([1.0, 1.0])
     with tape() as t:
-        t.backward(ad.reduce_mean(x))
-    assert x.grad[0] == 1.0
-    zero_grads([("x", x)])
-    assert x.grad[0] == 0.0
+        h = ad.mul(a, b)
+        ad.tanh(unreached)  # recorded, but not an ancestor of the loss
+        loss = ad.squared_l2_norm(ad.add(h, const))
+        grads = t.backward(loss)
+    assert set(grads) == {a, b}  # no intermediate, no constant, no unreached leaf
+    assert np.array_equal(grads[a], 2.0 * (a.data * b.data + 1.0) * b.data)
+    assert np.array_equal(grads[b], 2.0 * (a.data * b.data + 1.0) * a.data)
 
 
 def test_forward_is_reproducible():
@@ -224,12 +219,12 @@ def test_structural_ops_gradients():
 def test_maximum_scalar_kink():
     x = Tensor(3.0, requires_grad=True)
     with tape() as t:
-        t.backward(ad.maximum_scalar(x, 8.0))
-    assert float(x.grad) == 0.0  # clamped branch: constant, no gradient
+        grads = t.backward(ad.maximum_scalar(x, 8.0))
+    assert float(grads[x]) == 0.0  # clamped branch: constant, no gradient
     y = Tensor(10.0, requires_grad=True)
     with tape() as t:
-        t.backward(ad.maximum_scalar(y, 8.0))
-    assert float(y.grad) == 1.0
+        grads = t.backward(ad.maximum_scalar(y, 8.0))
+    assert float(grads[y]) == 1.0
 
 
 def test_grad_check_sigmoid_matmul_passes():
@@ -282,4 +277,118 @@ def test_gradient_flows_through_deep_chain_vs_fd():
         return ad.add(ad.squared_l2_norm(ad.sigmoid(y)), ad.reduce_mean(ad.mul(z, y)))
 
     report = grad_check(f, {"w1": w1, "w2": w2, "b": b}, tol=1e-5)
+    assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# property test: every op's backward rule against finite differences
+
+SIDE = st.integers(1, 4)
+
+
+def leaf(rng, shape, lo=-2.0, hi=2.0):
+    return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
+
+
+def binary_case(op):
+    def case(data, rng):
+        shape = (data.draw(SIDE), data.draw(SIDE))
+        a_shape, b_shape = data.draw(st.sampled_from([(shape, shape), ((), shape), (shape, ())]))
+        a, b = leaf(rng, a_shape), leaf(rng, b_shape)
+        return (lambda: op(a, b)), {"a": a, "b": b}
+    return case
+
+
+def unary_case(op, lo=-2.0, hi=2.0):
+    def case(data, rng):
+        x = leaf(rng, (data.draw(SIDE), data.draw(SIDE)), lo, hi)
+        return (lambda: op(x)), {"x": x}
+    return case
+
+
+def matmul_case(data, rng):
+    m, k, n = data.draw(SIDE), data.draw(SIDE), data.draw(SIDE)
+    a, b = leaf(rng, (m, k)), leaf(rng, (k, n))
+    return (lambda: matmul(a, b)), {"a": a, "b": b}
+
+
+def add_col_case(data, rng):
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    mat, col = leaf(rng, (m, n)), leaf(rng, (m, 1))
+    return (lambda: ad.add_col(mat, col)), {"mat": mat, "col": col}
+
+
+def select_columns_case(data, rng):
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    idx.append(idx[0])  # always at least one repeated index
+    x = leaf(rng, (m, n))
+    return (lambda: ad.select_columns(x, idx)), {"x": x}
+
+
+def concat_rows_case(data, rng):
+    n = data.draw(SIDE)
+    a, b = leaf(rng, (data.draw(SIDE), n)), leaf(rng, (data.draw(SIDE), n))
+    return (lambda: ad.concat_rows(a, b)), {"a": a, "b": b}
+
+
+def scale_case(data, rng):
+    c = data.draw(st.floats(-3.0, 3.0))
+    x = leaf(rng, (data.draw(SIDE), data.draw(SIDE)))
+    return (lambda: ad.scale(x, c)), {"x": x}
+
+
+def maximum_scalar_case(data, rng):
+    # every entry at least 0.1 away from the kink at c
+    c = data.draw(st.floats(-2.0, 2.0))
+    shape = (data.draw(SIDE), data.draw(SIDE))
+    side = rng.choice([-1.0, 1.0], shape)
+    x = Tensor(c + side * rng.uniform(0.1, 2.0, shape), requires_grad=True)
+    return (lambda: ad.maximum_scalar(x, c)), {"x": x}
+
+
+def cross_entropy_case(data, rng):
+    vocab, batch = data.draw(SIDE), data.draw(SIDE)
+    targets = data.draw(st.lists(st.integers(0, vocab - 1), min_size=batch, max_size=batch))
+    logits = leaf(rng, (vocab, batch), -3.0, 3.0)
+    return (lambda: softmax_cross_entropy_cols(logits, targets)), {"logits": logits}
+
+
+OP_CASES = {
+    "add": binary_case(ad.add),
+    "sub": binary_case(ad.sub),
+    "mul": binary_case(ad.mul),
+    "scale": scale_case,
+    "sigmoid": unary_case(ad.sigmoid, -4.0, 4.0),
+    "tanh": unary_case(ad.tanh),
+    "exp": unary_case(ad.exp),
+    "matmul": matmul_case,
+    "add_col": add_col_case,
+    "select_columns": select_columns_case,
+    "concat_rows": concat_rows_case,
+    "column_sums": unary_case(ad.column_sums),
+    "maximum_scalar": maximum_scalar_case,
+    "softmax_cross_entropy_cols": cross_entropy_case,
+    "reduce_mean": unary_case(ad.reduce_mean),
+    "squared_l2_norm": unary_case(ad.squared_l2_norm),
+}
+
+
+def test_op_cases_cover_every_op():
+    not_ops = {"tape", "grad_check"}
+    ops = {name for name, obj in vars(ad).items()
+           if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+           and not name.startswith("_") and name not in not_ops}
+    assert ops == set(OP_CASES)
+
+
+@pytest.mark.parametrize("op", sorted(OP_CASES))
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_op_gradient_matches_finite_differences(op, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    program, params = OP_CASES[op](data, rng)
+    # a random weighting makes the upstream adjoint differ entry by entry
+    weights = Tensor(rng.uniform(-1.0, 1.0, program().shape))
+    report = grad_check(lambda: ad.reduce_mean(ad.mul(program(), weights)), params)
     assert report.passed, str(report)

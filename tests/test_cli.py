@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from textvae.autodiff import Tape
 from textvae.cli import EXIT_CODES, main
 from textvae.errors import NumericError
 from textvae.model import VaeParams, decode_greedy, load_checkpoint
@@ -50,7 +51,8 @@ def test_train_writes_artifacts(tmp_path):
     assert "vocab" in manifest["corpus_hashes"]
     records = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
     assert {"epoch", "reconstruction", "kl_raw", "kl_effective", "beta",
-            "fraternal_penalty", "total", "wall_time"} <= set(records[-1])
+            "fraternal_penalty", "total", "grad_norm", "wall_time"} <= set(records[-1])
+    assert records[-1]["grad_norm"] > 0
 
 
 @pytest.mark.parametrize("overrides", [{"lr": 0.0}, {"epochs": 0}], ids=["lr 0", "epochs 0"])
@@ -93,7 +95,9 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     phase = "pretrain" if failure.startswith("pretrain") else "train"
 
     real = training_mod.elbo_step
+    real_backward = Tape.backward
     calls = {"n": 0}
+    poisoned = []
 
     def failing(batch, config, params, rng, **kwargs):
         calls["n"] += 1
@@ -101,10 +105,17 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
         if calls["n"] == 8:  # epoch 0 is 5 train steps and 1 dev batch; this is step 6
             if failure.endswith("exp overflow"):
                 raise NumericError("exp would overflow: max input 800")
-            params["dec.out_b"].grad[0, 0] = np.nan
+            poisoned.append(params["dec.out_b"])
         return lb
 
+    def poisoning_backward(tape_self, loss):
+        grads = real_backward(tape_self, loss)
+        while poisoned:
+            grads[poisoned.pop()][0, 0] = np.nan
+        return grads
+
     monkeypatch.setattr(training_mod, "elbo_step", failing)
+    monkeypatch.setattr(Tape, "backward", poisoning_backward)
     cfg = write_config(tmp_path, train={"epochs": 3,
                                         "pretrain_epochs": 3 if phase == "pretrain" else 0})
     out = tmp_path / "run"
@@ -135,6 +146,27 @@ def test_bad_config_exit_code(tmp_path):
     cfg2 = tmp_path / "broken.json"
     cfg2.write_text("{not json", encoding="utf-8")
     assert main(["train", "--config", str(cfg2), "--out-dir", str(tmp_path / "y")]) == EXIT_CODES["config"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"train": [1]},
+    {"synthetic": "corpus"},
+    {"eval": 5},
+    {"vocab_size": "many"},
+    {"synthetic": {"n_train": "a"}},
+    {"synthetic": {"n_dev": -1}},
+    {"eval": {"mi_samples": 0}},
+    {"eval": {"n_samples": 0}},
+    {"eval": {"n_samples": 2.5}},
+    {"eval": {"au_threshold": -0.5}},
+], ids=["train not object", "synthetic not object", "eval not object", "vocab_size not int",
+        "n_train not int", "negative n_dev", "mi_samples 0", "n_samples 0", "n_samples float",
+        "negative au_threshold"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == \
+        EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_config_field_named_in_error(tmp_path, capsys):
@@ -222,20 +254,26 @@ def test_sweep_single_alpha(tmp_path):
     assert table[1].startswith("0")
 
 
-def test_sweep_diverged_alpha_keeps_last_good_and_continues(tmp_path, monkeypatch):
+def diverge_alpha_0_1(monkeypatch):
+    """Make the alpha=0.1 run of a sweep overflow in epoch 1 (step 7)."""
     import textvae.training as training_mod
 
     real = training_mod.elbo_step
 
     def failing(batch, config, params, rng, step=0, **kwargs):
-        if config.alpha == 0.1 and step == 7:  # epoch 1 of the alpha=0.1 run
+        if config.alpha == 0.1 and step == 7:
             raise NumericError("exp would overflow: max input 800")
         return real(batch, config, params, rng, step=step, **kwargs)
 
     monkeypatch.setattr(training_mod, "elbo_step", failing)
+
+
+def test_sweep_diverged_alpha_keeps_last_good_and_continues(tmp_path, monkeypatch):
+    diverge_alpha_0_1(monkeypatch)
     cfg = write_config(tmp_path, train={"epochs": 2})
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out), "--alphas", "0.1,0"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["failed_alphas"] == [0.1]
     table = (out / "sweep_table.txt").read_text().splitlines()
     assert "FAILED" in table[1] and "train epoch 1, step 7" in table[1]
     assert table[2].startswith("0 ") and "FAILED" not in table[2]
@@ -246,6 +284,18 @@ def test_sweep_diverged_alpha_keeps_last_good_and_continues(tmp_path, monkeypatc
     assert not (out / "alpha_0.1" / "report.txt").exists()
     assert (out / "alpha_0" / "report.txt").exists()
     assert [r["epoch"] for r in read_log(out / "alpha_0")] == [0, 1]
+
+
+def test_sweep_every_alpha_failed_exits_with_last_failure(tmp_path, monkeypatch, capsys):
+    diverge_alpha_0_1(monkeypatch)
+    cfg = write_config(tmp_path, train={"epochs": 2})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out),
+                 "--alphas", "0.1"]) == EXIT_CODES["numeric"]
+    assert "train epoch 1, step 7" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["failed_alphas"] == [0.1]
+    assert "FAILED" in (out / "sweep_table.txt").read_text().splitlines()[1]
+    assert_finite_checkpoint(out / "alpha_0.1" / "checkpoint.bin")
 
 
 def test_sweep_deterministic(tmp_path):

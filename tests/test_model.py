@@ -272,7 +272,11 @@ def _corrupted_forms(raw: bytes) -> dict:
     def with_header(blob: bytes) -> bytes:
         return CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + body
 
+    def with_fields(**fields) -> bytes:
+        return with_header(json.dumps(dict(header, **fields)).encode())
+
     no_dim = dict(header, config={k: v for k, v in header["config"].items() if k != "latent_dim"})
+    hidden = header["config"]["hidden_dim"]
     return {
         "truncated tensor": raw[:-8],
         "truncated length prefix": raw[:12],
@@ -282,6 +286,14 @@ def _corrupted_forms(raw: bytes) -> dict:
         "missing header key": with_header(json.dumps(
             {k: v for k, v in header.items() if k != "vocab_hash"}).encode()),
         "missing config key": with_header(json.dumps(no_dim).encode()),
+        "vocab not a list": with_fields(vocab=5),
+        "non-string token": with_fields(vocab=header["vocab"][:-1] + [7]),
+        "negative dim": with_fields(config=dict(header["config"], hidden_dim=-hidden)),
+        "string dim": with_fields(config=dict(header["config"], hidden_dim=str(hidden))),
+        # same shape, so only the name list shows that b_f would keep its init values
+        "tensor listed twice": with_fields(tensors=[
+            dict(spec, name="enc.lstm.b_i") if spec["name"] == "enc.lstm.b_f" else spec
+            for spec in header["tensors"]]),
     }
 
 
@@ -296,6 +308,33 @@ def test_checkpoint_rejects_corruption(tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad)]) == EXIT_CODES["data"], form
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    save_checkpoint(path, tiny_params(24, vocab_size=5, embed_dim=1, hidden_dim=1, latent_dim=1),
+                    Vocabulary(["aa"]))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(cut=st.integers(0, 10**6), flip=st.one_of(st.none(), st.tuples(st.integers(0, 10**6),
+                                                                     st.integers(1, 255))))
+def test_checkpoint_fuzz_loads_or_raises_data_error(tiny_checkpoint, cut, flip):
+    # a damaged file (cut short, or one byte XOR-ed) either loads or raises
+    # DataError; any other exception would surface as an internal error
+    path, raw = tiny_checkpoint
+    data = bytearray(raw)
+    if flip is None:
+        del data[cut % len(raw):]
+    else:
+        data[flip[0] % len(raw)] ^= flip[1]
+    path.write_bytes(bytes(data))
+    try:
+        load_checkpoint(path)
+    except DataError:
+        pass
 
 
 def test_checkpoint_failed_save_keeps_previous(tmp_path):
