@@ -5,6 +5,9 @@ Operations compute eagerly with numpy; each recorded entry carries a backward
 rule that maps the output adjoint to input adjoints.  ``Tape.backward`` walks
 the record once in reverse and returns ``∂loss/∂t`` for every leaf ``t`` the
 loss depends on, as a dict keyed by tensor.  Tensors carry no gradient state.
+An op defined elsewhere (``model.lstm_recurrence``) asks ``recording`` for
+the tape, keeps backward state only when there is one, and records itself
+with ``Tape.record``.
 
 Everything is 64-bit: gradient checks at 1e-4 relative error are not
 reachable in single precision.
@@ -22,11 +25,6 @@ from .errors import ContractError, DimensionError, NumericError
 
 # np.exp overflows to inf a little above this
 _EXP_MAX = 700.0
-
-# Test hook: when True, tanh's backward rule is deliberately wrong.
-# Used as a negative control by grad_check tests and `textvae selfcheck`.
-_CORRUPT_TANH_BACKWARD = False
-
 
 class Tensor:
     """Dense float64 array; hashes by identity, so it can key a gradient dict."""
@@ -67,6 +65,8 @@ class Tape:
         return len(self._entries)
 
     def record(self, out: Tensor, inputs: tuple, backward_fn) -> None:
+        """Append an op; its output now needs a gradient."""
+        out.requires_grad = True
         self._entries.append((out, inputs, backward_fn))
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -102,10 +102,18 @@ def tape():
         _TAPE_STACK.pop()
 
 
-def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
+def recording(inputs) -> Tape | None:
+    """The tape an op over ``inputs`` records on: the innermost open tape when
+    some input needs a gradient, else None (the op keeps no backward state)."""
     if _TAPE_STACK and any(i.requires_grad for i in inputs):
-        out.requires_grad = True
-        _TAPE_STACK[-1].record(out, inputs, backward_fn)
+        return _TAPE_STACK[-1]
+    return None
+
+
+def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
+    t = recording(inputs)
+    if t is not None:
+        t.record(out, inputs, backward_fn)
     return out
 
 
@@ -196,20 +204,6 @@ def sigmoid(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.tanh(x.data)
-    out = Tensor(y)
-
-    def backward(g):
-        d = 1.0 - y * y
-        if _CORRUPT_TANH_BACKWARD:
-            d = -d
-        return (g * d,)
-
-    return _record(out, (x,), backward)
-
-
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     if x.data.size and np.max(x.data) > _EXP_MAX:
@@ -275,20 +269,6 @@ def select_columns(x, idx) -> Tensor:
         return (full,)
 
     return _record(out, (x,), backward)
-
-
-def concat_rows(a, b) -> Tensor:
-    """Stack two matrices with equal column counts vertically."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError(f"concat_rows: shapes {a.shape} and {b.shape}")
-    m = a.shape[0]
-    out = Tensor(np.concatenate([a.data, b.data], axis=0))
-
-    def backward(g):
-        return (g[:m] if a.requires_grad else None, g[m:] if b.requires_grad else None)
-
-    return _record(out, (a, b), backward)
 
 
 def column_sums(x) -> Tensor:

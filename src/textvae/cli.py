@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import autodiff as ad
+from . import model
 from .autodiff import Tensor, grad_check
 from .corpus import (CorpusSplit, SyntheticSpec, Vocabulary, build_vocab, generate_synthetic,
                      load_text, make_batch, split_hashes)
@@ -29,7 +30,6 @@ from .errors import (
     TextVaeError,
     TrainingError,
 )
-from .layers import lstm_step
 from .metrics import EvalConfig, MetricsReport, bleu, evaluate
 from .model import GaussianPosterior, VaeParams, decode_greedy, load_checkpoint, save_checkpoint
 from .objectives import elbo_step, kl_columns
@@ -344,12 +344,12 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
     results.append(("gradients: sigmoid(matmul)", rep.passed, str(rep)))
 
     params = VaeParams.init(6, 4, 4, 2, rng)
-    xi = Tensor(rng.uniform(-1, 1, (4, 1)))
-    h0 = Tensor(np.zeros((4, 1)))
+    xs = Tensor(rng.uniform(-1, 1, (4, 3 * 2)))  # 3 positions of 2 sentences
+    h0 = Tensor(np.zeros((4, 2)))
     lstm = {n: t for n, t in params.named_parameters() if n.startswith("enc.lstm.")}
-    rep = grad_check(lambda: ad.squared_l2_norm(lstm_step(xi, h0, h0, params, "enc.lstm")[0]),
-                     lstm, tol=1e-4)
-    results.append(("gradients: lstm step", rep.passed, str(rep)))
+    rep = grad_check(lambda: ad.squared_l2_norm(model.lstm_recurrence(
+        xs, h0, h0, params, "enc.lstm", lengths=np.array([3, 2]))), lstm, tol=1e-4)
+    results.append(("gradients: lstm recurrence", rep.passed, str(rep)))
 
     cfg = TrainConfig(latent_dim=2, embed_dim=4, hidden_dim=4, warmup_steps=10,
                       alpha=0.1, keep_prob=0.7, free_bits=1.0, seed=0)
@@ -395,11 +395,11 @@ def _selfcheck_bleu() -> list[tuple[str, bool, str]]:
 
 def cmd_selfcheck(args) -> int:
     if args.corrupt_backward:  # negative-control hook used by the test suite
-        ad._CORRUPT_TANH_BACKWARD = True
+        model._CORRUPT_TANH_BACKWARD = True
     try:
         checks = _selfcheck_gradients() + _selfcheck_kl() + _selfcheck_bleu()
     finally:
-        ad._CORRUPT_TANH_BACKWARD = False
+        model._CORRUPT_TANH_BACKWARD = False
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + ("" if ok else f"  [{detail}]"))

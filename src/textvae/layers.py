@@ -3,6 +3,8 @@
 All layers operate on column-oriented tensors: a batch of B vectors of
 dimension m is an (m, B) matrix.  Layer weights live in a name -> Tensor
 store (see ``model.VaeParams``); a layer reads its tensors by name prefix.
+The LSTM cell is plain numpy: ``model.lstm_recurrence`` runs it over a
+whole sequence as one autodiff op with its own backward.
 """
 
 from __future__ import annotations
@@ -14,20 +16,44 @@ from .autodiff import Tensor
 from .errors import ConfigError
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, params, prefix: str) -> tuple[Tensor, Tensor]:
-    """One LSTM cell update over a column batch.
+def stack_lstm(params, prefix: str, n_x: int):
+    """The gate tensors ``{prefix}.w_{i,f,o,c}`` and ``{prefix}.b_{i,f,o,c}``
+    stacked into gate rows [i; f; o; g] and split by input columns.
 
-    Gate weights ``{prefix}.w_{i,f,o,c}`` act on the concatenated [input;
-    hidden] columns; biases ``{prefix}.b_{i,f,o,c}`` are (hidden, 1) columns.
+    Each stored (d, n_x + k + d) weight acts on [input; static input;
+    hidden], where the static input (k rows, possibly none) is the same at
+    every position.  Returns (w_x (4d, n_x), w_s (4d, k), w_h (4d, d),
+    b (4d, 1)) as numpy arrays; the weight pieces are views of one stack.
     """
-    xh = ad.concat_rows(x, h)
-    i = ad.sigmoid(ad.add_col(ad.matmul(params[f"{prefix}.w_i"], xh), params[f"{prefix}.b_i"]))
-    f = ad.sigmoid(ad.add_col(ad.matmul(params[f"{prefix}.w_f"], xh), params[f"{prefix}.b_f"]))
-    o = ad.sigmoid(ad.add_col(ad.matmul(params[f"{prefix}.w_o"], xh), params[f"{prefix}.b_o"]))
-    g = ad.tanh(ad.add_col(ad.matmul(params[f"{prefix}.w_c"], xh), params[f"{prefix}.b_c"]))
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
-    return h_next, c_next
+    w = np.concatenate([params[f"{prefix}.w_{g}"].data for g in "ifoc"])
+    b = np.concatenate([params[f"{prefix}.b_{g}"].data for g in "ifoc"])
+    d = b.shape[0] // 4
+    return w[:, :n_x], w[:, n_x: w.shape[1] - d], w[:, w.shape[1] - d:], b
+
+
+def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
+              base: np.ndarray):
+    """One LSTM cell update over a column batch, in numpy.
+
+    ``w_x``/``w_h`` are stacked [i; f; o; g] gate weights (see
+    ``stack_lstm``); ``base`` is the bias, plus the static input's term when
+    there is one.  The sigmoid gates are computed as 0.5 * tanh(v / 2) + 0.5,
+    so one tanh covers all four gates.  Returns (h_next, c_next, gates),
+    where ``gates`` holds the activated (4d, B) [i; f; o; g].
+    """
+    d = h.shape[0]
+    gates = w_x @ x
+    gates += w_h @ h
+    gates += base
+    sig = gates[: 3 * d]
+    sig *= 0.5
+    np.tanh(gates, out=gates)
+    sig *= 0.5
+    sig += 0.5
+    c_next = gates[d: 2 * d] * c
+    c_next += gates[:d] * gates[3 * d:]
+    h_next = gates[2 * d: 3 * d] * np.tanh(c_next)
+    return h_next, c_next, gates
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -48,7 +48,7 @@ def reconstruction_nll(x, params: VaeParams, n_samples: int = 100,
     eps = rng.standard_normal((params.latent_dim, n_samples))
     z = Tensor(mu + sigma * eps)  # columns: one sample each
     rep = make_batch([x] * n_samples)
-    log_lik, _ = decode_batch(z, rep.ids, rep.lengths, params)
+    log_lik, _, _ = decode_batch(z, rep.ids, rep.lengths, params)
     return float(-log_lik.data.mean())
 
 

@@ -10,6 +10,14 @@ touching encoder features.
 Batch convention: sentences are rows of a padded (B, L) id matrix; all
 dense activations are column-per-sentence matrices.  Every encode and
 decode, for one sentence or many, goes through the batched functions here.
+
+Sequence convention: a quantity over T positions of B sentences is one
+position-major (rows, T·B) matrix, whose column t·B + j holds sentence j at
+position t, so position t is the column block [t·B, (t+1)·B).  The LSTM
+inputs, the hidden states H that ``lstm_recurrence`` and ``decode_batch``
+return, the decoder logits and the per-position cross entropy all follow it;
+per-position (T, B) arrays such as ``valid`` flatten row by row to the same
+order.  One sentence's H (B = 1) is simply its positions in order.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import END, RESERVED_TOKENS, START, Vocabulary
 from .errors import DataError, DimensionError
-from .layers import linear, lstm_step
+from .layers import linear, lstm_step, stack_lstm
 
 CHECKPOINT_MAGIC = b"TEXTVAE1\n"
 
@@ -103,10 +111,114 @@ class VaeParams:
                                       for name, t in self.tensors.items()})
 
 
-def _row_mask(values: np.ndarray, rows: int) -> Tensor:
-    """Constant (rows, B) tensor broadcasting a 0/1 row over all rows."""
-    return Tensor(np.broadcast_to(np.asarray(values, dtype=np.float64)[None, :],
-                                  (rows, values.shape[0])).copy())
+# ---------------------------------------------------------------------------
+# recurrence
+
+# Test hook: when True, the recurrence's backward negates every tanh
+# derivative.  Used as a negative control by grad_check tests and
+# `textvae selfcheck --corrupt-backward`.
+_CORRUPT_TANH_BACKWARD = False
+
+
+def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
+                    static: Tensor | None = None, lengths: np.ndarray | None = None) -> Tensor:
+    """Run the LSTM ``prefix`` over T positions as one autodiff op.
+
+    ``xs`` is the position-major (n_x, T·B) input and ``h0``/``c0`` the
+    (d, B) initial state.  ``static`` (k, B), when given, is appended to
+    every position's input; its gate term is computed once.  With
+    ``lengths``, sentence j's state is frozen from position ``lengths[j]``
+    on, so its last column block holds each sentence's final state.
+    Returns the hidden states as one position-major (d, T·B) tensor.
+
+    The cell runs in numpy through ``lstm_step``, one call per position.
+    The backward is an analytic BPTT loop; the per-position gates and memory
+    cells it needs are kept only while a tape records the op.
+    """
+    d, B = h0.shape
+    n_x, TB = xs.shape
+    n_s = 0 if static is None else static.shape[0]
+    weights = [params[f"{prefix}.{kind}_{g}"] for kind in "wb" for g in "ifoc"]
+    if (c0.shape != (d, B) or B == 0 or TB == 0 or TB % B
+            or (static is not None and static.shape != (n_s, B))
+            or any(w.shape != (d, n_x + n_s + d) for w in weights[:4])
+            or any(b.shape != (d, 1) for b in weights[4:])):
+        raise DimensionError(
+            f"lstm {prefix}: inputs {xs.shape}, state {h0.shape}/{c0.shape}, static "
+            f"{None if static is None else static.shape}, gate weights {weights[0].shape}")
+    T = TB // B
+    inputs = (xs, h0, c0, *weights) + (() if static is None else (static,))
+    tape = ad.recording(inputs)
+    w_x, w_s, w_h, b = stack_lstm(params, prefix, n_x)
+    sd = np.zeros((0, B)) if static is None else static.data
+    base = w_s @ sd + b
+
+    xd = xs.data
+    h, c = h0.data, c0.data
+    hs, cs, gates_seq = [], [c], []
+    for t in range(T):
+        h_new, c_new, gates = lstm_step(xd[:, t * B: (t + 1) * B], h, c, w_x, w_h, base)
+        if lengths is not None and not np.all(t < lengths):
+            active = t < lengths
+            h_new, c_new = np.where(active, h_new, h), np.where(active, c_new, c)
+        h, c = h_new, c_new
+        hs.append(h)
+        if tape is not None:
+            cs.append(c)
+            gates_seq.append(gates)
+    out = Tensor(np.concatenate(hs, axis=1))
+    if tape is None:
+        return out
+
+    def backward(g):
+        d_pre = np.empty((4 * d, TB))
+        dh = np.zeros((d, B))
+        dc = np.zeros((d, B))
+        sign = -1.0 if _CORRUPT_TANH_BACKWARD else 1.0
+        for t in reversed(range(T)):
+            cols = slice(t * B, (t + 1) * B)
+            gates = gates_seq[t]
+            i, f, o, gg = gates[:d], gates[d: 2 * d], gates[2 * d: 3 * d], gates[3 * d:]
+            dh_t = g[:, cols] + dh
+            tc = np.tanh(cs[t + 1])
+            dc_t = dc + sign * dh_t * o * (1.0 - tc * tc)
+            dp = d_pre[:, cols]
+            dp[:d] = dc_t * gg
+            dp[d: 2 * d] = dc_t * cs[t]
+            dp[2 * d: 3 * d] = dh_t * tc
+            dp[:3 * d] *= gates[:3 * d] * (1.0 - gates[:3 * d])
+            dp[3 * d:] = sign * dc_t * i * (1.0 - gg * gg)
+            dh_prev = w_h.T @ dp
+            dc_prev = dc_t * f
+            if lengths is not None and not np.all(t < lengths):
+                active = t < lengths
+                dp *= active
+                dh_prev = np.where(active, dh_prev, dh_t)
+                dc_prev = np.where(active, dc_prev, dc)
+            dh, dc = dh_prev, dc_prev
+        d_pre_sum = d_pre.reshape(4 * d, T, B).sum(axis=1)  # the static input and the bias
+        h_prev = np.concatenate([h0.data, out.data[:, : TB - B]], axis=1)
+        d_w = np.concatenate([d_pre @ xd.T, d_pre_sum @ sd.T, d_pre @ h_prev.T], axis=1)
+        d_b = d_pre_sum.sum(axis=1, keepdims=True)
+        # without a static input, inputs has no slot for its (0, B) gradient
+        return (w_x.T @ d_pre if xs.requires_grad else None, dh, dc,
+                *(d_w[k * d: (k + 1) * d] for k in range(4)),
+                *(d_b[k * d: (k + 1) * d] for k in range(4)), w_s.T @ d_pre_sum)
+
+    tape.record(out, inputs, backward)
+    return out
+
+
+def sentence_sums(row: Tensor, weights: np.ndarray) -> Tensor:
+    """(1, B) per-sentence weighted sums of a position-major (1, T·B) row.
+
+    ``weights`` is (T, B): entry (t, j) scales sentence j's position t.
+    One matmul with a (T·B, B) selection matrix does the weighting and the
+    sum together.
+    """
+    T, B = weights.shape
+    select = weights.reshape(-1, 1) * np.tile(np.eye(B), (T, 1))
+    return ad.matmul(row, Tensor(select))
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +238,10 @@ def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> Gau
     B, L = ids.shape
     if L == 0 or np.any(lengths <= 0):
         raise DataError("cannot encode an empty sentence")
-    d = params.hidden_dim
-    h = Tensor(np.zeros((d, B)))
-    c = Tensor(np.zeros((d, B)))
-    for t in range(L):
-        x = ad.select_columns(params["enc.embed"], ids[:, t])
-        h_new, c_new = lstm_step(x, h, c, params, "enc.lstm")
-        if np.all(t < lengths):
-            h, c = h_new, c_new
-        else:
-            active = _row_mask((t < lengths).astype(np.float64), d)
-            frozen = _row_mask((t >= lengths).astype(np.float64), d)
-            h = ad.add(ad.mul(h_new, active), ad.mul(h, frozen))
-            c = ad.add(ad.mul(c_new, active), ad.mul(c, frozen))
+    zeros = Tensor(np.zeros((params.hidden_dim, B)))
+    xs = ad.select_columns(params["enc.embed"], ids.T.reshape(-1))
+    H = lstm_recurrence(xs, zeros, zeros, params, "enc.lstm", lengths=lengths)
+    h = ad.select_columns(H, np.arange((L - 1) * B, L * B))
     mu = linear(h, params["enc.mu_w"], params["enc.mu_b"])
     logvar = linear(h, params["enc.logvar_w"], params["enc.logvar_b"])
     return GaussianPosterior(mu=mu, logvar=logvar)
@@ -175,10 +278,11 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
                  mask: np.ndarray | None = None):
     """Teacher-forced decoding over a padded batch.
 
-    Returns (log_lik (1,B), steps) where steps is a list of
-    (hidden (d,B), valid (B,) float) per decoder position.  Positions past a
-    sentence's end contribute nothing to the log-likelihood, and their
-    hidden states are flagged invalid for downstream penalties.
+    Returns (log_lik (1,B), H (d, T·B), valid (T,B)) with T = L + 1
+    positions: H holds every position's hidden state, position-major, and
+    valid flags the positions inside each sentence (its END prediction
+    included).  Positions past a sentence's end contribute nothing to the
+    log-likelihood.  ``mask`` (B, T) scales each input embedding.
     """
     ids = np.asarray(ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -189,40 +293,31 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
         if mask.shape != (B, n_steps):
             raise DimensionError(f"mask shape {mask.shape}, expected {(B, n_steps)}")
     in_ids, targets = _wrap_for_teacher_forcing(ids, lengths)
-    w = params.embed_dim
-    h = linear(z, params["dec.h0_w"], params["dec.h0_b"])
-    c = linear(z, params["dec.c0_w"], params["dec.c0_b"])
-    total_ce = Tensor(np.zeros((1, B)))
-    steps = []
-    for t in range(n_steps):
-        emb = ad.select_columns(params["dec.embed"], in_ids[:, t])
-        if mask is not None:
-            emb = ad.mul(emb, _row_mask(mask[:, t], w))
-        x = ad.concat_rows(emb, z)
-        h, c = lstm_step(x, h, c, params, "dec.lstm")
-        logits = linear(h, params["dec.out_w"], params["dec.out_b"])
-        ce = ad.softmax_cross_entropy_cols(logits, targets[:, t])
-        valid = (t < lengths + 1).astype(np.float64)
-        total_ce = ad.add(total_ce, ad.mul(ce, Tensor(valid[None, :])))
-        steps.append((h, valid))
-    log_lik = ad.scale(total_ce, -1.0)
-    return log_lik, steps
+    xs = ad.select_columns(params["dec.embed"], in_ids.T.reshape(-1))
+    if mask is not None:
+        xs = ad.mul(xs, Tensor(np.broadcast_to(mask.T.reshape(1, -1), xs.shape)))
+    h0 = linear(z, params["dec.h0_w"], params["dec.h0_b"])
+    c0 = linear(z, params["dec.c0_w"], params["dec.c0_b"])
+    H = lstm_recurrence(xs, h0, c0, params, "dec.lstm", static=z)
+    logits = linear(H, params["dec.out_w"], params["dec.out_b"])
+    ce = ad.softmax_cross_entropy_cols(logits, targets.T.reshape(-1))
+    valid = (np.arange(n_steps)[:, None] < lengths[None, :] + 1).astype(np.float64)
+    return sentence_sums(ce, -valid), H, valid
 
 
 def decode_greedy(z, max_len: int, params: VaeParams) -> list[int]:
     """Feed back the argmax token from the start sentinel until END or max_len."""
-    if not isinstance(z, Tensor):
-        z = Tensor(np.asarray(z, dtype=np.float64).reshape(-1, 1))
-    h = linear(z, params["dec.h0_w"], params["dec.h0_b"])
-    c = linear(z, params["dec.c0_w"], params["dec.c0_b"])
+    z = (z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)).reshape(-1, 1)
+    w_x, w_s, w_h, b = stack_lstm(params, "dec.lstm", params.embed_dim)
+    base = w_s @ z + b
+    h = params["dec.h0_w"].data @ z + params["dec.h0_b"].data
+    c = params["dec.c0_w"].data @ z + params["dec.c0_b"].data
+    embed, out_w, out_b = (params[n].data for n in ("dec.embed", "dec.out_w", "dec.out_b"))
     out: list[int] = []
     token = START
     for _ in range(max_len):
-        emb = ad.select_columns(params["dec.embed"], [token])
-        x = ad.concat_rows(emb, z)
-        h, c = lstm_step(x, h, c, params, "dec.lstm")
-        logits = linear(h, params["dec.out_w"], params["dec.out_b"])
-        token = int(np.argmax(logits.data[:, 0]))
+        h, c, _ = lstm_step(embed[:, [token]], h, c, w_x, w_h, base)
+        token = int(np.argmax(out_w @ h + out_b))
         if token == END:
             break
         out.append(token)

@@ -23,7 +23,8 @@ from .autodiff import Tensor
 from .corpus import Batch
 from .errors import ConfigError
 from .layers import sample_masks
-from .model import GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize
+from .model import (GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize,
+                    sentence_sums)
 
 
 def _kl_elementwise(mu: Tensor, logvar: Tensor) -> Tensor:
@@ -53,21 +54,18 @@ def free_bits_per_dimension(post: GaussianPosterior, lam: float, latent_dim: int
     return ad.column_sums(clamped)
 
 
-def _hidden_gap_penalty(steps_a, steps_b, lengths: np.ndarray, hidden_dim: int) -> Tensor:
+def _hidden_gap_penalty(H_a: Tensor, H_b: Tensor, valid: np.ndarray, lengths: np.ndarray,
+                        hidden_dim: int) -> Tensor:
     """Squared distance between twin hidden matrices, per-sentence normalized.
 
     ||H' - H''||^2 summed over valid positions, divided by n_steps * hidden
     dim so the useful range of alpha does not depend on sentence length.
+    ``H_a``/``H_b`` are position-major (d, T·B), ``valid`` is (T, B).
     Returns a (1, B) row.
     """
-    B = lengths.shape[0]
-    acc = Tensor(np.zeros((1, B)))
-    for (h_a, valid), (h_b, _) in zip(steps_a, steps_b):
-        diff = ad.sub(h_a, h_b)
-        per_sentence = ad.column_sums(ad.mul(diff, diff))
-        acc = ad.add(acc, ad.mul(per_sentence, Tensor(valid[None, :])))
-    recip = 1.0 / ((lengths + 1).astype(np.float64) * hidden_dim)
-    return ad.mul(acc, Tensor(recip[None, :]))
+    diff = ad.sub(H_a, H_b)
+    per_position = ad.column_sums(ad.mul(diff, diff))
+    return sentence_sums(per_position, valid / ((lengths + 1).astype(np.float64) * hidden_dim))
 
 
 def fraternal_batch(z: Tensor, batch: Batch, keep_prob: float, params: VaeParams,
@@ -83,10 +81,10 @@ def fraternal_batch(z: Tensor, batch: Batch, keep_prob: float, params: VaeParams
         mask = sample_masks((B, n_steps), keep_prob, rng)
     else:
         mask = np.asarray(mask, dtype=np.float64).reshape(B, n_steps)
-    ll_a, steps_a = decode_batch(z, batch.ids, batch.lengths, params, mask=mask)
-    ll_b, steps_b = decode_batch(z, batch.ids, batch.lengths, params, mask=1.0 - mask)
+    ll_a, H_a, valid = decode_batch(z, batch.ids, batch.lengths, params, mask=mask)
+    ll_b, H_b, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=1.0 - mask)
     mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)
-    penalty = _hidden_gap_penalty(steps_a, steps_b, batch.lengths, params.hidden_dim)
+    penalty = _hidden_gap_penalty(H_a, H_b, valid, batch.lengths, params.hidden_dim)
     return mean_ll, penalty
 
 
@@ -141,7 +139,7 @@ def elbo_step(batch: Batch, config, params: VaeParams, rng: np.random.Generator,
         single_mask = mask
         if single_mask is None and config.keep_prob < 1.0:
             single_mask = sample_masks((B, batch.ids.shape[1] + 1), config.keep_prob, rng)
-        mean_ll, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=single_mask)
+        mean_ll, _, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=single_mask)
         penalty = Tensor(0.0)
 
     reconstruction = ad.scale(ad.reduce_mean(mean_ll), -1.0)

@@ -7,6 +7,7 @@ consumed in a fixed order.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -17,6 +18,10 @@ from .corpus import CorpusSplit, batches
 from .errors import ConfigError, NumericError, TrainingError
 from .model import VaeParams
 from .objectives import elbo_step
+
+
+_INT_FIELDS = ("latent_dim", "embed_dim", "hidden_dim", "batch_size", "epochs",
+               "warmup_steps", "pretrain_epochs", "seed")
 
 
 @dataclass
@@ -44,6 +49,20 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "free_bits_per_dim":
+                kind, ok = "a boolean", isinstance(value, bool)
+            elif f.name == "warmup_steps" and value is None:
+                continue
+            elif f.name in _INT_FIELDS:
+                # bool is an int subclass, so compare the exact type
+                kind, ok = "an integer", type(value) is int
+            else:
+                kind = "a number"
+                ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not ok:
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         checks = [
             (self.latent_dim >= 1, "latent_dim must be >= 1"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),

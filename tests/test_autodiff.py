@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import textvae.autodiff as ad
+import textvae.model as model
 from textvae.autodiff import (
     Tensor,
     grad_check,
@@ -14,6 +15,8 @@ from textvae.autodiff import (
     tape,
 )
 from textvae.errors import ContractError, DimensionError, NumericError
+from textvae.layers import lstm_step
+from textvae.model import VaeParams
 
 
 def cross_entropy(logits, target):
@@ -49,7 +52,11 @@ def test_matmul_shape_mismatch():
 
 def test_sigmoid_tanh_at_zero():
     assert ad.sigmoid(Tensor(0.0)).item() == 0.5
-    assert ad.tanh(Tensor(0.0)).item() == 0.0
+    # the LSTM cell's tanh-based gates at zero pre-activation: sigmoid 0.5, tanh 0
+    zero = np.zeros((3, 2))
+    h, c, gates = lstm_step(zero, zero, zero, np.zeros((12, 3)), np.zeros((12, 3)), 0.0)
+    assert np.array_equal(gates, np.repeat([0.5, 0.0], [9, 3])[:, None] * np.ones((1, 2)))
+    assert np.array_equal(h, zero) and np.array_equal(c, zero)
 
 
 def test_sigmoid_gradient_at_zero():
@@ -168,11 +175,11 @@ def test_backward_linearity_of_sums():
     # the gradient of a sum is the sum of the two returned gradient dicts
     x = Tensor(np.random.default_rng(3).uniform(-2, 2, 4), requires_grad=True)
     with tape() as t:
-        both = t.backward(ad.add(ad.squared_l2_norm(x), ad.reduce_mean(ad.tanh(x))))
+        both = t.backward(ad.add(ad.squared_l2_norm(x), ad.reduce_mean(ad.sigmoid(x))))
     with tape() as t:
         first = t.backward(ad.squared_l2_norm(x))
     with tape() as t:
-        second = t.backward(ad.reduce_mean(ad.tanh(x)))
+        second = t.backward(ad.reduce_mean(ad.sigmoid(x)))
     assert np.max(np.abs(both[x] - (first[x] + second[x]))) < 1e-12
 
 
@@ -183,7 +190,7 @@ def test_backward_returns_exactly_the_reachable_leaves():
     const = Tensor([1.0, 1.0])
     with tape() as t:
         h = ad.mul(a, b)
-        ad.tanh(unreached)  # recorded, but not an ancestor of the loss
+        ad.sigmoid(unreached)  # recorded, but not an ancestor of the loss
         loss = ad.squared_l2_norm(ad.add(h, const))
         grads = t.backward(loss)
     assert set(grads) == {a, b}  # no intermediate, no constant, no unreached leaf
@@ -207,8 +214,7 @@ def test_structural_ops_gradients():
     c = Tensor(rng.uniform(-2, 2, (2, 1)), requires_grad=True)
 
     def f():
-        cat = ad.concat_rows(a, b)
-        sel = ad.select_columns(cat, [0, 2, 2])
+        sel = ad.select_columns(b, [0, 2, 2])
         plus = ad.add_col(ad.select_columns(a, [0, 1]), c)
         return ad.add(ad.squared_l2_norm(sel), ad.reduce_mean(ad.column_sums(plus)))
 
@@ -236,13 +242,17 @@ def test_grad_check_sigmoid_matmul_passes():
 
 
 def test_grad_check_detects_corrupted_backward():
+    # the negative-control hook negates the tanh derivatives of the fused LSTM backward
     rng = np.random.default_rng(8)
-    w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
-    ad._CORRUPT_TANH_BACKWARD = True
+    p = VaeParams.init(5, 2, 3, 1, rng)
+    xs = Tensor(rng.uniform(-2, 2, (2, 4)), requires_grad=True)
+    h0 = Tensor(np.zeros((3, 2)))
+    model._CORRUPT_TANH_BACKWARD = True
     try:
-        report = grad_check(lambda: ad.reduce_mean(ad.tanh(w)), {"w": w}, tol=1e-5)
+        report = grad_check(lambda: ad.reduce_mean(
+            model.lstm_recurrence(xs, h0, h0, p, "enc.lstm")), {"xs": xs}, tol=1e-5)
     finally:
-        ad._CORRUPT_TANH_BACKWARD = False
+        model._CORRUPT_TANH_BACKWARD = False
     assert not report.passed
     assert report.max_error > 100 * report.tol
 
@@ -271,7 +281,7 @@ def test_gradient_flows_through_deep_chain_vs_fd():
     x = Tensor(rng.uniform(-1, 1, (3, 5)))
 
     def f():
-        h = ad.tanh(matmul(w1, x))
+        h = ad.sigmoid(matmul(w1, x))
         y = ad.add_col(matmul(w2, h), b)
         z = ad.exp(ad.scale(y, 0.1))
         return ad.add(ad.squared_l2_norm(ad.sigmoid(y)), ad.reduce_mean(ad.mul(z, y)))
@@ -326,12 +336,6 @@ def select_columns_case(data, rng):
     return (lambda: ad.select_columns(x, idx)), {"x": x}
 
 
-def concat_rows_case(data, rng):
-    n = data.draw(SIDE)
-    a, b = leaf(rng, (data.draw(SIDE), n)), leaf(rng, (data.draw(SIDE), n))
-    return (lambda: ad.concat_rows(a, b)), {"a": a, "b": b}
-
-
 def scale_case(data, rng):
     c = data.draw(st.floats(-3.0, 3.0))
     x = leaf(rng, (data.draw(SIDE), data.draw(SIDE)))
@@ -360,12 +364,10 @@ OP_CASES = {
     "mul": binary_case(ad.mul),
     "scale": scale_case,
     "sigmoid": unary_case(ad.sigmoid, -4.0, 4.0),
-    "tanh": unary_case(ad.tanh),
     "exp": unary_case(ad.exp),
     "matmul": matmul_case,
     "add_col": add_col_case,
     "select_columns": select_columns_case,
-    "concat_rows": concat_rows_case,
     "column_sums": unary_case(ad.column_sums),
     "maximum_scalar": maximum_scalar_case,
     "softmax_cross_entropy_cols": cross_entropy_case,
@@ -375,7 +377,7 @@ OP_CASES = {
 
 
 def test_op_cases_cover_every_op():
-    not_ops = {"tape", "grad_check"}
+    not_ops = {"tape", "recording", "grad_check"}
     ops = {name for name, obj in vars(ad).items()
            if inspect.isfunction(obj) and obj.__module__ == ad.__name__
            and not name.startswith("_") and name not in not_ops}

@@ -128,6 +128,24 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     assert_finite_checkpoint(out / "checkpoint.bin")
 
 
+def test_train_eval_round_trip_is_seed_deterministic(tmp_path):
+    # train then eval into fresh out-dirs: one seed gives the same bytes, another seed does not
+    cfg = write_config(tmp_path, train={"alpha": 0.5, "keep_prob": 0.7})
+
+    def run(name, seed):
+        out = tmp_path / name
+        ckpt = out / "train" / "checkpoint.bin"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out / "train"),
+                     "--seed", str(seed)]) == 0
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out-dir", str(out / "eval"), "--seed", str(seed)]) == 0
+        return ckpt.read_bytes(), (out / "eval" / "report.txt").read_bytes()
+
+    first, again, other = run("a", 3), run("b", 3), run("c", 4)
+    assert first == again
+    assert other[0] != first[0]
+
+
 def test_flag_overrides_win_over_config(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
@@ -159,9 +177,24 @@ def test_bad_config_exit_code(tmp_path):
     {"eval": {"n_samples": 0}},
     {"eval": {"n_samples": 2.5}},
     {"eval": {"au_threshold": -0.5}},
+    {"train": {"latent_dim": 2.5}},
+    {"train": {"embed_dim": 8.0}},
+    {"train": {"hidden_dim": True}},
+    {"train": {"batch_size": 2.5}},
+    {"train": {"epochs": 1.5}},
+    {"train": {"pretrain_epochs": "1"}},
+    {"train": {"warmup_steps": 2.5}},
+    {"train": {"lr": "0.01"}},
+    {"train": {"alpha": True}},
+    {"train": {"clip_norm": None}},
+    {"train": {"free_bits_per_dim": "yes"}},
+    {"train": {"free_bits_per_dim": 1}},
 ], ids=["train not object", "synthetic not object", "eval not object", "vocab_size not int",
         "n_train not int", "negative n_dev", "mi_samples 0", "n_samples 0", "n_samples float",
-        "negative au_threshold"])
+        "negative au_threshold", "latent_dim float", "embed_dim float", "hidden_dim bool",
+        "batch_size float", "epochs float", "pretrain_epochs string", "warmup_steps float",
+        "lr string", "alpha bool", "clip_norm null", "free_bits_per_dim string",
+        "free_bits_per_dim int"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == \

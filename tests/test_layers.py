@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check
 from textvae.corpus import make_batch
 from textvae.errors import ConfigError, DimensionError
-from textvae.layers import linear, lstm_step, sample_masks
-from textvae.model import VaeParams, decode_batch, encode_batch
+from textvae.layers import linear, lstm_step, sample_masks, stack_lstm
+from textvae.model import VaeParams, decode_batch, encode_batch, lstm_recurrence
 from textvae.objectives import fraternal_batch
 
 GATES = ("w_i", "w_f", "w_o", "w_c", "b_i", "b_f", "b_o", "b_c")
@@ -50,12 +52,11 @@ def test_apply_mask_trivials():
     p = tiny_params(1)
     z = Tensor(np.random.default_rng(2).standard_normal((2, 1)))
     batch = make_batch([(4, 5, 4)])
-    ll_masked, steps_masked = decode_batch(z, batch.ids, batch.lengths, p, mask=np.zeros((1, 4)))
+    ll_masked, H_masked, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=np.zeros((1, 4)))
     p["dec.embed"].data[...] = 0.0
-    ll_zero, steps_zero = decode_batch(z, batch.ids, batch.lengths, p)
+    ll_zero, H_zero, _ = decode_batch(z, batch.ids, batch.lengths, p)
     assert ll_masked.item() == ll_zero.item()
-    for (h_a, _), (h_b, _) in zip(steps_masked, steps_zero):
-        assert np.array_equal(h_a.data, h_b.data)
+    assert np.array_equal(H_masked.data, H_zero.data)
 
 
 def test_apply_mask_length_mismatch():
@@ -102,7 +103,7 @@ def test_apply_mask_gradient_blocked_on_dropped_columns():
     batch = make_batch([(4, 5)])
     z = Tensor(np.random.default_rng(5).standard_normal((2, 1)))
     with ad.tape() as t:
-        ll, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=np.array([[1.0, 0.0, 1.0]]))
+        ll, _, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=np.array([[1.0, 0.0, 1.0]]))
         grad = t.backward(ad.reduce_mean(ll))[p["dec.embed"]]
     assert np.array_equal(grad[:, 4], np.zeros(4))
     assert np.any(grad[:, 2] != 0.0) and np.any(grad[:, 5] != 0.0)
@@ -110,19 +111,25 @@ def test_apply_mask_gradient_blocked_on_dropped_columns():
 
 def test_lstm_zero_params_zero_output():
     p = lstm_params(3, 4, None, zero=True)
-    inputs = Tensor(np.random.default_rng(1).uniform(-2, 2, (3, 5)))
-    h = c = Tensor(np.zeros((4, 1)))
+    inputs = np.random.default_rng(1).uniform(-2, 2, (3, 5))
+    w_x, _, w_h, b = stack_lstm(p, "lstm", 3)
+    h = c = np.zeros((4, 1))
     for t in range(5):
-        h, c = lstm_step(ad.select_columns(inputs, [t]), h, c, p, "lstm")
-        assert np.array_equal(h.data, np.zeros((4, 1)))
+        h, c, _ = lstm_step(inputs[:, [t]], h, c, w_x, w_h, b)
+        assert np.array_equal(h, np.zeros((4, 1)))
+    zero = Tensor(np.zeros((4, 1)))
+    H = lstm_recurrence(Tensor(inputs), zero, zero, p, "lstm")
+    assert np.array_equal(H.data, np.zeros((4, 5)))
 
 
 def test_lstm_single_step_equals_cell():
     # a one-token sentence's posterior is the heads applied to one cell step
     p = tiny_params(5)
     post = encode_batch(np.array([[5]]), np.array([1]), p)
-    zero = Tensor(np.zeros((4, 1)))
-    h, _ = lstm_step(ad.select_columns(p["enc.embed"], [5]), zero, zero, p, "enc.lstm")
+    zero = np.zeros((4, 1))
+    w_x, _, w_h, b = stack_lstm(p, "enc.lstm", 4)
+    h, _, _ = lstm_step(p["enc.embed"].data[:, [5]], zero, zero, w_x, w_h, b)
+    h = Tensor(h)
     assert np.array_equal(post.mu.data, linear(h, p["enc.mu_w"], p["enc.mu_b"]).data)
     assert np.array_equal(post.logvar.data, linear(h, p["enc.logvar_w"], p["enc.logvar_b"]).data)
 
@@ -147,9 +154,10 @@ def test_lstm_cell_matches_gate_by_gate_oracle():
     c_exp = f * c0 + i * g
     h_exp = o * np.tanh(c_exp)
 
-    h, c = lstm_step(Tensor(x), Tensor(h0), Tensor(c0), p, "lstm")
-    assert np.max(np.abs(h.data - h_exp)) < 1e-12
-    assert np.max(np.abs(c.data - c_exp)) < 1e-12
+    w_x, _, w_h, b = stack_lstm(p, "lstm", w)
+    h, c, _ = lstm_step(x, h0, c0, w_x, w_h, b)
+    assert np.max(np.abs(h - h_exp)) < 1e-12
+    assert np.max(np.abs(c - c_exp)) < 1e-12
 
 
 def test_lstm_causality():
@@ -158,18 +166,23 @@ def test_lstm_causality():
     z = Tensor(np.random.default_rng(4).standard_normal((2, 1)))
     base = make_batch([(4, 5, 4, 5, 4)])
     bumped = make_batch([(4, 5, 4, 4, 4)])
-    _, steps_a = decode_batch(z, base.ids, base.lengths, p)
-    _, steps_b = decode_batch(z, bumped.ids, bumped.lengths, p)
-    for t in range(4):
-        assert np.array_equal(steps_a[t][0].data, steps_b[t][0].data)
-    assert not np.array_equal(steps_a[4][0].data, steps_b[4][0].data)
+    _, H_a, _ = decode_batch(z, base.ids, base.lengths, p)
+    _, H_b, _ = decode_batch(z, bumped.ids, bumped.lengths, p)
+    for t in range(4):  # one sentence: column t is position t
+        assert np.array_equal(H_a.data[:, t], H_b.data[:, t])
+    assert not np.array_equal(H_a.data[:, 4], H_b.data[:, 4])
 
 
 def test_lstm_dimension_error():
     p = lstm_params(3, 4, np.random.default_rng(0))
+    state = Tensor(np.zeros((4, 5)))
     with pytest.raises(DimensionError):
-        lstm_step(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 5))), Tensor(np.zeros((4, 5))),
-                  p, "lstm")
+        lstm_recurrence(Tensor(np.zeros((2, 5))), state, state, p, "lstm")
+    with pytest.raises(DimensionError):  # 7 columns are no whole number of 5-sentence positions
+        lstm_recurrence(Tensor(np.zeros((3, 7))), state, state, p, "lstm")
+    with pytest.raises(DimensionError):  # a static input the weights have no columns for
+        lstm_recurrence(Tensor(np.zeros((3, 5))), state, state, p, "lstm",
+                        static=Tensor(np.zeros((1, 5))))
 
 
 def test_lstm_gradients_vs_finite_differences():
@@ -178,15 +191,46 @@ def test_lstm_gradients_vs_finite_differences():
     inputs = Tensor(rng.uniform(-1, 1, (2, 4)))
 
     def f():
-        h = c = Tensor(np.zeros((3, 1)))
-        loss = Tensor(0.0)
-        for t in range(4):
-            h, c = lstm_step(ad.select_columns(inputs, [t]), h, c, p, "lstm")
-            loss = ad.add(loss, ad.squared_l2_norm(h))
-        return loss
+        h0 = Tensor(np.zeros((3, 1)))
+        return ad.squared_l2_norm(lstm_recurrence(inputs, h0, h0, p, "lstm"))
 
     report = grad_check(f, p, tol=1e-5)
     assert report.passed, str(report)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), n_x=st.integers(1, 3), n_s=st.integers(0, 2), B=st.integers(1, 3),
+       T=st.integers(1, 4), freeze=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_lstm_recurrence_gradient_matches_finite_differences(d, n_x, n_s, B, T, freeze, seed):
+    # one fused op over T positions: every input and gate tensor against central differences
+    rng = np.random.default_rng(seed)
+    p = lstm_params(n_x + n_s, d, rng)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+
+    xs, h0, c0 = leaf(n_x, T * B), leaf(d, B), leaf(d, B)
+    static = leaf(n_s, B) if n_s else None
+    lengths = rng.integers(1, T + 1, B) if freeze else None
+    weights = Tensor(rng.uniform(-1, 1, (d, T * B)))
+
+    def f():
+        H = lstm_recurrence(xs, h0, c0, p, "lstm", static=static, lengths=lengths)
+        return ad.reduce_mean(ad.mul(H, weights))
+
+    inputs = {"xs": xs, "h0": h0, "c0": c0, **p, **({"static": static} if n_s else {})}
+    report = grad_check(f, inputs)
+    assert report.passed, str(report)
+
+    # the forward keeps backward state only under a tape; the values are the same bits
+    with ad.tape():
+        taped = lstm_recurrence(xs, h0, c0, p, "lstm", static=static, lengths=lengths)
+    assert np.array_equal(taped.data, lstm_recurrence(xs, h0, c0, p, "lstm", static=static,
+                                                      lengths=lengths).data)
+    if freeze:  # a sentence's state stops at its own length
+        H = taped.data.reshape(d, T, B)
+        for j, n in enumerate(lengths):
+            assert np.array_equal(H[:, n - 1:, j], np.repeat(H[:, n - 1: n, j], T - n + 1, axis=1))
 
 
 def test_linear_identity_and_bias():

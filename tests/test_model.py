@@ -38,8 +38,8 @@ def decode(z, x, mask, p):
     batch = make_batch([x])
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).reshape(1, -1)
-    ll, steps = decode_batch(z, batch.ids, batch.lengths, p, mask=mask)
-    return ll, np.concatenate([h.data for h, _ in steps], axis=1)
+    ll, H, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=mask)
+    return ll, H.data
 
 
 def side(p, prefix):
@@ -213,6 +213,38 @@ def test_decode_greedy_deterministic():
     p = tiny_params(13)
     z = np.random.default_rng(5).standard_normal(2)
     assert decode_greedy(z, 10, p) == decode_greedy(z, 10, p)
+
+
+def test_decode_greedy_matches_stepwise_oracle():
+    # hand-rolled gate equations with argmax feedback, independent of the stacked cell
+    p = tiny_params(24, vocab_size=9)
+    rng = np.random.default_rng(8)
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    def d(name):
+        return p[f"dec.{name}"].data
+
+    for _ in range(4):
+        z = rng.standard_normal((2, 1))
+        h = d("h0_w") @ z + d("h0_b")
+        c = d("c0_w") @ z + d("c0_b")
+        token, expected = 2, []  # start sentinel
+        for _ in range(12):
+            xh = np.vstack([d("embed")[:, [token]], z, h])
+            i = sig(d("lstm.w_i") @ xh + d("lstm.b_i"))
+            f = sig(d("lstm.w_f") @ xh + d("lstm.b_f"))
+            o = sig(d("lstm.w_o") @ xh + d("lstm.b_o"))
+            g = np.tanh(d("lstm.w_c") @ xh + d("lstm.b_c"))
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            token = int(np.argmax(d("out_w") @ h + d("out_b")))
+            if token == END:
+                break
+            expected.append(token)
+        assert decode_greedy(z[:, 0], 12, p) == expected
+        assert decode_greedy(Tensor(z), 12, p) == expected
 
 
 def test_full_pipeline_gradient_check():
@@ -397,14 +429,14 @@ def test_batch_padding_invariance(sents, masked, seed):
     z = rng.standard_normal((2, B))
     mask = (rng.random((B, L + 1)) < 0.6).astype(np.float64) if masked else None
     post = encode_batch(batch.ids, batch.lengths, p)
-    ll, steps = decode_batch(Tensor(z), batch.ids, batch.lengths, p, mask=mask)
+    ll, H, _ = decode_batch(Tensor(z), batch.ids, batch.lengths, p, mask=mask)
     for j, sent in enumerate(sents):
         one = make_batch([sent])
         single = encode_batch(one.ids, one.lengths, p)
         assert np.max(np.abs(post.mu.data[:, [j]] - single.mu.data)) <= 1e-12
         assert np.max(np.abs(post.logvar.data[:, [j]] - single.logvar.data)) <= 1e-12
         own_mask = None if mask is None else mask[j: j + 1, : len(sent) + 1]
-        ll_one, steps_one = decode_batch(Tensor(z[:, [j]]), one.ids, one.lengths, p, mask=own_mask)
+        ll_one, H_one, _ = decode_batch(Tensor(z[:, [j]]), one.ids, one.lengths, p, mask=own_mask)
         assert abs(ll.data[0, j] - ll_one.item()) <= 1e-12
-        for (h, _), (h_one, _) in zip(steps, steps_one):
-            assert np.max(np.abs(h.data[:, j] - h_one.data[:, 0])) <= 1e-12
+        for t in range(len(sent) + 1):  # H is position-major: column t*B + j
+            assert np.max(np.abs(H.data[:, t * B + j] - H_one.data[:, t])) <= 1e-12

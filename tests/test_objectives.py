@@ -148,10 +148,9 @@ def test_fraternal_penalty_matches_bruteforce_oracle():
     d = np.array([[1.0, 0.0, 1.0, 1.0, 0.0]])
     mean_ll, penalty = fraternal_batch(z, batch, 0.7, p, np.random.default_rng(3), mask=d)
 
-    ll1, steps1 = decode_batch(z, batch.ids, batch.lengths, p, mask=d)
-    ll2, steps2 = decode_batch(z, batch.ids, batch.lengths, p, mask=1.0 - d)
-    H1 = np.concatenate([h.data for h, _ in steps1], axis=1)
-    H2 = np.concatenate([h.data for h, _ in steps2], axis=1)
+    ll1, H1, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=d)
+    ll2, H2, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=1.0 - d)
+    H1, H2 = H1.data, H2.data
     n_steps, hidden = d.shape[1], p.hidden_dim
     expected_penalty = float(((H1 - H2) ** 2).sum()) / (n_steps * hidden)
     assert abs(penalty.item() - expected_penalty) < 1e-12
@@ -191,7 +190,7 @@ def test_elbo_autoencoder_limit():
     lb = elbo_step(batch, _config(), p, rng, step=0, eps=eps)
     assert lb.beta == 0.0
     post = encode_batch(batch.ids, batch.lengths, p)
-    ll, _ = decode_batch(reparameterize(post, eps), batch.ids, batch.lengths, p)
+    ll, _, _ = decode_batch(reparameterize(post, eps), batch.ids, batch.lengths, p)
     assert abs(lb.total.item() + ll.item()) < 1e-12
     assert abs(lb.total.item() - lb.reconstruction.item()) < 1e-15
     assert lb.fraternal_penalty.item() == 0.0
@@ -279,3 +278,15 @@ def test_elbo_batched_fraternal_matches_single_sentences():
         penalties.append(lb.fraternal_penalty.item())
     assert abs(batched.fraternal_penalty.item() - np.mean(penalties)) < 1e-10
     assert abs(batched.total.item() - np.mean(totals)) < 1e-10
+
+
+def test_tape_size_does_not_grow_with_sentence_length():
+    # each recurrence is one tape entry, so a longer batch records no more ops
+    p = tiny_params(14)
+    cfg = _config(alpha=1.0, keep_prob=0.7, free_bits=1.0)
+    sizes = []
+    for sents in ([(4, 5, 4), (5,)], [(4, 5) * 7 + (4,), (5, 4, 4)]):  # max length 3, then 15
+        with tape() as t:
+            elbo_step(make_batch(sents), cfg, p, np.random.default_rng(0), step=1)
+            sizes.append(len(t))
+    assert sizes[0] == sizes[1]

@@ -25,6 +25,9 @@ def test_config_validation():
         TrainConfig(alpha=-0.1).validate()
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"no_such_knob": 1})
+    with pytest.raises(ConfigError):  # the CLI's --seed always replaces a config file's seed
+        TrainConfig.from_dict({"seed": True})
+    assert TrainConfig.from_dict({"lr": 0, "warmup_steps": None, "free_bits": 1}).lr == 0
 
 
 def test_adam_zero_gradient_keeps_params():
