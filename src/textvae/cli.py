@@ -164,7 +164,15 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
     return split, (vocab or generated)
 
 
-def _manifest(command: str, args, config_echo: dict, split, vocab: Vocabulary) -> dict:
+def _eval_seed(args) -> int:
+    """--seed for the commands that have no train config to take it from: 0 when absent."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return 0 if args.seed is None else args.seed
+
+
+def _manifest(command: str, args, config_echo: dict, split, vocab: Vocabulary,
+              seed: int) -> dict:
     hashes = split_hashes(split) if split is not None else {}
     if vocab is not None:
         hashes["vocab"] = vocab.hash
@@ -173,7 +181,7 @@ def _manifest(command: str, args, config_echo: dict, split, vocab: Vocabulary) -
         "argv": list(getattr(args, "_argv", [])),
         "config": config_echo,
         "corpus_hashes": hashes,
-        "seed": args.seed,
+        "seed": seed,
         "version": __version__,
     }
 
@@ -214,7 +222,7 @@ def cmd_train(args) -> int:
 
     config_echo = {"train": tcfg.to_dict(), "eval": _eval_config(cfg).to_dict(),
                    "vocab_size": len(vocab)}
-    manifest = _manifest("train", args, config_echo, split, vocab)
+    manifest = _manifest("train", args, config_echo, split, vocab, tcfg.seed)
     vocab.save(out / "vocab.txt")
     try:
         result = _train_and_save(split, tcfg, vocab, out)
@@ -241,7 +249,7 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.split} split is empty")
 
     ecfg = _eval_config(cfg)
-    report = evaluate(sentences, params, ecfg, np.random.default_rng(args.seed))
+    report = evaluate(sentences, params, ecfg, np.random.default_rng(_eval_seed(args)))
 
     print(MetricsReport.table_header())
     print(report.table_row(Path(args.checkpoint).stem))
@@ -250,7 +258,8 @@ def cmd_eval(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
         config_echo = {"eval": ecfg.to_dict(), "split": args.split}
-        _write_json(out / "manifest.json", _manifest("eval", args, config_echo, split, vocab))
+        _write_json(out / "manifest.json",
+                    _manifest("eval", args, config_echo, split, vocab, _eval_seed(args)))
     return 0
 
 
@@ -275,7 +284,7 @@ def cmd_sweep(args) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = _train_and_save(split, tcfg, vocab, run_dir)
-            report = evaluate(split.test, result.params, ecfg, np.random.default_rng(args.seed))
+            report = evaluate(split.test, result.params, ecfg, np.random.default_rng(tcfg.seed))
             (run_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
             rows.append(report.table_row(f"{alpha:g}"))
         except TextVaeError as exc:
@@ -288,7 +297,8 @@ def cmd_sweep(args) -> int:
     (out / "sweep_table.txt").write_text(table, encoding="utf-8")
     config_echo = {"train": base.to_dict(), "eval": ecfg.to_dict(), "alphas": alphas}
     _write_json(out / "manifest.json",
-                {**_manifest("sweep", args, config_echo, split, vocab), "failed_alphas": failed})
+                {**_manifest("sweep", args, config_echo, split, vocab, base.seed),
+                 "failed_alphas": failed})
     print(f"\nsweep table written to {out / 'sweep_table.txt'}"
           + (f" ({len(failed)} run(s) failed)" if failed else ""))
     if len(failed) == len(alphas):
@@ -306,7 +316,8 @@ def _decode_and_write(args, params: VaeParams, vocab: Vocabulary, zs, filename: 
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _write_json(out / "manifest.json", _manifest(args.command, args, config_echo, None, vocab))
+        _write_json(out / "manifest.json",
+                    _manifest(args.command, args, config_echo, None, vocab, _eval_seed(args)))
     return 0
 
 
@@ -314,7 +325,7 @@ def cmd_interpolate(args) -> int:
     if args.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     params, vocab, _ = load_checkpoint(args.checkpoint)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_eval_seed(args))
     z1 = rng.standard_normal(params.latent_dim)
     z2 = rng.standard_normal(params.latent_dim)
     zs = [(1.0 - t) * z1 + t * z2 for t in np.linspace(0.0, 1.0, args.steps)]
@@ -324,7 +335,7 @@ def cmd_interpolate(args) -> int:
 
 def cmd_sample(args) -> int:
     params, vocab, _ = load_checkpoint(args.checkpoint)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_eval_seed(args))
     zs = [rng.standard_normal(params.latent_dim) for _ in range(args.n)]
     return _decode_and_write(args, params, vocab, zs, "samples.txt",
                              {"n": args.n, "max_len": args.max_len})
@@ -421,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, checkpoint=False, corpus=True, out_required=False):
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None,
+                       help="overrides the config's train.seed; eval, sample and "
+                            "interpolate draw from it (default 0)")
         if corpus:
             p.add_argument("--corpus", default=None,
                            help="directory with train.txt/dev.txt/test.txt")

@@ -37,13 +37,15 @@ def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, w_x: np.ndarray, w_h:
 
     ``w_x``/``w_h`` are stacked [i; f; o; g] gate weights (see
     ``stack_lstm``); ``base`` is the bias, plus the static input's term when
-    there is one.  The sigmoid gates are computed as 0.5 * tanh(v / 2) + 0.5,
-    so one tanh covers all four gates.  Returns (h_next, c_next, gates),
-    where ``gates`` holds the activated (4d, B) [i; f; o; g].
+    there is one.  ``x`` is (n_x, B), or (n_x, 1) for an input that every
+    column shares: its gate term is then one column added to all of them.
+    The sigmoid gates are computed as 0.5 * tanh(v / 2) + 0.5, so one tanh
+    covers all four gates.  Returns (h_next, c_next, gates), where ``gates``
+    holds the activated (4d, B) [i; f; o; g].
     """
     d = h.shape[0]
-    gates = w_x @ x
-    gates += w_h @ h
+    gates = w_h @ h
+    gates += w_x @ x
     gates += base
     sig = gates[: 3 * d]
     sig *= 0.5

@@ -1,17 +1,21 @@
-"""Evaluation metrics: reconstruction NLL, perplexity, active units, mutual
-information, BLEU.
+"""Evaluation metrics: reconstruction NLL, its importance-weighted bound,
+perplexity, KL, active units, mutual information, BLEU.
 
-``evaluate`` is the one corpus-level entry point: it pools the NLL into
-perplexity and computes AU and MI from a single pass over the posteriors.
-The functions it builds on score one sentence or take precomputed
-posteriors.  All metrics are read-only over the model parameters and draw
-their noise from an explicit generator, so a seeded evaluation is
-reproducible.
+``evaluate`` is the one corpus-level entry point.  It encodes the whole
+split once (``collect_posteriors``); each sentence's posterior row then
+feeds one decode that scores the sentence against all of its k posterior
+samples, giving the reconstruction NLL and the importance-weighted NLL from
+the same draws; MI and greedy decoding for BLEU follow, reusing the same
+posteriors.  The functions it builds on score one sentence or take
+precomputed posteriors.  All metrics are read-only over the model
+parameters and draw their noise from an explicit generator, so a seeded
+evaluation is reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -20,7 +24,8 @@ import numpy as np
 from .autodiff import Tensor
 from .corpus import make_batch
 from .errors import ConfigError, DataError
-from .model import VaeParams, decode_batch, decode_greedy, encode_batch
+from .model import GaussianPosterior, VaeParams, decode_batch, decode_greedy, encode_batch
+from .objectives import kl_columns
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -33,23 +38,33 @@ BLEU_EPSILON = 1e-9
 # likelihood
 
 
-def reconstruction_nll(x, params: VaeParams, n_samples: int = 100,
-                       rng: np.random.Generator | None = None) -> float:
-    """Mean over z ~ q(z|x) of -log p(x|z), teacher-forced and unmasked."""
+def reconstruction_nll(x, mu: np.ndarray, logvar: np.ndarray, params: VaeParams,
+                       n_samples: int = 100,
+                       rng: np.random.Generator | None = None) -> tuple[float, float]:
+    """Two NLL estimates for sentence ``x`` from the same k draws z_k ~ q(z|x).
+
+    ``mu``/``logvar`` are the sentence's posterior row (see
+    ``collect_posteriors``).  Returns (rec, iw): rec is the mean over the
+    draws of -log p(x|z_k), teacher-forced and unmasked; iw is the
+    importance-weighted -log (1/k) sum_k p(x|z_k) p(z_k) / q(z_k|x), an upper
+    bound on -log p(x) that tightens as k grows.  One decode scores all k
+    draws against the sentence's single row of ids.
+    """
     if n_samples < 1:
         raise DataError(f"n_samples must be >= 1, got {n_samples}")
     if rng is None:
         rng = np.random.default_rng(0)
-    x = tuple(int(i) for i in x)
-    batch = make_batch([x])
-    post = encode_batch(batch.ids, batch.lengths, params)
-    mu = post.mu.data
-    sigma = np.exp(0.5 * post.logvar.data)
+    mu, logvar = np.reshape(mu, (-1, 1)), np.reshape(logvar, (-1, 1))
     eps = rng.standard_normal((params.latent_dim, n_samples))
-    z = Tensor(mu + sigma * eps)  # columns: one sample each
-    rep = make_batch([x] * n_samples)
-    log_lik, _, _ = decode_batch(z, rep.ids, rep.lengths, params)
-    return float(-log_lik.data.mean())
+    z = mu + np.exp(0.5 * logvar) * eps  # columns: one sample each
+    batch = make_batch([tuple(int(i) for i in x)])
+    log_lik, _, _ = decode_batch(Tensor(z), batch.ids, batch.lengths, params)
+    # log p(z_k) - log q(z_k|x); the 2*pi terms cancel
+    log_prior_ratio = -0.5 * (z * z - eps * eps - logvar).sum(axis=0)
+    log_w = log_lik.data[0] + log_prior_ratio
+    m = log_w.max()
+    iw = -(m + math.log(np.exp(log_w - m).mean()))
+    return float(-log_lik.data.mean()), float(iw)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +206,11 @@ class EvalConfig:
     def validate(self) -> "EvalConfig":
         for name in ("n_samples", "mi_samples", "max_gen_len"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not self.au_threshold >= 0:
-            raise ConfigError(f"au_threshold must be >= 0, got {self.au_threshold!r}")
+        value = self.au_threshold
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+            raise ConfigError(f"au_threshold must be a number >= 0, got {value!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -203,10 +219,19 @@ class EvalConfig:
 
 @dataclass
 class MetricsReport:
-    """NLL/PPL/AU/MI/BLEU bundle for one model on one corpus split."""
+    """NLL/PPL/KL/AU/MI/BLEU bundle for one model on one corpus split.
+
+    ``nll``/``ppl`` pool the reconstruction term -log p(x|z) over posterior
+    samples; ``iw_nll``/``iw_ppl`` pool the importance-weighted estimate of
+    -log p(x) from the same samples; ``kl`` is the mean closed-form
+    KL(q(z|x) || p(z)).
+    """
 
     nll: float
     ppl: float
+    iw_nll: float
+    iw_ppl: float
+    kl: float
     au: int
     mi: float
     mi_raw: float
@@ -217,8 +242,8 @@ class MetricsReport:
 
     def to_text(self) -> str:
         lines = []
-        for key in sorted(("nll", "ppl", "au", "mi", "mi_raw", "mi_clamped",
-                           "bleu", "n_sentences")):
+        for key in sorted(("nll", "ppl", "iw_nll", "iw_ppl", "kl", "au", "mi", "mi_raw",
+                           "mi_clamped", "bleu", "n_sentences")):
             lines.append(f"{key}: {getattr(self, key)!r}")
         for key in sorted(self.config):
             lines.append(f"config.{key}: {self.config[key]!r}")
@@ -226,20 +251,23 @@ class MetricsReport:
 
     def table_row(self, label: str = "") -> str:
         # BLEU shown as a percentage in table output
-        return (f"{label:<24} {self.nll:>8.2f} {self.ppl:>8.2f} {self.au:>4d} "
-                f"{self.mi:>6.2f} {100.0 * self.bleu:>6.2f}")
+        return (f"{label:<24} {self.nll:>8.2f} {self.ppl:>8.2f} {self.iw_nll:>8.2f} "
+                f"{self.kl:>6.2f} {self.au:>4d} {self.mi:>6.2f} {100.0 * self.bleu:>6.2f}")
 
     @staticmethod
     def table_header(label: str = "configuration") -> str:
-        return (f"{label:<24} {'NLL':>8} {'PPL':>8} {'AU':>4} {'MI':>6} {'BLEU':>6}")
+        return (f"{label:<24} {'NLL':>8} {'PPL':>8} {'IW-NLL':>8} {'KL':>6} {'AU':>4} "
+                f"{'MI':>6} {'BLEU':>6}")
 
 
 def evaluate(corpus, params: VaeParams, config: EvalConfig | None = None,
              rng: np.random.Generator | None = None) -> MetricsReport:
     """Full metric suite on a sentence list.
 
-    NLL/PPL pool one shared sampling pass; BLEU decodes greedily from one
-    posterior sample per sentence against the original.
+    The split is encoded once.  NLL/PPL and their importance-weighted
+    versions pool one sampling pass of ``n_samples`` draws per sentence;
+    BLEU decodes greedily from one posterior sample per sentence against the
+    original.
     """
     sents = [tuple(int(i) for i in s) for s in corpus]
     if not sents:
@@ -249,15 +277,16 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig | None = None,
     if rng is None:
         rng = np.random.default_rng(0)
 
-    total_nll = 0.0
-    total_words = 0
-    for sent in sents:
-        total_nll += reconstruction_nll(sent, params, config.n_samples, rng)
-        total_words += len(sent) + 1
-    nll = total_nll / len(sents)
-    ppl = float(np.exp(total_nll / total_words))
-
     mus, logvars = collect_posteriors(sents, params)
+    total_nll = total_iw = 0.0
+    total_words = 0
+    for sent, mu, logvar in zip(sents, mus, logvars):
+        rec, iw = reconstruction_nll(sent, mu, logvar, params, config.n_samples, rng)
+        total_nll += rec
+        total_iw += iw
+        total_words += len(sent) + 1
+    kl = kl_columns(GaussianPosterior(mu=Tensor(mus.T), logvar=Tensor(logvars.T))).data.mean()
+
     au, _ = active_units_from_means(mus, config.au_threshold) if len(sents) >= 2 else (0, None)
     mi, mi_raw = mutual_information_from_posteriors(mus, logvars, config.mi_samples, rng)
 
@@ -269,7 +298,11 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig | None = None,
         pairs.append((sent, hyp))
     bleu_score = corpus_bleu(pairs)
 
-    return MetricsReport(nll=float(nll), ppl=ppl, au=int(au), mi=float(mi),
+    return MetricsReport(nll=float(total_nll / len(sents)),
+                         ppl=float(np.exp(total_nll / total_words)),
+                         iw_nll=float(total_iw / len(sents)),
+                         iw_ppl=float(np.exp(total_iw / total_words)),
+                         kl=float(kl), au=int(au), mi=float(mi),
                          mi_raw=float(mi_raw), mi_clamped=bool(mi_raw < 0),
                          bleu=float(bleu_score), n_sentences=len(sents),
                          config=config.to_dict())

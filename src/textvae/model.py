@@ -18,6 +18,15 @@ inputs, the hidden states H that ``lstm_recurrence`` and ``decode_batch``
 return, the decoder logits and the per-position cross entropy all follow it;
 per-position (T, B) arrays such as ``valid`` flatten row by row to the same
 order.  One sentence's H (B = 1) is simply its positions in order.
+
+Shared input: B columns that read the same sentence (one sentence decoded
+against B latent samples) take one (rows, T) input, one column per
+position, and ``lstm_recurrence`` is told so by ``shared_input=True``; the
+column count alone cannot tell T positions from T·B when T is a multiple
+of B.  Each position's input gate term is then computed once and added to
+all B columns, and everything the recurrence returns is (d, T·B) as usual.
+``decode_batch`` takes this path when it is given one row of ids against
+B > 1 latent columns.
 """
 
 from __future__ import annotations
@@ -121,14 +130,17 @@ _CORRUPT_TANH_BACKWARD = False
 
 
 def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
-                    static: Tensor | None = None, lengths: np.ndarray | None = None) -> Tensor:
+                    static: Tensor | None = None, lengths: np.ndarray | None = None,
+                    shared_input: bool = False) -> Tensor:
     """Run the LSTM ``prefix`` over T positions as one autodiff op.
 
     ``xs`` is the position-major (n_x, T·B) input and ``h0``/``c0`` the
-    (d, B) initial state.  ``static`` (k, B), when given, is appended to
-    every position's input; its gate term is computed once.  With
-    ``lengths``, sentence j's state is frozen from position ``lengths[j]``
-    on, so its last column block holds each sentence's final state.
+    (d, B) initial state.  With ``shared_input`` every column reads the same
+    input and ``xs`` is (n_x, T), one column per position.  ``static``
+    (k, B), when given, is appended to every position's input; its gate
+    term is computed once.  With ``lengths``, sentence j's state is frozen
+    from position ``lengths[j]`` on, so its last column block holds each
+    sentence's final state.
     Returns the hidden states as one position-major (d, T·B) tensor.
 
     The cell runs in numpy through ``lstm_step``, one call per position.
@@ -136,17 +148,19 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     cells it needs are kept only while a tape records the op.
     """
     d, B = h0.shape
-    n_x, TB = xs.shape
+    n_x, n_cols = xs.shape
+    step = 1 if shared_input else B  # input columns per position
     n_s = 0 if static is None else static.shape[0]
     weights = [params[f"{prefix}.{kind}_{g}"] for kind in "wb" for g in "ifoc"]
-    if (c0.shape != (d, B) or B == 0 or TB == 0 or TB % B
+    if (c0.shape != (d, B) or B == 0 or n_cols == 0 or n_cols % step
             or (static is not None and static.shape != (n_s, B))
             or any(w.shape != (d, n_x + n_s + d) for w in weights[:4])
             or any(b.shape != (d, 1) for b in weights[4:])):
         raise DimensionError(
             f"lstm {prefix}: inputs {xs.shape}, state {h0.shape}/{c0.shape}, static "
             f"{None if static is None else static.shape}, gate weights {weights[0].shape}")
-    T = TB // B
+    T = n_cols // step
+    TB = T * B
     inputs = (xs, h0, c0, *weights) + (() if static is None else (static,))
     tape = ad.recording(inputs)
     w_x, w_s, w_h, b = stack_lstm(params, prefix, n_x)
@@ -157,7 +171,7 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     h, c = h0.data, c0.data
     hs, cs, gates_seq = [], [c], []
     for t in range(T):
-        h_new, c_new, gates = lstm_step(xd[:, t * B: (t + 1) * B], h, c, w_x, w_h, base)
+        h_new, c_new, gates = lstm_step(xd[:, t * step: (t + 1) * step], h, c, w_x, w_h, base)
         if lengths is not None and not np.all(t < lengths):
             active = t < lengths
             h_new, c_new = np.where(active, h_new, h), np.where(active, c_new, c)
@@ -197,11 +211,13 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
                 dc_prev = np.where(active, dc_prev, dc)
             dh, dc = dh_prev, dc_prev
         d_pre_sum = d_pre.reshape(4 * d, T, B).sum(axis=1)  # the static input and the bias
+        # a shared input's adjoint sums its columns first, as the static input's sums positions
+        d_pre_x = d_pre.reshape(4 * d, T, B).sum(axis=2) if shared_input else d_pre
         h_prev = np.concatenate([h0.data, out.data[:, : TB - B]], axis=1)
-        d_w = np.concatenate([d_pre @ xd.T, d_pre_sum @ sd.T, d_pre @ h_prev.T], axis=1)
+        d_w = np.concatenate([d_pre_x @ xd.T, d_pre_sum @ sd.T, d_pre @ h_prev.T], axis=1)
         d_b = d_pre_sum.sum(axis=1, keepdims=True)
         # without a static input, inputs has no slot for its (0, B) gradient
-        return (w_x.T @ d_pre if xs.requires_grad else None, dh, dc,
+        return (w_x.T @ d_pre_x if xs.requires_grad else None, dh, dc,
                 *(d_w[k * d: (k + 1) * d] for k in range(4)),
                 *(d_b[k * d: (k + 1) * d] for k in range(4)), w_s.T @ d_pre_sum)
 
@@ -276,32 +292,42 @@ def _wrap_for_teacher_forcing(ids: np.ndarray, lengths: np.ndarray):
 
 def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaeParams,
                  mask: np.ndarray | None = None):
-    """Teacher-forced decoding over a padded batch.
+    """Teacher-forced decoding of a padded batch against the latent columns ``z``.
 
-    Returns (log_lik (1,B), H (d, T·B), valid (T,B)) with T = L + 1
+    ``ids`` has one row per column of ``z``, or a single row that all B
+    columns decode (one sentence against B latent samples, run as a shared
+    input).  Returns (log_lik (1,B), H (d, T·B), valid (T,B)) with T = L + 1
     positions: H holds every position's hidden state, position-major, and
     valid flags the positions inside each sentence (its END prediction
     included).  Positions past a sentence's end contribute nothing to the
-    log-likelihood.  ``mask`` (B, T) scales each input embedding.
+    log-likelihood.  ``mask`` (rows of ``ids``, T) scales each input
+    embedding.
     """
     ids = np.asarray(ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    B, L = ids.shape
+    n_rows, L = ids.shape
+    B = z.shape[1]
+    if n_rows not in (1, B):
+        raise DimensionError(f"{n_rows} rows of ids against {B} latent columns")
+    shared = n_rows < B
     n_steps = L + 1  # every sentence also predicts its end sentinel
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (B, n_steps):
-            raise DimensionError(f"mask shape {mask.shape}, expected {(B, n_steps)}")
+        if mask.shape != (n_rows, n_steps):
+            raise DimensionError(f"mask shape {mask.shape}, expected {(n_rows, n_steps)}")
     in_ids, targets = _wrap_for_teacher_forcing(ids, lengths)
     xs = ad.select_columns(params["dec.embed"], in_ids.T.reshape(-1))
     if mask is not None:
         xs = ad.mul(xs, Tensor(np.broadcast_to(mask.T.reshape(1, -1), xs.shape)))
     h0 = linear(z, params["dec.h0_w"], params["dec.h0_b"])
     c0 = linear(z, params["dec.c0_w"], params["dec.c0_b"])
-    H = lstm_recurrence(xs, h0, c0, params, "dec.lstm", static=z)
+    H = lstm_recurrence(xs, h0, c0, params, "dec.lstm", static=z, shared_input=shared)
     logits = linear(H, params["dec.out_w"], params["dec.out_b"])
-    ce = ad.softmax_cross_entropy_cols(logits, targets.T.reshape(-1))
+    target_cols = targets.T.reshape(-1)
     valid = (np.arange(n_steps)[:, None] < lengths[None, :] + 1).astype(np.float64)
+    if shared:
+        target_cols, valid = np.repeat(target_cols, B), np.repeat(valid, B, axis=1)
+    ce = ad.softmax_cross_entropy_cols(logits, target_cols)
     return sentence_sums(ce, -valid), H, valid
 
 

@@ -79,6 +79,7 @@ class TrainConfig:
             (0 <= self.keep_prob <= 1, "keep_prob must lie in [0, 1]"),
             (self.pretrain_epochs >= 0, "pretrain_epochs must be >= 0"),
             (self.clip_norm >= 0, "clip_norm must be >= 0"),
+            (self.seed >= 0, "seed must be >= 0"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -157,6 +157,44 @@ def test_flag_overrides_win_over_config(tmp_path):
     assert manifest["config"]["train"]["keep_prob"] == 0.8
 
 
+def test_config_seed_is_used_unless_the_flag_is_given(tmp_path):
+    # a config's train.seed decides the run, the sweep's evaluation and the manifest echo
+    for name in ("seeded", "plain"):
+        (tmp_path / name).mkdir()
+    seeded = write_config(tmp_path / "seeded", train={"seed": 5})
+    plain = write_config(tmp_path / "plain")
+
+    def sweep(name, cfg, *flags):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(cfg), "--out-dir", str(out), "--alphas", "0",
+                     *flags]) == 0
+        run = out / "alpha_0"
+        return (run / "checkpoint.bin").read_bytes(), (run / "report.txt").read_bytes(), \
+            json.loads((out / "manifest.json").read_text())["seed"]
+
+    from_config = sweep("config", seeded)
+    assert from_config == sweep("flag", plain, "--seed", "5")
+    assert from_config[2] == 5
+    assert from_config[0] != sweep("default", plain)[0]
+    assert sweep("override", seeded, "--seed", "0") == sweep("zero", plain)
+
+
+def test_eval_without_seed_draws_from_seed_zero(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+    reports = []
+    for name, flags in (("e_default", []), ("e_zero", ["--seed", "0"])):
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+                     "--out-dir", str(tmp_path / name), *flags]) == 0
+        reports.append((tmp_path / name / "report.txt").read_bytes())
+        assert json.loads((tmp_path / name / "manifest.json").read_text())["seed"] == 0
+    assert reports[0] == reports[1]
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
+                 "--seed", "-1"]) == EXIT_CODES["config"]
+
+
 def test_bad_config_exit_code(tmp_path):
     cfg = write_config(tmp_path, train={"keep_prob": 2.0})
     code = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
@@ -177,6 +215,13 @@ def test_bad_config_exit_code(tmp_path):
     {"eval": {"n_samples": 0}},
     {"eval": {"n_samples": 2.5}},
     {"eval": {"au_threshold": -0.5}},
+    {"eval": {"n_samples": True}},
+    {"eval": {"mi_samples": False}},
+    {"eval": {"max_gen_len": True}},
+    {"eval": {"au_threshold": False}},
+    {"eval": {"au_threshold": "0.1"}},
+    {"train": {"seed": False}},
+    {"train": {"seed": -1}},
     {"train": {"latent_dim": 2.5}},
     {"train": {"embed_dim": 8.0}},
     {"train": {"hidden_dim": True}},
@@ -191,7 +236,8 @@ def test_bad_config_exit_code(tmp_path):
     {"train": {"free_bits_per_dim": 1}},
 ], ids=["train not object", "synthetic not object", "eval not object", "vocab_size not int",
         "n_train not int", "negative n_dev", "mi_samples 0", "n_samples 0", "n_samples float",
-        "negative au_threshold", "latent_dim float", "embed_dim float", "hidden_dim bool",
+        "negative au_threshold", "n_samples bool", "mi_samples bool", "max_gen_len bool",
+        "au_threshold bool", "au_threshold string", "seed bool", "negative seed", "latent_dim float", "embed_dim float", "hidden_dim bool",
         "batch_size float", "epochs float", "pretrain_epochs string", "warmup_steps float",
         "lr string", "alpha bool", "clip_norm null", "free_bits_per_dim string",
         "free_bits_per_dim int"])

@@ -185,6 +185,15 @@ def test_lstm_dimension_error():
                         static=Tensor(np.zeros((1, 5))))
 
 
+def test_lstm_shared_input_is_declared_not_inferred():
+    # 6 input columns against 3 sentences: 2 positions of 3, or 6 shared positions
+    p = lstm_params(2, 3, np.random.default_rng(1))
+    state = Tensor(np.random.default_rng(2).uniform(-1, 1, (3, 3)))
+    xs = Tensor(np.random.default_rng(3).uniform(-1, 1, (2, 6)))
+    assert lstm_recurrence(xs, state, state, p, "lstm").shape == (3, 6)
+    assert lstm_recurrence(xs, state, state, p, "lstm", shared_input=True).shape == (3, 18)
+
+
 def test_lstm_gradients_vs_finite_differences():
     rng = np.random.default_rng(5)
     p = lstm_params(2, 3, rng)
@@ -198,25 +207,31 @@ def test_lstm_gradients_vs_finite_differences():
     assert report.passed, str(report)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 3), n_x=st.integers(1, 3), n_s=st.integers(0, 2), B=st.integers(1, 3),
-       T=st.integers(1, 4), freeze=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_lstm_recurrence_gradient_matches_finite_differences(d, n_x, n_s, B, T, freeze, seed):
-    # one fused op over T positions: every input and gate tensor against central differences
+       T=st.integers(1, 4), freeze=st.booleans(), shared=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_lstm_recurrence_gradient_matches_finite_differences(d, n_x, n_s, B, T, freeze, shared,
+                                                             seed):
+    # one fused op over T positions: every input and gate tensor against central differences;
+    # a shared input is one (n_x, T) column per position that all B columns read
     rng = np.random.default_rng(seed)
     p = lstm_params(n_x + n_s, d, rng)
 
     def leaf(*shape):
         return Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
 
-    xs, h0, c0 = leaf(n_x, T * B), leaf(d, B), leaf(d, B)
+    xs, h0, c0 = leaf(n_x, T if shared else T * B), leaf(d, B), leaf(d, B)
     static = leaf(n_s, B) if n_s else None
     lengths = rng.integers(1, T + 1, B) if freeze else None
     weights = Tensor(rng.uniform(-1, 1, (d, T * B)))
 
+    def run():
+        return lstm_recurrence(xs, h0, c0, p, "lstm", static=static, lengths=lengths,
+                               shared_input=shared)
+
     def f():
-        H = lstm_recurrence(xs, h0, c0, p, "lstm", static=static, lengths=lengths)
-        return ad.reduce_mean(ad.mul(H, weights))
+        return ad.reduce_mean(ad.mul(run(), weights))
 
     inputs = {"xs": xs, "h0": h0, "c0": c0, **p, **({"static": static} if n_s else {})}
     report = grad_check(f, inputs)
@@ -224,9 +239,12 @@ def test_lstm_recurrence_gradient_matches_finite_differences(d, n_x, n_s, B, T, 
 
     # the forward keeps backward state only under a tape; the values are the same bits
     with ad.tape():
-        taped = lstm_recurrence(xs, h0, c0, p, "lstm", static=static, lengths=lengths)
-    assert np.array_equal(taped.data, lstm_recurrence(xs, h0, c0, p, "lstm", static=static,
-                                                      lengths=lengths).data)
+        taped = run()
+    assert np.array_equal(taped.data, run().data)
+    if shared:  # the same recurrence over the input repeated into every column
+        repeated = Tensor(np.repeat(xs.data, B, axis=1))
+        H = lstm_recurrence(repeated, h0, c0, p, "lstm", static=static, lengths=lengths)
+        assert np.allclose(taped.data, H.data, rtol=0, atol=1e-12)
     if freeze:  # a sentence's state stops at its own length
         H = taped.data.reshape(d, T, B)
         for j, n in enumerate(lengths):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from textvae.corpus import END
+import textvae.metrics
+from textvae.autodiff import Tensor
+from textvae.corpus import END, make_batch
 from textvae.errors import DataError
 from textvae.metrics import (
     BLEU_EPSILON,
@@ -17,7 +19,7 @@ from textvae.metrics import (
     mutual_information_from_posteriors,
     reconstruction_nll,
 )
-from textvae.model import VaeParams
+from textvae.model import VaeParams, decode_batch, decode_greedy, encode_batch
 
 
 def tiny_params(seed=0, vocab_size=6, latent_dim=2):
@@ -38,6 +40,12 @@ def collapse_encoder(p):
     return p
 
 
+def sentence_nll(x, p, n_samples, rng):
+    """One sentence's reconstruction NLL, scored from its posterior row as evaluate() does."""
+    mus, logvars = collect_posteriors([x], p)
+    return reconstruction_nll(x, mus[0], logvars[0], p, n_samples, rng)[0]
+
+
 def perplexity(corpus, p, n_samples, rng):
     """The corpus perplexity that evaluate() reports."""
     return evaluate(corpus, p, EvalConfig(n_samples=n_samples, mi_samples=1, max_gen_len=2), rng).ppl
@@ -50,7 +58,7 @@ def perplexity(corpus, p, n_samples, rng):
 def test_nll_uniform_decoder_is_length_times_log_vocab():
     p = uniform_decoder_params()
     x = (4, 5, 4)
-    nll = reconstruction_nll(x, p, n_samples=7, rng=np.random.default_rng(0))
+    nll = sentence_nll(x, p, n_samples=7, rng=np.random.default_rng(0))
     assert abs(nll - (len(x) + 1) * math.log(p.vocab_size)) < 1e-10
 
 
@@ -58,18 +66,18 @@ def test_nll_degenerate_posterior_has_no_sampling_variance():
     p = tiny_params(1)
     p["enc.logvar_w"].data[...] = 0.0
     p["enc.logvar_b"].data[...] = -20.0
-    a = reconstruction_nll((4, 5), p, n_samples=1, rng=np.random.default_rng(0))
-    b = reconstruction_nll((4, 5), p, n_samples=1, rng=np.random.default_rng(999))
+    a = sentence_nll((4, 5), p, n_samples=1, rng=np.random.default_rng(0))
+    b = sentence_nll((4, 5), p, n_samples=1, rng=np.random.default_rng(999))
     assert abs(a - b) < 1e-3  # sigma = e^-10: samples pinned to mu
 
 
 def test_nll_monte_carlo_convergence():
     p = tiny_params(2)
     x = (4, 5, 5)
-    singles = [reconstruction_nll(x, p, 1, np.random.default_rng(1000 + i)) for i in range(100)]
+    singles = [sentence_nll(x, p, 1, np.random.default_rng(1000 + i)) for i in range(100)]
     stderr_100 = np.std(singles) / 10.0
-    a = reconstruction_nll(x, p, 100, np.random.default_rng(3))
-    b = reconstruction_nll(x, p, 10_000, np.random.default_rng(4))
+    a = sentence_nll(x, p, 100, np.random.default_rng(3))
+    b = sentence_nll(x, p, 10_000, np.random.default_rng(4))
     assert abs(a - b) < 2.0 * stderr_100 + 1e-9
 
 
@@ -78,7 +86,7 @@ def test_nll_stderr_shrinks_with_samples():
     x = (5, 4)
 
     def spread(n, reps=12):
-        vals = [reconstruction_nll(x, p, n, np.random.default_rng(50 * n + r)) for r in range(reps)]
+        vals = [sentence_nll(x, p, n, np.random.default_rng(50 * n + r)) for r in range(reps)]
         return np.std(vals)
 
     s10, s100, s1000 = spread(10), spread(100), spread(1000)
@@ -109,9 +117,52 @@ def test_perplexity_matches_pooled_recomputation():
     ppl = perplexity(corpus, p, n_samples=5, rng=np.random.default_rng(7))
     # independent pooling over per-sentence values, same rng consumption order
     rng = np.random.default_rng(7)
-    total = sum(reconstruction_nll(s, p, 5, rng) for s in corpus)
+    total = sum(sentence_nll(s, p, 5, rng) for s in corpus)
     words = sum(len(s) + 1 for s in corpus)
     assert abs(ppl - math.exp(total / words)) < 1e-12
+
+
+def test_iw_nll_below_rec_plus_sampled_kl_on_the_same_draws():
+    # Jensen: -log mean_k w_k <= mean_k -log w_k, with w_k = p(x|z_k) p(z_k) / q(z_k|x)
+    p = tiny_params(12, vocab_size=9, latent_dim=3)
+    corpus = [(4, 5, 7), (8,), (6, 6, 5, 4, 8)]
+    mus, logvars = collect_posteriors(corpus, p)
+    for i, x in enumerate(corpus):
+        for k in (1, 3, 50):
+            rec, iw = reconstruction_nll(x, mus[i], logvars[i], p, k, np.random.default_rng(i))
+            eps = np.random.default_rng(i).standard_normal((p.latent_dim, k))
+            z = mus[i][:, None] + np.exp(0.5 * logvars[i])[:, None] * eps
+            log_q = -0.5 * (math.log(2 * math.pi) + logvars[i][:, None] + eps ** 2).sum(axis=0)
+            log_p = -0.5 * (math.log(2 * math.pi) + z ** 2).sum(axis=0)
+            bound = rec + float(np.mean(log_q - log_p))
+            assert iw <= bound + 1e-12
+            if k == 1:  # one draw: the bound is tight
+                assert abs(iw - bound) < 1e-10
+
+
+def test_iw_nll_equals_rec_when_q_is_the_prior_and_the_decoder_ignores_z():
+    p = collapse_encoder(tiny_params(13, latent_dim=3))  # q(z|x) = N(0, I) = p(z)
+    for name in ("dec.h0_w", "dec.c0_w"):
+        p[name].data[...] = 0.0
+    for gate in "ifoc":
+        p[f"dec.lstm.w_{gate}"].data[:, p.embed_dim: p.embed_dim + p.latent_dim] = 0.0
+    corpus = [(4, 5), (5, 5, 4, 4), (4,)]
+    report = evaluate(corpus, p, EvalConfig(n_samples=9, mi_samples=2, max_gen_len=4),
+                      np.random.default_rng(3))
+    assert abs(report.iw_nll - report.nll) < 1e-12
+    assert abs(report.iw_ppl - report.ppl) < 1e-12 * report.ppl
+    assert report.kl == 0.0
+
+
+def test_evaluate_kl_is_the_mean_closed_form_kl():
+    p = tiny_params(14, latent_dim=3)
+    corpus = [(4, 5), (5, 5, 4, 4), (4,), (5, 4, 5)]
+    report = evaluate(corpus, p, EvalConfig(n_samples=2, mi_samples=2, max_gen_len=4),
+                      np.random.default_rng(0))
+    mus, logvars = collect_posteriors(corpus, p)
+    kl = 0.5 * (mus ** 2 + np.exp(logvars) - 1.0 - logvars).sum(axis=1)
+    assert report.kl == pytest.approx(float(kl.mean()), rel=1e-12)
+    assert report.kl > 0
 
 
 def test_perplexity_empty_corpus():
@@ -362,10 +413,61 @@ def test_evaluate_deterministic_given_seed():
     assert a.to_text() == b.to_text()
 
 
+def parent_evaluate_loop(sents, p, config, rng):
+    """The per-sentence evaluation that one encode of the split replaced: each
+    sentence encoded alone and decoded as n_samples repeated rows."""
+    total_nll, total_words = 0.0, 0
+    for sent in sents:
+        batch = make_batch([sent])
+        post = encode_batch(batch.ids, batch.lengths, p)
+        eps = rng.standard_normal((p.latent_dim, config.n_samples))
+        z = Tensor(post.mu.data + np.exp(0.5 * post.logvar.data) * eps)
+        rep = make_batch([sent] * config.n_samples)
+        log_lik, _, _ = decode_batch(z, rep.ids, rep.lengths, p)
+        total_nll += float(-log_lik.data.mean())
+        total_words += len(sent) + 1
+    mus, logvars = collect_posteriors(sents, p)
+    au, _ = active_units_from_means(mus, config.au_threshold)
+    mi, mi_raw = mutual_information_from_posteriors(mus, logvars, config.mi_samples, rng)
+    pairs = []
+    for i, sent in enumerate(sents):
+        z = mus[i] + np.exp(0.5 * logvars[i]) * rng.standard_normal(p.latent_dim)
+        pairs.append((sent, decode_greedy(z, config.max_gen_len, p)))
+    return {"nll": total_nll / len(sents), "ppl": math.exp(total_nll / total_words), "au": au,
+            "mi": mi, "mi_raw": mi_raw, "bleu": corpus_bleu(pairs)}
+
+
+def test_evaluate_equals_the_per_sentence_loop():
+    p = VaeParams.init(12, 6, 8, 3, np.random.default_rng(15))
+    rng = np.random.default_rng(4)
+    corpus = [tuple(int(t) for t in rng.integers(4, 12, rng.integers(1, 9))) for _ in range(70)]
+    cfg = EvalConfig(n_samples=13, mi_samples=3, max_gen_len=10)
+    report = evaluate(corpus, p, cfg, np.random.default_rng(8))
+    want = parent_evaluate_loop(corpus, p, cfg, np.random.default_rng(8))
+    for key, value in want.items():
+        assert getattr(report, key) == pytest.approx(value, rel=1e-12, abs=1e-300), key
+
+
+def test_evaluate_encodes_the_split_in_batches(monkeypatch):
+    rows = []
+    real = textvae.metrics.encode_batch
+
+    def spy(ids, lengths, params):
+        rows.append(len(ids))
+        return real(ids, lengths, params)
+
+    monkeypatch.setattr(textvae.metrics, "encode_batch", spy)
+    corpus = [(4, 5), (5, 5, 4, 4), (4,), (5, 4, 5), (4, 4)] * 20
+    evaluate(corpus, tiny_params(16), EvalConfig(n_samples=3, mi_samples=1, max_gen_len=3),
+             np.random.default_rng(0))
+    assert rows == [64, 36]
+
+
 def test_report_table_row_shape():
-    report = MetricsReport(nll=33.4, ppl=28.25, au=2, mi=1.14, mi_raw=1.14,
-                           mi_clamped=False, bleu=0.0143, n_sentences=10, config={})
+    report = MetricsReport(nll=33.4, ppl=28.25, iw_nll=35.6, iw_ppl=31.5, kl=4.25, au=2,
+                           mi=1.14, mi_raw=1.14, mi_clamped=False, bleu=0.0143,
+                           n_sentences=10, config={})
     row = report.table_row("standard")
     header = MetricsReport.table_header()
-    assert "33.40" in row and "1.43" in row
+    assert "33.40" in row and "35.60" in row and "4.25" in row and "1.43" in row
     assert len(header.split()) == len(row.split())

@@ -10,7 +10,7 @@ import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check
 from textvae.cli import EXIT_CODES, main
 from textvae.corpus import END, Vocabulary, make_batch
-from textvae.errors import DataError
+from textvae.errors import DataError, DimensionError
 from textvae.model import (
     CHECKPOINT_MAGIC,
     VaeParams,
@@ -175,6 +175,40 @@ def test_decode_log_likelihood_matches_stepwise_oracle():
         probs /= probs.sum()
         total += np.log(probs[tok_out])
     assert abs(ll.item() - total) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+@pytest.mark.parametrize("masked", [False, True])
+def test_decode_shared_ids_equals_repeated_ids(k, masked):
+    # one row of ids against k latent columns is the k-row repeated batch, values and gradients
+    p = tiny_params(12, vocab_size=9, embed_dim=5, hidden_dim=6, latent_dim=3)
+    rng = np.random.default_rng(k)
+    x = (4, 7, 5, 8, 4)
+    z = Tensor(rng.standard_normal((3, k)), requires_grad=True)
+    mask = (rng.random((1, len(x) + 1)) < 0.6).astype(np.float64) if masked else None
+    one, rep = make_batch([x]), make_batch([x] * k)
+
+    def run(batch, m):
+        with ad.tape() as t:
+            ll, H, valid = decode_batch(z, batch.ids, batch.lengths, p, mask=m)
+            grads = t.backward(ad.reduce_mean(ad.mul(ll, ll)))
+        return ll.data, H.data, valid, [grads[v] for v in [z] + [t for _, t in side(p, "dec.")]]
+
+    shared = run(one, mask)
+    repeated = run(rep, None if mask is None else np.repeat(mask, k, axis=0))
+    assert np.array_equal(shared[2], repeated[2])
+    for a, b in zip(shared[:2] + tuple(shared[3]), repeated[:2] + tuple(repeated[3])):
+        if k == 1:  # the same computation
+            assert np.array_equal(a, b)
+        else:
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+def test_decode_rejects_ids_rows_that_match_neither():
+    p = tiny_params(13)
+    batch = make_batch([(4, 5), (5, 4)])
+    with pytest.raises(DimensionError):
+        decode_batch(Tensor(np.zeros((2, 3))), batch.ids, batch.lengths, p)
 
 
 def test_decode_log_likelihood_nonpositive():
