@@ -5,9 +5,9 @@ Operations compute eagerly with numpy; each recorded entry carries a backward
 rule that maps the output adjoint to input adjoints.  ``Tape.backward`` walks
 the record once in reverse and returns ``∂loss/∂t`` for every leaf ``t`` the
 loss depends on, as a dict keyed by tensor.  Tensors carry no gradient state.
-An op defined elsewhere (``model.lstm_recurrence``) asks ``recording`` for
-the tape, keeps backward state only when there is one, and records itself
-with ``Tape.record``.
+An op defined elsewhere (``model.lstm_recurrence``, ``model.output_log_lik``)
+asks ``recording`` for the tape, keeps backward state only when there is one,
+and records itself with ``Tape.record``.
 
 Everything is 64-bit: gradient checks at 1e-4 relative error are not
 reachable in single precision.
@@ -191,19 +191,6 @@ def scale(x, c: float) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xd = x.data
-        y = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-xd)), np.exp(xd) / (1.0 + np.exp(xd)))
-    out = Tensor(y)
-
-    def backward(g):
-        return (g * y * (1.0 - y),)
-
-    return _record(out, (x,), backward)
-
-
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     if x.data.size and np.max(x.data) > _EXP_MAX:
@@ -299,38 +286,7 @@ def maximum_scalar(x, c: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# losses and reductions
-
-
-def softmax_cross_entropy_cols(logits, targets) -> Tensor:
-    """Per-column cross entropy of (V,B) logits against B target indices.
-
-    Stabilized with log-sum-exp; returns a (1,B) row of
-    -(logits[target_j, j] - logsumexp(logits[:, j])).
-    """
-    logits = _as_tensor(logits)
-    if logits.data.ndim != 2:
-        raise DimensionError(f"softmax_cross_entropy_cols: logits shape {logits.shape}")
-    tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
-    vocab, batch = logits.shape
-    if tgt.shape != (batch,):
-        raise DimensionError(f"targets shape {tgt.shape} does not match batch {batch}")
-    if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
-        raise IndexError(f"target index out of range [0, {vocab})")
-    ld = logits.data
-    m = ld.max(axis=0, keepdims=True)
-    shifted = ld - m
-    sumexp = np.exp(shifted).sum(axis=0, keepdims=True)
-    lse = m + np.log(sumexp)
-    picked = ld[tgt, np.arange(batch)][None, :]
-    out = Tensor(lse - picked)
-
-    def backward(g):
-        p = np.exp(shifted) / sumexp
-        p[tgt, np.arange(batch)] -= 1.0
-        return (p * g,)
-
-    return _record(out, (logits,), backward)
+# reductions
 
 
 def reduce_mean(x) -> Tensor:

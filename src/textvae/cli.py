@@ -78,7 +78,7 @@ def _load_config_file(path) -> dict:
     for name in ("train", "synthetic", "eval"):
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"config section {name!r} must be a JSON object")
-    if not isinstance(cfg.get("vocab_size", 0), int):
+    if type(cfg.get("vocab_size", 0)) is not int:  # bool is an int subclass
         raise ConfigError("config field 'vocab_size' must be an integer")
     return cfg
 
@@ -115,9 +115,9 @@ def _synthetic_spec(cfg: dict) -> SyntheticSpec | None:
     if "synthetic" not in cfg:
         return None
     section = dict(cfg["synthetic"])
-    if "length_range" in section:
-        section["length_range"] = tuple(section["length_range"])
     try:
+        if "length_range" in section:
+            section["length_range"] = tuple(section["length_range"])
         return SyntheticSpec(**section).validate()
     except TypeError as exc:
         raise ConfigError(f"bad synthetic config: {exc}") from exc
@@ -265,11 +265,17 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config_file(args.config)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"--alphas must be comma-separated numbers: {exc}") from exc
     if not alphas:
         raise ConfigError("--alphas needs at least one value")
     if any(a < 0 for a in alphas):
         raise ConfigError("alpha values must be >= 0")
+    labels = [f"{a:g}" for a in alphas]  # each run writes to alpha_<label>/
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"--alphas repeats a value (as run directories: {labels})")
     base = _train_config(cfg, args)
     split, vocab = _resolve_corpus(cfg, args.corpus)
     ecfg = _eval_config(cfg)
@@ -278,15 +284,15 @@ def cmd_sweep(args) -> int:
 
     rows = [MetricsReport.table_header("alpha")]
     failed, error = [], None
-    for alpha in alphas:
+    for alpha, label in zip(alphas, labels):
         tcfg = replace(base, alpha=alpha)
-        run_dir = out / f"alpha_{alpha:g}"
+        run_dir = out / f"alpha_{label}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = _train_and_save(split, tcfg, vocab, run_dir)
             report = evaluate(split.test, result.params, ecfg, np.random.default_rng(tcfg.seed))
             (run_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-            rows.append(report.table_row(f"{alpha:g}"))
+            rows.append(report.table_row(label))
         except TextVaeError as exc:
             failed.append(alpha)
             error = exc
@@ -349,10 +355,14 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
     results = []
     rng = np.random.default_rng(0)
 
-    w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
-    x = Tensor(rng.uniform(-2, 2, (3, 2)))
-    rep = grad_check(lambda: ad.reduce_mean(ad.sigmoid(ad.matmul(w, x))), {"w": w}, tol=1e-5)
-    results.append(("gradients: sigmoid(matmul)", rep.passed, str(rep)))
+    # 3 positions of 2 sentences; the second sentence ends one position early
+    out = {name: Tensor(rng.uniform(-2, 2, shape), requires_grad=True)
+           for name, shape in (("H", (3, 3 * 2)), ("w", (5, 3)), ("b", (5, 1)))}
+    targets = rng.integers(0, 5, 3 * 2)
+    valid = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    rep = grad_check(lambda: ad.reduce_mean(model.output_log_lik(
+        out["H"], out["w"], out["b"], targets, valid)), out, tol=1e-5)
+    results.append(("gradients: output layer", rep.passed, str(rep)))
 
     params = VaeParams.init(6, 4, 4, 2, rng)
     xs = Tensor(rng.uniform(-1, 1, (4, 3 * 2)))  # 3 positions of 2 sentences

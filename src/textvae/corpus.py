@@ -122,17 +122,17 @@ class SyntheticSpec:
     seed: int = 12345
 
     def validate(self) -> "SyntheticSpec":
-        if self.n_templates < 2:
-            raise ConfigError("synthetic corpus needs at least 2 template classes")
-        if self.words_per_slot < 1:
-            raise ConfigError("words_per_slot must be positive")
-        lo, hi = self.length_range
-        if not 1 <= lo <= hi:
-            raise ConfigError(f"bad length_range {self.length_range}")
-        for name, low in (("n_train", 1), ("n_dev", 0), ("n_test", 0)):
+        # bool is an int subclass, so compare the exact type
+        for name, low in (("n_templates", 2), ("words_per_slot", 1), ("n_train", 1),
+                          ("n_dev", 0), ("n_test", 0), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
+            if type(value) is not int or value < low:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        span = self.length_range
+        if not (isinstance(span, (tuple, list)) and len(span) == 2
+                and all(type(v) is int for v in span) and 1 <= span[0] <= span[1]):
+            raise ConfigError(f"length_range must be two integers 1 <= lo <= hi, "
+                              f"got {self.length_range!r}")
         return self
 
 

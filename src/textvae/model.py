@@ -27,6 +27,11 @@ of B.  Each position's input gate term is then computed once and added to
 all B columns, and everything the recurrence returns is (d, T·B) as usual.
 ``decode_batch`` takes this path when it is given one row of ids against
 B > 1 latent columns.
+
+Output layer: ``output_log_lik`` takes the decoder's H to per-sentence
+log-likelihoods as one autodiff op: the projection, the log-softmax at each
+target and the weighted per-sentence sum share one (V, T·B) buffer, updated
+in place, and record one tape entry.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import END, RESERVED_TOKENS, START, Vocabulary
-from .errors import DataError, DimensionError
+from .errors import ContractError, DataError, DimensionError
 from .layers import linear, lstm_step, stack_lstm
 
 CHECKPOINT_MAGIC = b"TEXTVAE1\n"
@@ -225,16 +230,80 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     return out
 
 
+def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray,
+                   weights: np.ndarray) -> Tensor:
+    """(1, B) per-sentence weighted target log-probabilities, as one autodiff op.
+
+    ``H`` is the position-major (d, T·B) hidden states, ``weight``/``bias``
+    the (V, d)/(V, 1) output projection, ``targets`` the T·B target ids in
+    the same column order and ``weights`` (T, B): entry (t, j) scales
+    sentence j's position t.  Returns sum_t weights[t, j] · log softmax(
+    weight @ h + bias)[target] for each sentence j.
+
+    The forward works on one (V, T·B) buffer: logits, then their shifted
+    exponentials, in place.  Without a tape nothing is kept.  With one, the
+    buffer is kept and the backward turns it into the softmax gradient in
+    place; that is safe because ``Tape.backward`` visits each entry once,
+    and a second walk over the same entry raises ContractError.
+    """
+    d, n_cols = H.shape
+    vocab = weight.shape[0]
+    tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
+    weights = np.asarray(weights, dtype=np.float64)
+    if (weight.shape != (vocab, d) or bias.shape != (vocab, 1) or tgt.shape != (n_cols,)
+            or weights.ndim != 2 or weights.size != n_cols):
+        raise DimensionError(
+            f"output layer: hidden {H.shape}, weight {weight.shape}, bias {bias.shape}, "
+            f"targets {tgt.shape}, weights {weights.shape}")
+    if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
+        raise IndexError(f"target index out of range [0, {vocab})")
+    inputs = (H, weight, bias)
+    tape = ad.recording(inputs)
+    cols = np.arange(n_cols)
+    buf = weight.data @ H.data
+    buf += bias.data
+    picked = buf[tgt, cols]
+    m = buf.max(axis=0)
+    buf -= m
+    np.exp(buf, out=buf)
+    sumexp = buf.sum(axis=0)
+    ce = m + np.log(sumexp) - picked
+    out = Tensor((ce.reshape(weights.shape) * -weights).sum(axis=0, keepdims=True))
+    if tape is None:
+        return out
+    kept = [buf]
+
+    def backward(g):
+        if not kept:
+            raise ContractError("output layer: backward ran twice over one tape entry")
+        p = kept.pop()
+        p /= sumexp
+        p[tgt, cols] -= 1.0
+        p *= (g * -weights).reshape(1, -1)
+        return (weight.data.T @ p if H.requires_grad else None,
+                p @ H.data.T if weight.requires_grad else None,
+                p.sum(axis=1, keepdims=True) if bias.requires_grad else None)
+
+    tape.record(out, inputs, backward)
+    return out
+
+
 def sentence_sums(row: Tensor, weights: np.ndarray) -> Tensor:
     """(1, B) per-sentence weighted sums of a position-major (1, T·B) row.
 
     ``weights`` is (T, B): entry (t, j) scales sentence j's position t.
-    One matmul with a (T·B, B) selection matrix does the weighting and the
-    sum together.
     """
-    T, B = weights.shape
-    select = weights.reshape(-1, 1) * np.tile(np.eye(B), (T, 1))
-    return ad.matmul(row, Tensor(select))
+    if row.shape != (1, weights.size):
+        raise DimensionError(f"sentence sums: row {row.shape} with weights {weights.shape}")
+    out = Tensor((row.data.reshape(weights.shape) * weights).sum(axis=0, keepdims=True))
+
+    def backward(g):
+        return ((g * weights).reshape(1, -1),)
+
+    tape = ad.recording((row,))
+    if tape is not None:
+        tape.record(out, (row,), backward)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +391,12 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
     h0 = linear(z, params["dec.h0_w"], params["dec.h0_b"])
     c0 = linear(z, params["dec.c0_w"], params["dec.c0_b"])
     H = lstm_recurrence(xs, h0, c0, params, "dec.lstm", static=z, shared_input=shared)
-    logits = linear(H, params["dec.out_w"], params["dec.out_b"])
     target_cols = targets.T.reshape(-1)
     valid = (np.arange(n_steps)[:, None] < lengths[None, :] + 1).astype(np.float64)
     if shared:
         target_cols, valid = np.repeat(target_cols, B), np.repeat(valid, B, axis=1)
-    ce = ad.softmax_cross_entropy_cols(logits, target_cols)
-    return sentence_sums(ce, -valid), H, valid
+    log_lik = output_log_lik(H, params["dec.out_w"], params["dec.out_b"], target_cols, valid)
+    return log_lik, H, valid
 
 
 def decode_greedy(z, max_len: int, params: VaeParams) -> list[int]:

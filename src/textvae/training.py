@@ -113,6 +113,9 @@ def adam_step(params, grads, state: AdamState, lr: float,
 
     Every gradient is checked before anything is updated: a non-finite
     gradient raises TrainingError with the parameters and state untouched.
+    The update runs in two scratch buffers shared by every tensor of the
+    call, in the operation order of the textbook expression
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so it rounds the same way.
     """
     params = list(params)
     for name, _ in params:
@@ -120,6 +123,8 @@ def adam_step(params, grads, state: AdamState, lr: float,
             raise TrainingError(f"non-finite gradient in parameter {name!r}")
     state.t += 1
     t = state.t
+    size = max((p.data.size for _, p in params), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params:
         g = grads[name]
         if name not in state.m:
@@ -127,13 +132,21 @@ def adam_step(params, grads, state: AdamState, lr: float,
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        a = scratch_a[: p.data.size].reshape(p.shape)
+        b = scratch_b[: p.data.size].reshape(p.shape)
         m *= beta1
-        m += (1 - beta1) * g
+        m += np.multiply(1 - beta1, g, out=a)
         v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1 - beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, 1 - beta2 ** t, out=a)  # v_hat
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, 1 - beta1 ** t, out=b)  # m_hat
+        b *= lr
+        b /= a
+        p.data -= b
     return state
 
 

@@ -7,21 +7,24 @@ from hypothesis import strategies as st
 
 import textvae.autodiff as ad
 import textvae.model as model
-from textvae.autodiff import (
-    Tensor,
-    grad_check,
-    matmul,
-    softmax_cross_entropy_cols,
-    tape,
-)
+from textvae.autodiff import Tensor, grad_check, matmul, tape
 from textvae.errors import ContractError, DimensionError, NumericError
 from textvae.layers import lstm_step
-from textvae.model import VaeParams
+from textvae.model import VaeParams, output_log_lik
+
+
+def cross_entropy_cols(logits, targets):
+    """(1, B) cross entropy of each column of (V, B) logits, through the output
+    layer with an identity projection: B one-position sentences of weight 1."""
+    vocab, batch = logits.shape
+    log_lik = output_log_lik(logits, Tensor(np.eye(vocab)), Tensor(np.zeros((vocab, 1))),
+                             targets, np.ones((1, batch)))
+    return ad.scale(log_lik, -1.0)
 
 
 def cross_entropy(logits, target):
     """Scalar cross entropy of one logit vector, through the batched op."""
-    return ad.reduce_mean(softmax_cross_entropy_cols(logits, [target]))
+    return ad.reduce_mean(cross_entropy_cols(logits, [target]))
 
 
 def test_matmul_identity():
@@ -51,27 +54,12 @@ def test_matmul_shape_mismatch():
 
 
 def test_sigmoid_tanh_at_zero():
-    assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+    assert ad.exp(Tensor(0.0)).item() == 1.0
     # the LSTM cell's tanh-based gates at zero pre-activation: sigmoid 0.5, tanh 0
     zero = np.zeros((3, 2))
     h, c, gates = lstm_step(zero, zero, zero, np.zeros((12, 3)), np.zeros((12, 3)), 0.0)
     assert np.array_equal(gates, np.repeat([0.5, 0.0], [9, 3])[:, None] * np.ones((1, 2)))
     assert np.array_equal(h, zero) and np.array_equal(c, zero)
-
-
-def test_sigmoid_gradient_at_zero():
-    x = Tensor(0.0, requires_grad=True)
-    report = grad_check(lambda: ad.sigmoid(x), {"x": x}, tol=1e-6)
-    assert report.passed
-    with tape() as t:
-        grads = t.backward(ad.sigmoid(x))
-    assert abs(float(grads[x]) - 0.25) < 1e-12
-
-
-def test_sigmoid_saturates_without_nan():
-    y = ad.sigmoid(Tensor([-1000.0, 1000.0]))
-    assert np.allclose(y.data, [0.0, 1.0])
-    assert np.all(np.isfinite(y.data))
 
 
 def test_exp_overflow_error():
@@ -136,7 +124,7 @@ def test_cross_entropy_cols_matches_scalar_version():
     rng = np.random.default_rng(2)
     logits = rng.uniform(-3, 3, (6, 5))
     targets = [0, 5, 2, 3, 1]
-    row = softmax_cross_entropy_cols(Tensor(logits), targets)
+    row = cross_entropy_cols(Tensor(logits), targets)
     for j, tgt in enumerate(targets):
         single = cross_entropy(Tensor(logits[:, [j]]), tgt)
         assert abs(row.data[0, j] - single.item()) < 1e-12
@@ -175,11 +163,11 @@ def test_backward_linearity_of_sums():
     # the gradient of a sum is the sum of the two returned gradient dicts
     x = Tensor(np.random.default_rng(3).uniform(-2, 2, 4), requires_grad=True)
     with tape() as t:
-        both = t.backward(ad.add(ad.squared_l2_norm(x), ad.reduce_mean(ad.sigmoid(x))))
+        both = t.backward(ad.add(ad.squared_l2_norm(x), ad.reduce_mean(ad.exp(x))))
     with tape() as t:
         first = t.backward(ad.squared_l2_norm(x))
     with tape() as t:
-        second = t.backward(ad.reduce_mean(ad.sigmoid(x)))
+        second = t.backward(ad.reduce_mean(ad.exp(x)))
     assert np.max(np.abs(both[x] - (first[x] + second[x]))) < 1e-12
 
 
@@ -190,7 +178,7 @@ def test_backward_returns_exactly_the_reachable_leaves():
     const = Tensor([1.0, 1.0])
     with tape() as t:
         h = ad.mul(a, b)
-        ad.sigmoid(unreached)  # recorded, but not an ancestor of the loss
+        ad.exp(unreached)  # recorded, but not an ancestor of the loss
         loss = ad.squared_l2_norm(ad.add(h, const))
         grads = t.backward(loss)
     assert set(grads) == {a, b}  # no intermediate, no constant, no unreached leaf
@@ -202,8 +190,8 @@ def test_forward_is_reproducible():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(-2, 2, (3, 3)))
     w = Tensor(rng.uniform(-2, 2, (3, 3)))
-    a = ad.sigmoid(matmul(w, x)).data
-    b = ad.sigmoid(matmul(w, x)).data
+    a = ad.exp(matmul(w, x)).data
+    b = ad.exp(matmul(w, x)).data
     assert np.array_equal(a, b)
 
 
@@ -233,11 +221,11 @@ def test_maximum_scalar_kink():
     assert float(grads[y]) == 1.0
 
 
-def test_grad_check_sigmoid_matmul_passes():
+def test_grad_check_exp_matmul_passes():
     rng = np.random.default_rng(7)
     w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
     x = Tensor(rng.uniform(-2, 2, (3, 2)))
-    report = grad_check(lambda: ad.reduce_mean(ad.sigmoid(matmul(w, x))), {"w": w}, tol=1e-5)
+    report = grad_check(lambda: ad.reduce_mean(ad.exp(matmul(w, x))), {"w": w}, tol=1e-5)
     assert report.passed
 
 
@@ -281,10 +269,10 @@ def test_gradient_flows_through_deep_chain_vs_fd():
     x = Tensor(rng.uniform(-1, 1, (3, 5)))
 
     def f():
-        h = ad.sigmoid(matmul(w1, x))
+        h = ad.exp(matmul(w1, x))
         y = ad.add_col(matmul(w2, h), b)
         z = ad.exp(ad.scale(y, 0.1))
-        return ad.add(ad.squared_l2_norm(ad.sigmoid(y)), ad.reduce_mean(ad.mul(z, y)))
+        return ad.add(ad.squared_l2_norm(ad.exp(y)), ad.reduce_mean(ad.mul(z, y)))
 
     report = grad_check(f, {"w1": w1, "w2": w2, "b": b}, tol=1e-5)
     assert report.passed, str(report)
@@ -296,8 +284,8 @@ def test_gradient_flows_through_deep_chain_vs_fd():
 SIDE = st.integers(1, 4)
 
 
-def leaf(rng, shape, lo=-2.0, hi=2.0):
-    return Tensor(rng.uniform(lo, hi, shape), requires_grad=True)
+def leaf(rng, shape):
+    return Tensor(rng.uniform(-2.0, 2.0, shape), requires_grad=True)
 
 
 def binary_case(op):
@@ -309,9 +297,9 @@ def binary_case(op):
     return case
 
 
-def unary_case(op, lo=-2.0, hi=2.0):
+def unary_case(op):
     def case(data, rng):
-        x = leaf(rng, (data.draw(SIDE), data.draw(SIDE)), lo, hi)
+        x = leaf(rng, (data.draw(SIDE), data.draw(SIDE)))
         return (lambda: op(x)), {"x": x}
     return case
 
@@ -351,26 +339,17 @@ def maximum_scalar_case(data, rng):
     return (lambda: ad.maximum_scalar(x, c)), {"x": x}
 
 
-def cross_entropy_case(data, rng):
-    vocab, batch = data.draw(SIDE), data.draw(SIDE)
-    targets = data.draw(st.lists(st.integers(0, vocab - 1), min_size=batch, max_size=batch))
-    logits = leaf(rng, (vocab, batch), -3.0, 3.0)
-    return (lambda: softmax_cross_entropy_cols(logits, targets)), {"logits": logits}
-
-
 OP_CASES = {
     "add": binary_case(ad.add),
     "sub": binary_case(ad.sub),
     "mul": binary_case(ad.mul),
     "scale": scale_case,
-    "sigmoid": unary_case(ad.sigmoid, -4.0, 4.0),
     "exp": unary_case(ad.exp),
     "matmul": matmul_case,
     "add_col": add_col_case,
     "select_columns": select_columns_case,
     "column_sums": unary_case(ad.column_sums),
     "maximum_scalar": maximum_scalar_case,
-    "softmax_cross_entropy_cols": cross_entropy_case,
     "reduce_mean": unary_case(ad.reduce_mean),
     "squared_l2_norm": unary_case(ad.squared_l2_norm),
 }
@@ -394,3 +373,80 @@ def test_op_gradient_matches_finite_differences(op, data):
     weights = Tensor(rng.uniform(-1.0, 1.0, program().shape))
     report = grad_check(lambda: ad.reduce_mean(ad.mul(program(), weights)), params)
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# the decoder's output layer: one op from hidden states to per-sentence log-likelihoods
+
+
+def output_layer_case(rng, vocab, d, T, B):
+    """Leaves H, W, b; targets with at least one repeat; weights with zeros."""
+    H, W, b = leaf(rng, (d, T * B)), leaf(rng, (vocab, d)), leaf(rng, (vocab, 1))
+    targets = rng.integers(0, vocab, T * B)
+    targets[-1] = targets[0]
+    weights = rng.uniform(0.5, 2.0, (T, B)) * (rng.random((T, B)) < 0.7)
+    weights[-1, 0] = 0.0  # a padded position: scored, but weighted out
+    return H, W, b, targets, weights
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_output_layer_gradient_matches_finite_differences(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    H, W, b, targets, weights = output_layer_case(rng, *(data.draw(SIDE) for _ in range(4)))
+    upstream = Tensor(rng.uniform(-1.0, 1.0, (1, weights.shape[1])))
+    report = grad_check(lambda: ad.reduce_mean(ad.mul(
+        output_log_lik(H, W, b, targets, weights), upstream)), {"H": H, "W": W, "b": b})
+    assert report.passed, str(report)
+
+
+def test_output_layer_matches_bruteforce_oracle():
+    # direct normalized probabilities, one column at a time, no log-sum-exp trick
+    rng = np.random.default_rng(11)
+    vocab, d, T, B = 7, 3, 4, 3
+    H, W, b, targets, weights = output_layer_case(rng, vocab, d, T, B)
+    want = np.zeros(B)
+    grad_H, grad_W, grad_b = np.zeros(H.shape), np.zeros(W.shape), np.zeros(b.shape)
+    for n in range(T * B):
+        t, j = divmod(n, B)
+        z = W.data @ H.data[:, n] + b.data[:, 0]
+        probs = np.exp(z) / np.exp(z).sum()
+        want[j] += weights[t, j] * np.log(probs[targets[n]])
+        dz = -weights[t, j] * probs
+        dz[targets[n]] += weights[t, j]
+        grad_H[:, n] = W.data.T @ dz
+        grad_W += np.outer(dz, H.data[:, n])
+        grad_b[:, 0] += dz
+    with tape() as tp:
+        out = output_log_lik(H, W, b, targets, weights)
+        grads = tp.backward(ad.scale(ad.reduce_mean(out), B))  # d(sum over sentences)
+    assert np.max(np.abs(out.data[0] - want)) < 1e-12
+    for got, ref in ((grads[H], grad_H), (grads[W], grad_W), (grads[b], grad_b)):
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_output_layer_rejects_bad_shapes_and_targets():
+    rng = np.random.default_rng(12)
+    H, W, b, targets, weights = output_layer_case(rng, 5, 3, 2, 2)
+    with pytest.raises(DimensionError):
+        output_log_lik(H, W, b, targets[:-1], weights)
+    with pytest.raises(DimensionError):
+        output_log_lik(H, W, b, targets, weights[:1])
+    with pytest.raises(DimensionError):
+        output_log_lik(H, W, Tensor(np.zeros((4, 1))), targets, weights)
+    with pytest.raises(DimensionError):
+        output_log_lik(H, Tensor(np.zeros((5, 2))), b, targets, weights)
+    for bad in (-1, 5):
+        with pytest.raises(IndexError):
+            output_log_lik(H, W, b, np.r_[targets[:-1], bad], weights)
+
+
+def test_output_layer_backward_runs_once_per_entry():
+    # the backward reuses the forward's buffer in place, so a second walk must refuse
+    rng = np.random.default_rng(13)
+    H, W, b, targets, weights = output_layer_case(rng, 4, 2, 2, 2)
+    with tape() as tp:
+        loss = ad.reduce_mean(output_log_lik(H, W, b, targets, weights))
+        tp.backward(loss)
+        with pytest.raises(ContractError):
+            tp.backward(loss)

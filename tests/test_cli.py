@@ -248,6 +248,29 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, flags, overrides", [
+    ("sweep", ["--alphas", "abc"], {}),
+    ("sweep", ["--alphas", "0,0"], {}),
+    ("sweep", ["--alphas", "0.1,0.1000001"], {}),
+    ("train", [], {"synthetic": {"length_range": 5}}),
+    ("train", [], {"synthetic": {"length_range": [1, 2, 3]}}),
+    ("train", [], {"synthetic": {"length_range": [4.5, 6]}}),
+    ("train", [], {"synthetic": {"n_templates": 2.5}}),
+    ("train", [], {"synthetic": {"words_per_slot": True}}),
+    ("train", [], {"synthetic": {"seed": -1}}),
+    ("train", [], {"vocab_size": True}),
+], ids=["alpha not a number", "repeated alpha", "alphas sharing a run directory",
+        "length_range int", "length_range of three", "length_range float",
+        "n_templates float", "words_per_slot bool", "negative synthetic seed", "vocab_size bool"])
+def test_bad_cli_input_is_config_error(tmp_path, capsys, command, flags, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x"
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == \
+        EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()  # refused before any run starts
+
+
 def test_unknown_config_field_named_in_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"train": {"learning": 1}}), encoding="utf-8")

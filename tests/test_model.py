@@ -204,6 +204,55 @@ def test_decode_shared_ids_equals_repeated_ids(k, masked):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+def _old_output_chain(H, params, ids, lengths, B):
+    """The decoder's output layer as it ran before it became one op, in numpy:
+    linear projection, per-column softmax cross entropy, then per-sentence sums
+    by a dense (T·B, B) selection matrix.  Returns the (1, B) log-likelihoods
+    and the gradients of their mean with respect to dec.out_w and dec.out_b."""
+    n_rows, L = ids.shape
+    targets = np.zeros((n_rows, L + 1), dtype=np.int64)
+    targets[:, :L] = ids
+    targets[np.arange(n_rows), lengths] = END
+    tgt = targets.T.reshape(-1)
+    valid = (np.arange(L + 1)[:, None] < lengths[None, :] + 1).astype(np.float64)
+    if n_rows < B:
+        tgt, valid = np.repeat(tgt, B), np.repeat(valid, B, axis=1)
+    W, b = params["dec.out_w"].data, params["dec.out_b"].data
+    logits = (W @ H) + b
+    cols = np.arange(tgt.size)
+    m = logits.max(axis=0, keepdims=True)
+    shifted = logits - m
+    sumexp = np.exp(shifted).sum(axis=0, keepdims=True)
+    ce = (m + np.log(sumexp)) - logits[tgt, cols][None, :]
+    select = (-valid).reshape(-1, 1) * np.tile(np.eye(B), (valid.shape[0], 1))
+    g_ce = np.full((1, B), 1.0 / B) @ select.T
+    p = np.exp(shifted) / sumexp
+    p[tgt, cols] -= 1.0
+    g = p * g_ce
+    return ce @ select, g @ H.T, g.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["training batch", "k=100 shared input"])
+def test_decode_log_lik_bitwise_equals_old_output_chain(shared):
+    p = VaeParams.init(30, 8, 16, 4, np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    if shared:  # one sentence against 100 posterior samples, as in evaluation
+        batch, B, mask = make_batch([(4, 9, 17, 5, 28, 6)]), 100, None
+    else:  # sentences of different lengths, word dropout on
+        batch = make_batch([(4, 9, 17), (5, 28, 6, 7, 11, 4, 4), (12,), (8, 8, 9, 10, 13)])
+        B, mask = 4, (rng.random((4, 8)) < 0.7).astype(np.float64)
+    z = Tensor(rng.standard_normal((4, B)))
+    with ad.tape() as t:
+        ll, H, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=mask)
+        grads = t.backward(ad.reduce_mean(ll))
+    want, want_w, want_b = _old_output_chain(H.data, p, batch.ids, batch.lengths, B)
+    assert np.array_equal(ll.data, want)
+    assert np.array_equal(grads[p["dec.out_w"]], want_w)
+    assert np.array_equal(grads[p["dec.out_b"]], want_b)
+    untaped, _, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=mask)
+    assert np.array_equal(untaped.data, want)
+
+
 def test_decode_rejects_ids_rows_that_match_neither():
     p = tiny_params(13)
     batch = make_batch([(4, 5), (5, 4)])

@@ -82,6 +82,32 @@ def test_adam_minimizes_quadratic():
     assert abs(float(x.data[0, 0])) < 0.5
 
 
+def test_adam_bitwise_equals_textbook_expression():
+    # several shapes in one store, gradients over many magnitudes, three steps
+    rng = np.random.default_rng(3)
+    shapes = [(3, 4), (1,), (7, 1), (16, 40), (2, 3, 5), ()]
+    named = [(f"p{i}", Tensor(rng.standard_normal(s), requires_grad=True))
+             for i, s in enumerate(shapes)]
+    want = {n: t.data.copy() for n, t in named}
+    m = {n: np.zeros(s) for (n, _), s in zip(named, shapes)}
+    v = {n: np.zeros(s) for (n, _), s in zip(named, shapes)}
+    lr, beta1, beta2, eps = 3e-3, 0.8, 0.99, 1e-6
+    state = AdamState()
+    for t in (1, 2, 3):
+        grads = {n: rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 3)
+                 for (n, _), s in zip(named, shapes)}
+        adam_step(named, grads, state, lr, beta1, beta2, eps)
+        for n, g in grads.items():
+            m[n] = beta1 * m[n] + (1 - beta1) * g
+            v[n] = beta2 * v[n] + (1 - beta2) * g * g
+            m_hat = m[n] / (1 - beta1 ** t)
+            v_hat = v[n] / (1 - beta2 ** t)
+            want[n] = want[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for n, p in named:
+            assert np.array_equal(p.data, want[n]), (t, n)
+            assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
+
+
 def fresh_init(cfg, vocab):
     """The parameters train() starts from when there is no pretraining."""
     return VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim,
