@@ -301,17 +301,6 @@ def reduce_mean(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def squared_l2_norm(x) -> Tensor:
-    x = _as_tensor(x)
-    xd = x.data
-    out = Tensor((xd * xd).sum())
-
-    def backward(g):
-        return (2.0 * xd * g,)
-
-    return _record(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # gradient checking
 

@@ -30,7 +30,7 @@ from .errors import (
     TextVaeError,
     TrainingError,
 )
-from .metrics import EvalConfig, MetricsReport, bleu, evaluate
+from .metrics import EvalConfig, MetricsReport, corpus_bleu, evaluate
 from .model import GaussianPosterior, VaeParams, decode_greedy, load_checkpoint, save_checkpoint
 from .objectives import elbo_step, kl_columns
 from .training import TrainConfig, TrainResult, train
@@ -153,6 +153,9 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
         )
         return split.validate(len(vocab)), vocab
 
+    if "vocab_size" in cfg:
+        raise ConfigError("config field 'vocab_size' applies only to a --corpus directory; "
+                          "a synthetic corpus sets its own vocabulary")
     spec = _synthetic_spec(cfg)
     if spec is None:
         raise ConfigError("no corpus: pass --corpus DIR or a 'synthetic' config section")
@@ -271,8 +274,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--alphas must be comma-separated numbers: {exc}") from exc
     if not alphas:
         raise ConfigError("--alphas needs at least one value")
-    if any(a < 0 for a in alphas):
-        raise ConfigError("alpha values must be >= 0")
+    if not all(math.isfinite(a) and a >= 0 for a in alphas):
+        raise ConfigError(f"alpha values must be finite and >= 0, got {alphas}")
     labels = [f"{a:g}" for a in alphas]  # each run writes to alpha_<label>/
     if len(set(labels)) < len(labels):
         raise ConfigError(f"--alphas repeats a value (as run directories: {labels})")
@@ -368,8 +371,12 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
     xs = Tensor(rng.uniform(-1, 1, (4, 3 * 2)))  # 3 positions of 2 sentences
     h0 = Tensor(np.zeros((4, 2)))
     lstm = {n: t for n, t in params.named_parameters() if n.startswith("enc.lstm.")}
-    rep = grad_check(lambda: ad.squared_l2_norm(model.lstm_recurrence(
-        xs, h0, h0, params, "enc.lstm", lengths=np.array([3, 2]))), lstm, tol=1e-4)
+
+    def recurrence_loss():
+        H = model.lstm_recurrence(xs, h0, h0, params, "enc.lstm", lengths=np.array([3, 2]))
+        return ad.reduce_mean(ad.mul(H, H))
+
+    rep = grad_check(recurrence_loss, lstm, tol=1e-4)
     results.append(("gradients: lstm recurrence", rep.passed, str(rep)))
 
     cfg = TrainConfig(latent_dim=2, embed_dim=4, hidden_dim=4, warmup_steps=10,
@@ -405,9 +412,9 @@ def _selfcheck_kl() -> list[tuple[str, bool, str]]:
 
 def _selfcheck_bleu() -> list[tuple[str, bool, str]]:
     cases = [
-        (bleu("a b c d e".split(), "a b c d e".split()), 1.0),
-        (bleu("a b c d e".split(), "a b c".split()), math.exp(1 - 5 / 3)),
-        (bleu("a b c".split(), "x y z".split()), 1e-9),
+        (corpus_bleu([("a b c d e".split(), "a b c d e".split())]), 1.0),
+        (corpus_bleu([("a b c d e".split(), "a b c".split())]), math.exp(1 - 5 / 3)),
+        (corpus_bleu([("a b c".split(), "x y z".split())]), 1e-9),
     ]
     ok = all(abs(got - want) <= 1e-6 * max(1.0, want) for got, want in cases)
     detail = "; ".join(f"{got:.6g} vs {want:.6g}" for got, want in cases)

@@ -155,20 +155,6 @@ def _bleu_from_counts(matches, totals, ref_len: int, hyp_len: int) -> float:
     return geo * brevity
 
 
-def bleu(reference, hypothesis, max_n: int = 4) -> float:
-    """Clipped n-gram precision BLEU with brevity penalty, in [0, 1]."""
-    reference = list(reference)
-    hypothesis = list(hypothesis)
-    if not reference:
-        raise DataError("BLEU reference must be nonempty")
-    matches, totals = [], []
-    for n in range(1, max_n + 1):
-        m, t = _clipped_matches(reference, hypothesis, n)
-        matches.append(m)
-        totals.append(t)
-    return _bleu_from_counts(matches, totals, len(reference), len(hypothesis))
-
-
 def corpus_bleu(pairs, max_n: int = 4) -> float:
     """Aggregate-count BLEU over (reference, hypothesis) pairs."""
     matches = [0] * max_n
@@ -209,8 +195,9 @@ class EvalConfig:
             if type(value) is not int or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         value = self.au_threshold
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
-            raise ConfigError(f"au_threshold must be a number >= 0, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value >= 0)):
+            raise ConfigError(f"au_threshold must be a finite number >= 0, got {value!r}")
         return self
 
     def to_dict(self) -> dict:

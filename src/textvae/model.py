@@ -28,6 +28,16 @@ all B columns, and everything the recurrence returns is (d, T·B) as usual.
 ``decode_batch`` takes this path when it is given one row of ids against
 B > 1 latent columns.
 
+LSTM layout: each LSTM ``{enc,dec}.lstm`` is stored as two tensors.  The
+weight ``lstm.w`` is (4d, n_x + k + d): its row blocks are the gates
+[i; f; o; g] (input, forget, output, candidate) and its column blocks act on
+[input; static input; hidden], where the static input (k rows: the latent
+for the decoder, none for the encoder) is the same at every position.  The
+bias ``lstm.b`` is (4d, 1) in the same row order; its forget-gate rows start
+at 1.  ``lstm_recurrence`` and ``decode_greedy`` read column views of the
+stored weight, and the recurrence's backward returns the whole (4d, n_x +
+k + d) weight gradient.
+
 Output layer: ``output_log_lik`` takes the decoder's H to per-sentence
 log-likelihoods as one autodiff op: the projection, the log-softmax at each
 target and the weighted per-sentence sum share one (V, T·B) buffer, updated
@@ -48,7 +58,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import END, RESERVED_TOKENS, START, Vocabulary
 from .errors import ContractError, DataError, DimensionError
-from .layers import linear, lstm_step, stack_lstm
+from .layers import linear, lstm_step
 
 CHECKPOINT_MAGIC = b"TEXTVAE1\n"
 
@@ -91,12 +101,11 @@ class VaeParams:
                          ("out", vocab_size, hidden_dim))}
         for side, lstm_in in (("enc", embed_dim), ("dec", embed_dim + latent_dim)):
             draw(f"{side}.embed", 0.1, (embed_dim, vocab_size))
-            for gate in "ifoc":
-                draw(f"{side}.lstm.w_{gate}", 1.0 / np.sqrt(hidden_dim),
-                     (hidden_dim, lstm_in + hidden_dim))
-            for gate in "ifoc":
-                # forget-gate bias starts at 1 so early training keeps memory open
-                column(f"{side}.lstm.b_{gate}", hidden_dim, 1.0 if gate == "f" else 0.0)
+            draw(f"{side}.lstm.w", 1.0 / np.sqrt(hidden_dim),
+                 (4 * hidden_dim, lstm_in + hidden_dim))
+            column(f"{side}.lstm.b", 4 * hidden_dim)
+            # forget-gate bias starts at 1 so early training keeps memory open
+            tensors[f"{side}.lstm.b"].data[hidden_dim: 2 * hidden_dim] = 1.0
             for head, rows, cols in heads[side]:
                 draw(f"{side}.{head}_w", 1.0 / np.sqrt(cols), (rows, cols))
                 column(f"{side}.{head}_b", rows)
@@ -156,21 +165,22 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     n_x, n_cols = xs.shape
     step = 1 if shared_input else B  # input columns per position
     n_s = 0 if static is None else static.shape[0]
-    weights = [params[f"{prefix}.{kind}_{g}"] for kind in "wb" for g in "ifoc"]
+    weight, bias = params[f"{prefix}.w"], params[f"{prefix}.b"]
     if (c0.shape != (d, B) or B == 0 or n_cols == 0 or n_cols % step
             or (static is not None and static.shape != (n_s, B))
-            or any(w.shape != (d, n_x + n_s + d) for w in weights[:4])
-            or any(b.shape != (d, 1) for b in weights[4:])):
+            or weight.shape != (4 * d, n_x + n_s + d) or bias.shape != (4 * d, 1)):
         raise DimensionError(
             f"lstm {prefix}: inputs {xs.shape}, state {h0.shape}/{c0.shape}, static "
-            f"{None if static is None else static.shape}, gate weights {weights[0].shape}")
+            f"{None if static is None else static.shape}, weight {weight.shape}, "
+            f"bias {bias.shape}")
     T = n_cols // step
     TB = T * B
-    inputs = (xs, h0, c0, *weights) + (() if static is None else (static,))
+    inputs = (xs, h0, c0, weight, bias) + (() if static is None else (static,))
     tape = ad.recording(inputs)
-    w_x, w_s, w_h, b = stack_lstm(params, prefix, n_x)
+    w = weight.data
+    w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
     sd = np.zeros((0, B)) if static is None else static.data
-    base = w_s @ sd + b
+    base = w_s @ sd + bias.data
 
     xd = xs.data
     h, c = h0.data, c0.data
@@ -220,11 +230,9 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
         d_pre_x = d_pre.reshape(4 * d, T, B).sum(axis=2) if shared_input else d_pre
         h_prev = np.concatenate([h0.data, out.data[:, : TB - B]], axis=1)
         d_w = np.concatenate([d_pre_x @ xd.T, d_pre_sum @ sd.T, d_pre @ h_prev.T], axis=1)
-        d_b = d_pre_sum.sum(axis=1, keepdims=True)
         # without a static input, inputs has no slot for its (0, B) gradient
         return (w_x.T @ d_pre_x if xs.requires_grad else None, dh, dc,
-                *(d_w[k * d: (k + 1) * d] for k in range(4)),
-                *(d_b[k * d: (k + 1) * d] for k in range(4)), w_s.T @ d_pre_sum)
+                d_w, d_pre_sum.sum(axis=1, keepdims=True), w_s.T @ d_pre_sum)
 
     tape.record(out, inputs, backward)
     return out
@@ -402,8 +410,9 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
 def decode_greedy(z, max_len: int, params: VaeParams) -> list[int]:
     """Feed back the argmax token from the start sentinel until END or max_len."""
     z = (z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)).reshape(-1, 1)
-    w_x, w_s, w_h, b = stack_lstm(params, "dec.lstm", params.embed_dim)
-    base = w_s @ z + b
+    w, n_x, n_s = params["dec.lstm.w"].data, params.embed_dim, params.latent_dim
+    w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
+    base = w_s @ z + params["dec.lstm.b"].data
     h = params["dec.h0_w"].data @ z + params["dec.h0_b"].data
     c = params["dec.c0_w"].data @ z + params["dec.c0_b"].data
     embed, out_w, out_b = (params[n].data for n in ("dec.embed", "dec.out_w", "dec.out_b"))

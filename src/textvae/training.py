@@ -7,6 +7,7 @@ consumed in a fixed order.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -59,8 +60,9 @@ class TrainConfig:
                 # bool is an int subclass, so compare the exact type
                 kind, ok = "an integer", type(value) is int
             else:
-                kind = "a number"
-                ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                kind = "a finite number"
+                ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                      and math.isfinite(value))
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         checks = [

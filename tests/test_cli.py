@@ -234,13 +234,19 @@ def test_bad_config_exit_code(tmp_path):
     {"train": {"clip_norm": None}},
     {"train": {"free_bits_per_dim": "yes"}},
     {"train": {"free_bits_per_dim": 1}},
+    {"train": {"lr": float("inf")}},
+    {"train": {"alpha": float("inf")}},
+    {"train": {"free_bits": float("inf")}},
+    {"train": {"clip_norm": float("nan")}},
+    {"eval": {"au_threshold": float("inf")}},
 ], ids=["train not object", "synthetic not object", "eval not object", "vocab_size not int",
         "n_train not int", "negative n_dev", "mi_samples 0", "n_samples 0", "n_samples float",
         "negative au_threshold", "n_samples bool", "mi_samples bool", "max_gen_len bool",
         "au_threshold bool", "au_threshold string", "seed bool", "negative seed", "latent_dim float", "embed_dim float", "hidden_dim bool",
         "batch_size float", "epochs float", "pretrain_epochs string", "warmup_steps float",
         "lr string", "alpha bool", "clip_norm null", "free_bits_per_dim string",
-        "free_bits_per_dim int"])
+        "free_bits_per_dim int", "lr inf", "alpha inf", "free_bits inf", "clip_norm nan",
+        "au_threshold inf"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == \
@@ -259,9 +265,17 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
     ("train", [], {"synthetic": {"words_per_slot": True}}),
     ("train", [], {"synthetic": {"seed": -1}}),
     ("train", [], {"vocab_size": True}),
+    ("train", ["--lr", "inf"], {}),
+    ("train", ["--alpha", "inf"], {}),
+    ("train", ["--free-bits", "inf"], {}),
+    ("sweep", ["--alphas", "0,inf"], {}),
+    ("sweep", ["--alphas", "nan"], {}),
+    ("train", [], {"vocab_size": 3}),
 ], ids=["alpha not a number", "repeated alpha", "alphas sharing a run directory",
         "length_range int", "length_range of three", "length_range float",
-        "n_templates float", "words_per_slot bool", "negative synthetic seed", "vocab_size bool"])
+        "n_templates float", "words_per_slot bool", "negative synthetic seed", "vocab_size bool",
+        "lr inf", "alpha inf", "free_bits inf", "alphas with inf", "alpha nan",
+        "vocab_size with a synthetic corpus"])
 def test_bad_cli_input_is_config_error(tmp_path, capsys, command, flags, overrides):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "x"

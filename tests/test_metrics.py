@@ -12,7 +12,6 @@ from textvae.metrics import (
     EvalConfig,
     MetricsReport,
     active_units_from_means,
-    bleu,
     collect_posteriors,
     corpus_bleu,
     evaluate,
@@ -144,8 +143,7 @@ def test_iw_nll_equals_rec_when_q_is_the_prior_and_the_decoder_ignores_z():
     p = collapse_encoder(tiny_params(13, latent_dim=3))  # q(z|x) = N(0, I) = p(z)
     for name in ("dec.h0_w", "dec.c0_w"):
         p[name].data[...] = 0.0
-    for gate in "ifoc":
-        p[f"dec.lstm.w_{gate}"].data[:, p.embed_dim: p.embed_dim + p.latent_dim] = 0.0
+    p["dec.lstm.w"].data[:, p.embed_dim: p.embed_dim + p.latent_dim] = 0.0
     corpus = [(4, 5), (5, 5, 4, 4), (4,)]
     report = evaluate(corpus, p, EvalConfig(n_samples=9, mi_samples=2, max_gen_len=4),
                       np.random.default_rng(3))
@@ -295,6 +293,11 @@ def test_mi_model_wrapper_collapsed():
 
 # ---------------------------------------------------------------------------
 # BLEU
+
+
+def bleu(reference, hypothesis):
+    """One pair's BLEU: the corpus score of a one-pair corpus."""
+    return corpus_bleu([(reference, hypothesis)])
 
 
 def test_bleu_identity_is_one():

@@ -46,6 +46,13 @@ def side(p, prefix):
     return [(n, t) for n, t in p.named_parameters() if n.startswith(prefix)]
 
 
+def gate_pre(p, side, k, xh):
+    """Gate k's pre-activation (k = 0..3 for i, f, o, g), read from its rows of the stored
+    ``{side}.lstm`` weight and bias."""
+    rows = slice(k * p.hidden_dim, (k + 1) * p.hidden_dim)
+    return p[f"{side}.lstm.w"].data[rows] @ xh + p[f"{side}.lstm.b"].data[rows]
+
+
 def test_encode_zero_heads_gives_standard_prior():
     p = tiny_params()
     for name in ("enc.mu_w", "enc.mu_b", "enc.logvar_w", "enc.logvar_b"):
@@ -164,10 +171,8 @@ def test_decode_log_likelihood_matches_stepwise_oracle():
         e = d("embed")[:, [tok_in]]
         xin = np.vstack([e, z])
         xh = np.vstack([xin, h])
-        i = sig(d("lstm.w_i") @ xh + d("lstm.b_i"))
-        f = sig(d("lstm.w_f") @ xh + d("lstm.b_f"))
-        o = sig(d("lstm.w_o") @ xh + d("lstm.b_o"))
-        g = np.tanh(d("lstm.w_c") @ xh + d("lstm.b_c"))
+        i, f, o = (sig(gate_pre(p, "dec", k, xh)) for k in range(3))
+        g = np.tanh(gate_pre(p, "dec", 3, xh))
         c = f * c + i * g
         h = o * np.tanh(c)
         logits = (d("out_w") @ h + d("out_b"))[:, 0]
@@ -316,10 +321,8 @@ def test_decode_greedy_matches_stepwise_oracle():
         token, expected = 2, []  # start sentinel
         for _ in range(12):
             xh = np.vstack([d("embed")[:, [token]], z, h])
-            i = sig(d("lstm.w_i") @ xh + d("lstm.b_i"))
-            f = sig(d("lstm.w_f") @ xh + d("lstm.b_f"))
-            o = sig(d("lstm.w_o") @ xh + d("lstm.b_o"))
-            g = np.tanh(d("lstm.w_c") @ xh + d("lstm.b_c"))
+            i, f, o = (sig(gate_pre(p, "dec", k, xh)) for k in range(3))
+            g = np.tanh(gate_pre(p, "dec", 3, xh))
             c = f * c + i * g
             h = o * np.tanh(c)
             token = int(np.argmax(d("out_w") @ h + d("out_b")))
@@ -345,11 +348,36 @@ def test_full_pipeline_gradient_check():
     assert report.passed, str(report)
 
 
+def test_init_stacks_the_four_gate_draws():
+    # each LSTM weight is one draw over (4d, n): the same values, in the same generator
+    # order, as four (d, n) per-gate draws stacked as rows [i; f; o; g]
+    V, E, H, Z = 9, 3, 5, 2
+    p = VaeParams.init(V, E, H, Z, np.random.default_rng(31))
+    ref = np.random.default_rng(31)
+    heads = {"enc": ("mu_w", "logvar_w"), "dec": ("h0_w", "c0_w", "out_w")}
+    for name, n_in in (("enc", E), ("dec", E + Z)):
+        assert np.array_equal(p[f"{name}.embed"].data, ref.uniform(-0.1, 0.1, (E, V)))
+        bound = 1.0 / np.sqrt(H)
+        gates = [ref.uniform(-bound, bound, (H, n_in + H)) for _ in range(4)]
+        assert np.array_equal(p[f"{name}.lstm.w"].data, np.vstack(gates))
+        bias = np.zeros((4 * H, 1))
+        bias[H: 2 * H] = 1.0  # the forget gate's rows
+        assert np.array_equal(p[f"{name}.lstm.b"].data, bias)
+        for head in heads[name]:
+            w = p[f"{name}.{head}"].data
+            assert np.array_equal(w, ref.uniform(-1.0 / np.sqrt(w.shape[1]),
+                                                 1.0 / np.sqrt(w.shape[1]), w.shape))
+    assert [n for n, _ in p.named_parameters()] == [
+        "enc.embed", "enc.lstm.w", "enc.lstm.b", "enc.mu_w", "enc.mu_b", "enc.logvar_w",
+        "enc.logvar_b", "dec.embed", "dec.lstm.w", "dec.lstm.b", "dec.h0_w", "dec.h0_b",
+        "dec.c0_w", "dec.c0_b", "dec.out_w", "dec.out_b"]
+
+
 def test_encoder_decoder_parameter_partition():
     p = tiny_params(15)
     enc = {name for name, _ in side(p, "enc.")}
     dec = {name for name, _ in side(p, "dec.")}
-    assert (len(enc), len(dec)) == (13, 15)
+    assert (len(enc), len(dec)) == (7, 9)
     assert {name for name, _ in p.named_parameters()} == enc | dec
     enc_ids = {id(t) for _, t in side(p, "enc.")}
     dec_ids = {id(t) for _, t in side(p, "dec.")}
@@ -390,6 +418,12 @@ def _corrupted_forms(raw: bytes) -> dict:
     def with_fields(**fields) -> bytes:
         return with_header(json.dumps(dict(header, **fields)).encode())
 
+    def per_gate(spec):
+        if ".lstm." not in spec["name"]:
+            return [spec]
+        return [{"name": f"{spec['name']}_{g}", "shape": [hidden, spec["shape"][1]]}
+                for g in "ifoc"]
+
     no_dim = dict(header, config={k: v for k, v in header["config"].items() if k != "latent_dim"})
     hidden = header["config"]["hidden_dim"]
     return {
@@ -405,10 +439,13 @@ def _corrupted_forms(raw: bytes) -> dict:
         "non-string token": with_fields(vocab=header["vocab"][:-1] + [7]),
         "negative dim": with_fields(config=dict(header["config"], hidden_dim=-hidden)),
         "string dim": with_fields(config=dict(header["config"], hidden_dim=str(hidden))),
-        # same shape, so only the name list shows that b_f would keep its init values
+        # same shape, so only the name list shows that logvar_b would keep its init values
         "tensor listed twice": with_fields(tensors=[
-            dict(spec, name="enc.lstm.b_i") if spec["name"] == "enc.lstm.b_f" else spec
+            dict(spec, name="enc.mu_b") if spec["name"] == "enc.logvar_b" else spec
             for spec in header["tensors"]]),
+        # the same bytes, named as four (d, n) gate blocks per LSTM tensor
+        "per-gate lstm layout": with_fields(
+            tensors=[s for spec in header["tensors"] for s in per_gate(spec)]),
     }
 
 
