@@ -331,8 +331,9 @@ def _decode_and_write(args, params: VaeParams, vocab: Vocabulary, zs, filename: 
 
 
 def cmd_interpolate(args) -> int:
-    if args.steps < 2:
-        raise ConfigError(f"--steps must be >= 2, got {args.steps}")
+    if args.steps < 2 or args.max_len < 1:
+        raise ConfigError(f"--steps must be >= 2 and --max-len >= 1, got {args.steps} and "
+                          f"{args.max_len}")
     params, vocab, _ = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(_eval_seed(args))
     z1 = rng.standard_normal(params.latent_dim)
@@ -343,6 +344,8 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1 or args.max_len < 1:
+        raise ConfigError(f"--n and --max-len must be >= 1, got {args.n} and {args.max_len}")
     params, vocab, _ = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(_eval_seed(args))
     zs = [rng.standard_normal(params.latent_dim) for _ in range(args.n)]
@@ -363,8 +366,8 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
            for name, shape in (("H", (3, 3 * 2)), ("w", (5, 3)), ("b", (5, 1)))}
     targets = rng.integers(0, 5, 3 * 2)
     valid = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-    rep = grad_check(lambda: ad.reduce_mean(model.output_log_lik(
-        out["H"], out["w"], out["b"], targets, valid)), out, tol=1e-5)
+    rep = grad_check(lambda: ad.reduce_mean(model.sentence_sums(model.output_log_lik(
+        out["H"], out["w"], out["b"], targets), valid)), out, tol=1e-5)
     results.append(("gradients: output layer", rep.passed, str(rep)))
 
     params = VaeParams.init(6, 4, 4, 2, rng)
@@ -372,9 +375,10 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
     h0 = Tensor(np.zeros((4, 2)))
     lstm = {n: t for n, t in params.named_parameters() if n.startswith("enc.lstm.")}
 
-    def recurrence_loss():
-        H = model.lstm_recurrence(xs, h0, h0, params, "enc.lstm", lengths=np.array([3, 2]))
-        return ad.reduce_mean(ad.mul(H, H))
+    def recurrence_loss():  # each sentence's final state, at lengths 3 and 2
+        H = model.lstm_recurrence(xs, h0, h0, params, "enc.lstm")
+        final = ad.select_columns(H, np.array([(3 - 1) * 2 + 0, (2 - 1) * 2 + 1]))
+        return ad.reduce_mean(ad.mul(final, final))
 
     rep = grad_check(recurrence_loss, lstm, tol=1e-4)
     results.append(("gradients: lstm recurrence", rep.passed, str(rep)))

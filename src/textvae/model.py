@@ -38,10 +38,17 @@ at 1.  ``lstm_recurrence`` and ``decode_greedy`` read column views of the
 stored weight, and the recurrence's backward returns the whole (4d, n_x +
 k + d) weight gradient.
 
-Output layer: ``output_log_lik`` takes the decoder's H to per-sentence
-log-likelihoods as one autodiff op: the projection, the log-softmax at each
-target and the weighted per-sentence sum share one (V, T·B) buffer, updated
-in place, and record one tape entry.
+Sentence ends: the recurrence runs all T positions of every column, padding
+included, and never looks at where a sentence ends.  Callers handle the ends
+afterwards: ``encode_batch`` reads sentence j's final state by index, at
+column (lengths[j] − 1)·B + j, and every per-position quantity (the target
+log-probabilities, the twin hidden-state gap) is weighted by ``valid`` in
+``sentence_sums``.  Positions past an end thus get exact zero adjoints.
+
+Output layer: ``output_log_lik`` takes the decoder's H to the target
+log-probability at every position as one autodiff op: the projection and the
+log-softmax at each target share one (V, T·B) buffer, updated in place, and
+record one tape entry.
 """
 
 from __future__ import annotations
@@ -144,17 +151,14 @@ _CORRUPT_TANH_BACKWARD = False
 
 
 def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
-                    static: Tensor | None = None, lengths: np.ndarray | None = None,
-                    shared_input: bool = False) -> Tensor:
+                    static: Tensor | None = None, shared_input: bool = False) -> Tensor:
     """Run the LSTM ``prefix`` over T positions as one autodiff op.
 
     ``xs`` is the position-major (n_x, T·B) input and ``h0``/``c0`` the
     (d, B) initial state.  With ``shared_input`` every column reads the same
     input and ``xs`` is (n_x, T), one column per position.  ``static``
     (k, B), when given, is appended to every position's input; its gate
-    term is computed once.  With ``lengths``, sentence j's state is frozen
-    from position ``lengths[j]`` on, so its last column block holds each
-    sentence's final state.
+    term is computed once.
     Returns the hidden states as one position-major (d, T·B) tensor.
 
     The cell runs in numpy through ``lstm_step``, one call per position.
@@ -186,11 +190,7 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     h, c = h0.data, c0.data
     hs, cs, gates_seq = [], [c], []
     for t in range(T):
-        h_new, c_new, gates = lstm_step(xd[:, t * step: (t + 1) * step], h, c, w_x, w_h, base)
-        if lengths is not None and not np.all(t < lengths):
-            active = t < lengths
-            h_new, c_new = np.where(active, h_new, h), np.where(active, c_new, c)
-        h, c = h_new, c_new
+        h, c, gates = lstm_step(xd[:, t * step: (t + 1) * step], h, c, w_x, w_h, base)
         hs.append(h)
         if tape is not None:
             cs.append(c)
@@ -217,14 +217,8 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
             dp[2 * d: 3 * d] = dh_t * tc
             dp[:3 * d] *= gates[:3 * d] * (1.0 - gates[:3 * d])
             dp[3 * d:] = sign * dc_t * i * (1.0 - gg * gg)
-            dh_prev = w_h.T @ dp
-            dc_prev = dc_t * f
-            if lengths is not None and not np.all(t < lengths):
-                active = t < lengths
-                dp *= active
-                dh_prev = np.where(active, dh_prev, dh_t)
-                dc_prev = np.where(active, dc_prev, dc)
-            dh, dc = dh_prev, dc_prev
+            dh = w_h.T @ dp
+            dc = dc_t * f
         d_pre_sum = d_pre.reshape(4 * d, T, B).sum(axis=1)  # the static input and the bias
         # a shared input's adjoint sums its columns first, as the static input's sums positions
         d_pre_x = d_pre.reshape(4 * d, T, B).sum(axis=2) if shared_input else d_pre
@@ -238,15 +232,13 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     return out
 
 
-def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray,
-                   weights: np.ndarray) -> Tensor:
-    """(1, B) per-sentence weighted target log-probabilities, as one autodiff op.
+def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray) -> Tensor:
+    """(1, T·B) target log-probability at every position, as one autodiff op.
 
     ``H`` is the position-major (d, T·B) hidden states, ``weight``/``bias``
-    the (V, d)/(V, 1) output projection, ``targets`` the T·B target ids in
-    the same column order and ``weights`` (T, B): entry (t, j) scales
-    sentence j's position t.  Returns sum_t weights[t, j] · log softmax(
-    weight @ h + bias)[target] for each sentence j.
+    the (V, d)/(V, 1) output projection and ``targets`` the T·B target ids in
+    the same column order.  Column n of the result is log softmax(weight @
+    H[:, n] + bias)[targets[n]].
 
     The forward works on one (V, T·B) buffer: logits, then their shifted
     exponentials, in place.  Without a tape nothing is kept.  With one, the
@@ -257,12 +249,9 @@ def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray,
     d, n_cols = H.shape
     vocab = weight.shape[0]
     tgt = np.asarray(targets, dtype=np.int64).reshape(-1)
-    weights = np.asarray(weights, dtype=np.float64)
-    if (weight.shape != (vocab, d) or bias.shape != (vocab, 1) or tgt.shape != (n_cols,)
-            or weights.ndim != 2 or weights.size != n_cols):
-        raise DimensionError(
-            f"output layer: hidden {H.shape}, weight {weight.shape}, bias {bias.shape}, "
-            f"targets {tgt.shape}, weights {weights.shape}")
+    if weight.shape != (vocab, d) or bias.shape != (vocab, 1) or tgt.shape != (n_cols,):
+        raise DimensionError(f"output layer: hidden {H.shape}, weight {weight.shape}, "
+                             f"bias {bias.shape}, targets {tgt.shape}")
     if tgt.size and (tgt.min() < 0 or tgt.max() >= vocab):
         raise IndexError(f"target index out of range [0, {vocab})")
     inputs = (H, weight, bias)
@@ -275,8 +264,7 @@ def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray,
     buf -= m
     np.exp(buf, out=buf)
     sumexp = buf.sum(axis=0)
-    ce = m + np.log(sumexp) - picked
-    out = Tensor((ce.reshape(weights.shape) * -weights).sum(axis=0, keepdims=True))
+    out = Tensor(-(m + np.log(sumexp) - picked).reshape(1, -1))
     if tape is None:
         return out
     kept = [buf]
@@ -287,7 +275,7 @@ def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray,
         p = kept.pop()
         p /= sumexp
         p[tgt, cols] -= 1.0
-        p *= (g * -weights).reshape(1, -1)
+        p *= -g
         return (weight.data.T @ p if H.requires_grad else None,
                 p @ H.data.T if weight.requires_grad else None,
                 p.sum(axis=1, keepdims=True) if bias.requires_grad else None)
@@ -319,11 +307,8 @@ def sentence_sums(row: Tensor, weights: np.ndarray) -> Tensor:
 
 
 def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> GaussianPosterior:
-    """Posterior columns for a padded (B, L) batch.
-
-    Hidden state updates are gated off once a sentence ends, so the final
-    state is each sentence's state at its own last token.
-    """
+    """Posterior columns for a padded (B, L) batch, read from each sentence's
+    hidden state at its own last token."""
     ids = np.asarray(ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[0] != lengths.shape[0]:
@@ -333,8 +318,8 @@ def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> Gau
         raise DataError("cannot encode an empty sentence")
     zeros = Tensor(np.zeros((params.hidden_dim, B)))
     xs = ad.select_columns(params["enc.embed"], ids.T.reshape(-1))
-    H = lstm_recurrence(xs, zeros, zeros, params, "enc.lstm", lengths=lengths)
-    h = ad.select_columns(H, np.arange((L - 1) * B, L * B))
+    H = lstm_recurrence(xs, zeros, zeros, params, "enc.lstm")
+    h = ad.select_columns(H, (lengths - 1) * B + np.arange(B))
     mu = linear(h, params["enc.mu_w"], params["enc.mu_b"])
     logvar = linear(h, params["enc.logvar_w"], params["enc.logvar_b"])
     return GaussianPosterior(mu=mu, logvar=logvar)
@@ -403,8 +388,8 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
     valid = (np.arange(n_steps)[:, None] < lengths[None, :] + 1).astype(np.float64)
     if shared:
         target_cols, valid = np.repeat(target_cols, B), np.repeat(valid, B, axis=1)
-    log_lik = output_log_lik(H, params["dec.out_w"], params["dec.out_b"], target_cols, valid)
-    return log_lik, H, valid
+    log_p = output_log_lik(H, params["dec.out_w"], params["dec.out_b"], target_cols)
+    return sentence_sums(log_p, valid), H, valid
 
 
 def decode_greedy(z, max_len: int, params: VaeParams) -> list[int]:

@@ -54,18 +54,17 @@ def free_bits_per_dimension(post: GaussianPosterior, lam: float, latent_dim: int
     return ad.column_sums(clamped)
 
 
-def _hidden_gap_penalty(H_a: Tensor, H_b: Tensor, valid: np.ndarray, lengths: np.ndarray,
-                        hidden_dim: int) -> Tensor:
+def _hidden_gap_penalty(H_a: Tensor, H_b: Tensor, valid: np.ndarray) -> Tensor:
     """Squared distance between twin hidden matrices, per-sentence normalized.
 
-    ||H' - H''||^2 summed over valid positions, divided by n_steps * hidden
-    dim so the useful range of alpha does not depend on sentence length.
-    ``H_a``/``H_b`` are position-major (d, T·B), ``valid`` is (T, B).
-    Returns a (1, B) row.
+    ||H' - H''||^2 summed over valid positions, divided by the sentence's
+    valid position count times the hidden dim, so the useful range of alpha
+    does not depend on sentence length.  ``H_a``/``H_b`` are position-major
+    (d, T·B), ``valid`` is (T, B).  Returns a (1, B) row.
     """
     diff = ad.sub(H_a, H_b)
     per_position = ad.column_sums(ad.mul(diff, diff))
-    return sentence_sums(per_position, valid / ((lengths + 1).astype(np.float64) * hidden_dim))
+    return sentence_sums(per_position, valid / (valid.sum(axis=0) * H_a.shape[0]))
 
 
 def fraternal_batch(z: Tensor, batch: Batch, keep_prob: float, params: VaeParams,
@@ -84,7 +83,7 @@ def fraternal_batch(z: Tensor, batch: Batch, keep_prob: float, params: VaeParams
     ll_a, H_a, valid = decode_batch(z, batch.ids, batch.lengths, params, mask=mask)
     ll_b, H_b, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=1.0 - mask)
     mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)
-    penalty = _hidden_gap_penalty(H_a, H_b, valid, batch.lengths, params.hidden_dim)
+    penalty = _hidden_gap_penalty(H_a, H_b, valid)
     return mean_ll, penalty
 
 

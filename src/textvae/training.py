@@ -154,8 +154,12 @@ def adam_step(params, grads, state: AdamState, lr: float,
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale the gradients in ``grads`` in place so their global L2 norm is at
-    most ``max_norm`` (0 clips nothing); returns the norm before clipping."""
-    total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    most ``max_norm`` (0 clips nothing); returns the norm before clipping.
+    A norm that overflows, even of finite gradients, raises TrainingError."""
+    with np.errstate(over="ignore"):
+        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    if not np.isfinite(total):
+        raise TrainingError(f"gradient norm overflows: {total}")
     if max_norm > 0 and total > max_norm:
         factor = max_norm / total
         for g in grads.values():
@@ -189,9 +193,9 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
     """Run ``config.epochs`` epochs of one phase, appending a record per epoch to ``log``.
 
     ``phase="pretrain"`` is the deterministic-autoencoder variant: z = mu and
-    beta forced to 0.  Returns the best-validation parameters.  A step that
-    fails numerically raises TrainingError carrying those parameters and
-    ``log``.
+    beta forced to 0.  Returns the best-validation parameters.  A step or a
+    dev ELBO that fails numerically raises TrainingError carrying those
+    parameters and ``log``.
     """
     pretrain = phase == "pretrain"
     named = params.named_parameters()
@@ -233,9 +237,13 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
         record["grad_norm"] = float(np.mean(norms))
         record["epoch"] = epoch
         record["phase"] = phase
-        record["val_elbo"] = _dev_elbo(corpus.dev, config, params,
-                                       seed=[config.seed, 1000 + epoch],
-                                       batch_size=config.batch_size)
+        try:
+            record["val_elbo"] = _dev_elbo(corpus.dev, config, params,
+                                           seed=[config.seed, 1000 + epoch],
+                                           batch_size=config.batch_size)
+        except NumericError as exc:
+            raise TrainingError(f"dev ELBO failed in {phase} epoch {epoch}: {exc}",
+                                params=best, log=log) from exc
         record["wall_time"] = time.perf_counter() - t0
         log.append(record)
 

@@ -10,15 +10,21 @@ import textvae.model as model
 from textvae.autodiff import Tensor, grad_check, matmul, tape
 from textvae.errors import ContractError, DimensionError, NumericError
 from textvae.layers import lstm_step
-from textvae.model import VaeParams, output_log_lik
+from textvae.model import VaeParams, output_log_lik, sentence_sums
+
+
+def weighted_log_lik(H, W, b, targets, weights):
+    """(1, B) per-sentence log-likelihoods: the output layer's per-position
+    log-probabilities summed under the (T, B) ``weights``, as ``decode_batch`` does."""
+    return sentence_sums(output_log_lik(H, W, b, targets), weights)
 
 
 def cross_entropy_cols(logits, targets):
     """(1, B) cross entropy of each column of (V, B) logits, through the output
     layer with an identity projection: B one-position sentences of weight 1."""
     vocab, batch = logits.shape
-    log_lik = output_log_lik(logits, Tensor(np.eye(vocab)), Tensor(np.zeros((vocab, 1))),
-                             targets, np.ones((1, batch)))
+    log_lik = weighted_log_lik(logits, Tensor(np.eye(vocab)), Tensor(np.zeros((vocab, 1))),
+                               targets, np.ones((1, batch)))
     return ad.scale(log_lik, -1.0)
 
 
@@ -378,7 +384,8 @@ def test_op_gradient_matches_finite_differences(op, data):
 
 
 # ---------------------------------------------------------------------------
-# the decoder's output layer: one op from hidden states to per-sentence log-likelihoods
+# the decoder's output layer: one op from hidden states to per-position log-probabilities,
+# summed per sentence by sentence_sums
 
 
 def output_layer_case(rng, vocab, d, T, B):
@@ -398,7 +405,7 @@ def test_output_layer_gradient_matches_finite_differences(data):
     H, W, b, targets, weights = output_layer_case(rng, *(data.draw(SIDE) for _ in range(4)))
     upstream = Tensor(rng.uniform(-1.0, 1.0, (1, weights.shape[1])))
     report = grad_check(lambda: ad.reduce_mean(ad.mul(
-        output_log_lik(H, W, b, targets, weights), upstream)), {"H": H, "W": W, "b": b})
+        weighted_log_lik(H, W, b, targets, weights), upstream)), {"H": H, "W": W, "b": b})
     assert report.passed, str(report)
 
 
@@ -420,7 +427,7 @@ def test_output_layer_matches_bruteforce_oracle():
         grad_W += np.outer(dz, H.data[:, n])
         grad_b[:, 0] += dz
     with tape() as tp:
-        out = output_log_lik(H, W, b, targets, weights)
+        out = weighted_log_lik(H, W, b, targets, weights)
         grads = tp.backward(ad.scale(ad.reduce_mean(out), B))  # d(sum over sentences)
     assert np.max(np.abs(out.data[0] - want)) < 1e-12
     for got, ref in ((grads[H], grad_H), (grads[W], grad_W), (grads[b], grad_b)):
@@ -431,16 +438,16 @@ def test_output_layer_rejects_bad_shapes_and_targets():
     rng = np.random.default_rng(12)
     H, W, b, targets, weights = output_layer_case(rng, 5, 3, 2, 2)
     with pytest.raises(DimensionError):
-        output_log_lik(H, W, b, targets[:-1], weights)
+        weighted_log_lik(H, W, b, targets[:-1], weights)
     with pytest.raises(DimensionError):
-        output_log_lik(H, W, b, targets, weights[:1])
+        weighted_log_lik(H, W, b, targets, weights[:1])
     with pytest.raises(DimensionError):
-        output_log_lik(H, W, Tensor(np.zeros((4, 1))), targets, weights)
+        weighted_log_lik(H, W, Tensor(np.zeros((4, 1))), targets, weights)
     with pytest.raises(DimensionError):
-        output_log_lik(H, Tensor(np.zeros((5, 2))), b, targets, weights)
+        weighted_log_lik(H, Tensor(np.zeros((5, 2))), b, targets, weights)
     for bad in (-1, 5):
         with pytest.raises(IndexError):
-            output_log_lik(H, W, b, np.r_[targets[:-1], bad], weights)
+            weighted_log_lik(H, W, b, np.r_[targets[:-1], bad], weights)
 
 
 def test_output_layer_backward_runs_once_per_entry():
@@ -448,7 +455,7 @@ def test_output_layer_backward_runs_once_per_entry():
     rng = np.random.default_rng(13)
     H, W, b, targets, weights = output_layer_case(rng, 4, 2, 2, 2)
     with tape() as tp:
-        loss = ad.reduce_mean(output_log_lik(H, W, b, targets, weights))
+        loss = ad.reduce_mean(weighted_log_lik(H, W, b, targets, weights))
         tp.backward(loss)
         with pytest.raises(ContractError):
             tp.backward(loss)

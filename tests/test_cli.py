@@ -79,6 +79,14 @@ def test_train_deterministic_checkpoint_bytes(tmp_path):
     assert (out / "manifest.json").read_bytes() == first_manifest
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    out = tmp / "run"
+    assert main(["train", "--config", str(write_config(tmp)), "--out-dir", str(out)]) == 0
+    return out / "checkpoint.bin"
+
+
 def read_log(run_dir):
     return [json.loads(l) for l in (run_dir / "train_log.jsonl").read_text().splitlines()]
 
@@ -124,6 +132,26 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     assert [(r["phase"], r["epoch"]) for r in records[:-1]] == [(phase, 0)]
     assert records[-1]["phase"] == "aborted"
     assert f"{phase} epoch 1, step 6" in records[-1]["error"]
+    assert json.loads((out / "manifest.json").read_text())["diverged"] is True
+    assert_finite_checkpoint(out / "checkpoint.bin")
+
+
+@pytest.mark.parametrize("lr, failure", [(1000.0, "dev ELBO failed in train epoch 0"),
+                                         (100.0, "gradient norm overflows")],
+                         ids=["dev elbo overflow", "grad norm overflow"])
+def test_train_numeric_blowup_is_a_divergence(tmp_path, lr, failure):
+    # a huge step size drives the model to overflow: in the dev ELBO's exp at lr 1000,
+    # in the squares of finite gradients at lr 100; both end the run as diverged
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "train": {"epochs": 2, "lr": lr, "latent_dim": 4, "embed_dim": 8, "hidden_dim": 16},
+        "synthetic": {"n_train": 16, "n_dev": 16, "n_test": 8}}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CODES["numeric"]
+    lines = (out / "train_log.jsonl").read_text().splitlines()
+    records = [json.loads(l, parse_constant=pytest.fail) for l in lines]  # strict JSON
+    assert records[-1]["phase"] == "aborted"
+    assert failure in records[-1]["error"]
     assert json.loads((out / "manifest.json").read_text())["diverged"] is True
     assert_finite_checkpoint(out / "checkpoint.bin")
 
@@ -271,14 +299,25 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
     ("sweep", ["--alphas", "0,inf"], {}),
     ("sweep", ["--alphas", "nan"], {}),
     ("train", [], {"vocab_size": 3}),
+    ("sample", ["--n", "-3"], {}),
+    ("sample", ["--n", "0"], {}),
+    ("sample", ["--max-len", "0"], {}),
+    ("sample", ["--max-len", "-5"], {}),
+    ("interpolate", ["--max-len", "-2"], {}),
+    ("interpolate", ["--max-len", "0"], {}),
 ], ids=["alpha not a number", "repeated alpha", "alphas sharing a run directory",
         "length_range int", "length_range of three", "length_range float",
         "n_templates float", "words_per_slot bool", "negative synthetic seed", "vocab_size bool",
         "lr inf", "alpha inf", "free_bits inf", "alphas with inf", "alpha nan",
-        "vocab_size with a synthetic corpus"])
-def test_bad_cli_input_is_config_error(tmp_path, capsys, command, flags, overrides):
+        "vocab_size with a synthetic corpus", "sample n negative", "sample n 0",
+        "sample max_len 0", "sample max_len negative", "interpolate max_len negative",
+        "interpolate max_len 0"])
+def test_bad_cli_input_is_config_error(tmp_path, capsys, trained_checkpoint, command, flags,
+                                       overrides):
     cfg = write_config(tmp_path, **overrides)
     out = tmp_path / "x"
+    if command in ("sample", "interpolate"):
+        flags = ["--checkpoint", str(trained_checkpoint)] + flags
     assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == \
         EXIT_CODES["config"]
     assert capsys.readouterr().err.startswith("error: ")

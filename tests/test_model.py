@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check
 from textvae.cli import EXIT_CODES, main
-from textvae.corpus import END, Vocabulary, make_batch
+from textvae.corpus import END, PAD, Vocabulary, make_batch
 from textvae.errors import DataError, DimensionError
 from textvae.model import (
     CHECKPOINT_MAGIC,
@@ -99,6 +99,26 @@ def test_encode_batch_matches_single_with_padding():
         single = encode(s, p)
         assert np.max(np.abs(post.mu.data[:, j: j + 1] - single.mu.data)) < 1e-12
         assert np.max(np.abs(post.logvar.data[:, j: j + 1] - single.logvar.data)) < 1e-12
+
+
+def test_encode_batch_gradient_over_ragged_batch():
+    # lengths [3, 1, 2]: each sentence's state is gathered from its own last position
+    p = tiny_params(8)
+    batch = make_batch([(4, 5, 4), (5,), (5, 4)])
+    assert np.array_equal(batch.lengths, [3, 1, 2])
+    upstream = Tensor(np.random.default_rng(1).uniform(-1, 1, (2, 3)))
+
+    def f():
+        post = encode_batch(batch.ids, batch.lengths, p)
+        return ad.reduce_mean(ad.add(ad.mul(post.mu, upstream), ad.mul(post.logvar, post.logvar)))
+
+    report = grad_check(f, side(p, "enc."), tol=1e-4)
+    assert report.passed, str(report)
+    # padded positions get exact zero adjoints, so the pad embedding gets no gradient
+    with ad.tape() as tp:
+        grads = tp.backward(f())
+    assert np.all(grads[p["enc.embed"]][:, PAD] == 0.0)
+    assert np.any(grads[p["enc.embed"]][:, 4] != 0.0)
 
 
 def test_reparameterize_trivials():

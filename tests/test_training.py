@@ -5,7 +5,7 @@ from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
 from textvae.errors import ConfigError, TrainingError
 from textvae.model import VaeParams
-from textvae.training import AdamState, TrainConfig, adam_step, train
+from textvae.training import AdamState, TrainConfig, adam_step, clip_gradients, train
 
 SMALL_SPEC = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                            n_train=120, n_dev=20, n_test=20, seed=42)
@@ -167,6 +167,19 @@ def test_train_divergence_aborts_with_last_good(monkeypatch):
         train(split, cfg, len(vocab))
     assert exc.value.params is not None
     assert isinstance(exc.value.log, list)
+
+
+def test_clip_gradients_norm_bits_and_overflow():
+    rng = np.random.default_rng(3)
+    grads = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((5, 1))}
+    want = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    assert clip_gradients(grads, 0.0) == want
+    # every entry finite, but the sum of squares is not: a divergence, not an inf norm
+    huge = {"a": np.full((2, 2), 1e200), "b": np.ones((1, 1))}
+    before = {n: g.copy() for n, g in huge.items()}
+    with pytest.raises(TrainingError, match="gradient norm overflows"):
+        clip_gradients(huge, 1.0)
+    assert all(np.array_equal(huge[n], before[n]) for n in huge)
 
 
 def test_pretrain_zero_epochs_passthrough():
