@@ -58,6 +58,17 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _out_dir(path) -> Path:
+    """Create the artifact directory ``path`` and its parents; a path that
+    cannot be made a directory is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -220,8 +231,7 @@ def cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
     tcfg = _train_config(cfg, args)
     split, vocab = _resolve_corpus(cfg, args.corpus)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
 
     config_echo = {"train": tcfg.to_dict(), "eval": _eval_config(cfg).to_dict(),
                    "vocab_size": len(vocab)}
@@ -252,13 +262,12 @@ def cmd_eval(args) -> int:
         raise DataError(f"{args.split} split is empty")
 
     ecfg = _eval_config(cfg)
+    out = _out_dir(args.out_dir) if args.out_dir else None
     report = evaluate(sentences, params, ecfg, np.random.default_rng(_eval_seed(args)))
 
     print(MetricsReport.table_header())
     print(report.table_row(Path(args.checkpoint).stem))
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
         config_echo = {"eval": ecfg.to_dict(), "split": args.split}
         _write_json(out / "manifest.json",
@@ -282,15 +291,13 @@ def cmd_sweep(args) -> int:
     base = _train_config(cfg, args)
     split, vocab = _resolve_corpus(cfg, args.corpus)
     ecfg = _eval_config(cfg)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out_dir)
+    run_dirs = [_out_dir(out / f"alpha_{label}") for label in labels]  # all before any run
 
     rows = [MetricsReport.table_header("alpha")]
     failed, error = [], None
-    for alpha, label in zip(alphas, labels):
+    for alpha, label, run_dir in zip(alphas, labels, run_dirs):
         tcfg = replace(base, alpha=alpha)
-        run_dir = out / f"alpha_{label}"
-        run_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = _train_and_save(split, tcfg, vocab, run_dir)
             report = evaluate(split.test, result.params, ecfg, np.random.default_rng(tcfg.seed))
@@ -315,15 +322,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _decode_and_write(args, params: VaeParams, vocab: Vocabulary, zs, filename: str,
-                      config_echo: dict) -> int:
-    """Greedy-decode each latent in ``zs``; print the sentences and write them to ``--out-dir``."""
-    lines = [" ".join(vocab.decode(decode_greedy(z, args.max_len, params))) for z in zs]
+def _decode_and_write(args, params: VaeParams, vocab: Vocabulary, z: np.ndarray,
+                      filename: str, config_echo: dict) -> int:
+    """Greedy-decode each column of ``z`` (k, B); print the sentences and write them."""
+    out = _out_dir(args.out_dir) if args.out_dir else None
+    lines = [" ".join(vocab.decode(ids)) for ids in decode_greedy(z, args.max_len, params)]
     for line in lines:
         print(line)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
         _write_json(out / "manifest.json",
                     _manifest(args.command, args, config_echo, None, vocab, _eval_seed(args)))
@@ -336,10 +342,10 @@ def cmd_interpolate(args) -> int:
                           f"{args.max_len}")
     params, vocab, _ = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(_eval_seed(args))
-    z1 = rng.standard_normal(params.latent_dim)
-    z2 = rng.standard_normal(params.latent_dim)
-    zs = [(1.0 - t) * z1 + t * z2 for t in np.linspace(0.0, 1.0, args.steps)]
-    return _decode_and_write(args, params, vocab, zs, "interpolations.txt",
+    z1, z2 = rng.standard_normal((2, params.latent_dim, 1))  # the same draws as two of k
+    t = np.linspace(0.0, 1.0, args.steps)
+    z = (1.0 - t) * z1 + t * z2
+    return _decode_and_write(args, params, vocab, z, "interpolations.txt",
                              {"steps": args.steps, "max_len": args.max_len})
 
 
@@ -348,8 +354,8 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"--n and --max-len must be >= 1, got {args.n} and {args.max_len}")
     params, vocab, _ = load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(_eval_seed(args))
-    zs = [rng.standard_normal(params.latent_dim) for _ in range(args.n)]
-    return _decode_and_write(args, params, vocab, zs, "samples.txt",
+    z = rng.standard_normal((args.n, params.latent_dim)).T  # column i is the i-th draw
+    return _decode_and_write(args, params, vocab, z, "samples.txt",
                              {"n": args.n, "max_len": args.max_len})
 
 

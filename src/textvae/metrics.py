@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import Tensor
 from .corpus import make_batch
 from .errors import ConfigError, DataError
-from .model import GaussianPosterior, VaeParams, decode_batch, decode_greedy, encode_batch
+from .model import BLOCK, GaussianPosterior, VaeParams, decode_batch, decode_greedy, encode_batch
 from .objectives import kl_columns
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -39,8 +39,7 @@ BLEU_EPSILON = 1e-9
 
 
 def reconstruction_nll(x, mu: np.ndarray, logvar: np.ndarray, params: VaeParams,
-                       n_samples: int = 100,
-                       rng: np.random.Generator | None = None) -> tuple[float, float]:
+                       n_samples: int, rng: np.random.Generator) -> tuple[float, float]:
     """Two NLL estimates for sentence ``x`` from the same k draws z_k ~ q(z|x).
 
     ``mu``/``logvar`` are the sentence's posterior row (see
@@ -52,8 +51,6 @@ def reconstruction_nll(x, mu: np.ndarray, logvar: np.ndarray, params: VaeParams,
     """
     if n_samples < 1:
         raise DataError(f"n_samples must be >= 1, got {n_samples}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     mu, logvar = np.reshape(mu, (-1, 1)), np.reshape(logvar, (-1, 1))
     eps = rng.standard_normal((params.latent_dim, n_samples))
     z = mu + np.exp(0.5 * logvar) * eps  # columns: one sample each
@@ -71,12 +68,12 @@ def reconstruction_nll(x, mu: np.ndarray, logvar: np.ndarray, params: VaeParams,
 # latent-variable usage
 
 
-def collect_posteriors(corpus, params: VaeParams, chunk: int = 64):
-    """Posterior means/logvars for every sentence, as (N, k) arrays."""
+def collect_posteriors(corpus, params: VaeParams):
+    """Posterior means/logvars for every sentence, as (N, k) arrays, in batches of ``BLOCK``."""
     sents = list(corpus)
     mus, logvars = [], []
-    for start in range(0, len(sents), chunk):
-        batch = make_batch(sents[start: start + chunk])
+    for start in range(0, len(sents), BLOCK):
+        batch = make_batch(sents[start: start + BLOCK])
         post = encode_batch(batch.ids, batch.lengths, params)
         mus.append(post.mu.data.T.copy())
         logvars.append(post.logvar.data.T.copy())
@@ -247,8 +244,8 @@ class MetricsReport:
                 f"{'MI':>6} {'BLEU':>6}")
 
 
-def evaluate(corpus, params: VaeParams, config: EvalConfig | None = None,
-             rng: np.random.Generator | None = None) -> MetricsReport:
+def evaluate(corpus, params: VaeParams, config: EvalConfig,
+             rng: np.random.Generator) -> MetricsReport:
     """Full metric suite on a sentence list.
 
     The split is encoded once.  NLL/PPL and their importance-weighted
@@ -259,10 +256,6 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig | None = None,
     sents = [tuple(int(i) for i in s) for s in corpus]
     if not sents:
         raise DataError("cannot evaluate on an empty corpus")
-    if config is None:
-        config = EvalConfig()
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     mus, logvars = collect_posteriors(sents, params)
     total_nll = total_iw = 0.0
@@ -277,13 +270,8 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig | None = None,
     au, _ = active_units_from_means(mus, config.au_threshold) if len(sents) >= 2 else (0, None)
     mi, mi_raw = mutual_information_from_posteriors(mus, logvars, config.mi_samples, rng)
 
-    pairs = []
-    for i, sent in enumerate(sents):
-        eps = rng.standard_normal(params.latent_dim)
-        z = mus[i] + np.exp(0.5 * logvars[i]) * eps
-        hyp = decode_greedy(z, config.max_gen_len, params)
-        pairs.append((sent, hyp))
-    bleu_score = corpus_bleu(pairs)
+    z = mus + np.exp(0.5 * logvars) * rng.standard_normal(mus.shape)  # one draw per sentence
+    bleu_score = corpus_bleu(zip(sents, decode_greedy(z.T, config.max_gen_len, params)))
 
     return MetricsReport(nll=float(total_nll / len(sents)),
                          ppl=float(np.exp(total_nll / total_words)),

@@ -1,4 +1,4 @@
-"""Gaussian-posterior sentence VAE: encoder, latent sampling, LSTM decoder.
+"""Gaussian-posterior sentence VAE: encoder, latent sampling, LSTM decoding.
 
 The latent vector conditions the decoder three ways at once: projected into
 the initial hidden state, projected into the initial memory cell, and
@@ -7,9 +7,9 @@ parameter sets (separate embedding tables included), named ``enc.*`` and
 ``dec.*`` in one ordered store, so the decoder can be reset without
 touching encoder features.
 
-Batch convention: sentences are rows of a padded (B, L) id matrix; all
-dense activations are column-per-sentence matrices.  Every encode and
-decode, for one sentence or many, goes through the batched functions here.
+Batch convention: sentences are rows of a padded (B, L) id matrix; latents
+and all dense activations are column-per-sentence matrices.  Every encode and
+decode, teacher-forced or greedy, runs over a batch of such columns.
 
 Sequence convention: a quantity over T positions of B sentences is one
 position-major (rows, T·B) matrix, whose column t·B + j holds sentence j at
@@ -34,9 +34,9 @@ weight ``lstm.w`` is (4d, n_x + k + d): its row blocks are the gates
 [input; static input; hidden], where the static input (k rows: the latent
 for the decoder, none for the encoder) is the same at every position.  The
 bias ``lstm.b`` is (4d, 1) in the same row order; its forget-gate rows start
-at 1.  ``lstm_recurrence`` and ``decode_greedy`` read column views of the
-stored weight, and the recurrence's backward returns the whole (4d, n_x +
-k + d) weight gradient.
+at 1.  ``lstm_recurrence`` and ``decode_greedy`` both run ``lstm_step`` on
+column views of the stored weight; the recurrence's backward returns the
+whole (4d, n_x + k + d) weight gradient.
 
 Sentence ends: the recurrence runs all T positions of every column, padding
 included, and never looks at where a sentence ends.  Callers handle the ends
@@ -68,6 +68,8 @@ from .errors import ContractError, DataError, DimensionError
 from .layers import linear, lstm_step
 
 CHECKPOINT_MAGIC = b"TEXTVAE1\n"
+
+BLOCK = 64  # columns per tape-less batched pass: bounds its memory; cost is flat in B
 
 
 @dataclass
@@ -392,23 +394,31 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
     return sentence_sums(log_p, valid), H, valid
 
 
-def decode_greedy(z, max_len: int, params: VaeParams) -> list[int]:
-    """Feed back the argmax token from the start sentinel until END or max_len."""
-    z = (z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)).reshape(-1, 1)
+def decode_greedy(z: np.ndarray, max_len: int, params: VaeParams) -> list[list[int]]:
+    """B greedy id lists, each cut before its first END, one per column of ``z`` (k, B).
+
+    Columns run in blocks of ``BLOCK``.  From the start sentinel, each position makes
+    one ``lstm_step`` over a block and feeds back each column's argmax, until every
+    column has emitted END or for ``max_len`` positions.
+    """
     w, n_x, n_s = params["dec.lstm.w"].data, params.embed_dim, params.latent_dim
     w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
-    base = w_s @ z + params["dec.lstm.b"].data
-    h = params["dec.h0_w"].data @ z + params["dec.h0_b"].data
-    c = params["dec.c0_w"].data @ z + params["dec.c0_b"].data
     embed, out_w, out_b = (params[n].data for n in ("dec.embed", "dec.out_w", "dec.out_b"))
-    out: list[int] = []
-    token = START
-    for _ in range(max_len):
-        h, c, _ = lstm_step(embed[:, [token]], h, c, w_x, w_h, base)
-        token = int(np.argmax(out_w @ h + out_b))
-        if token == END:
-            break
-        out.append(token)
+    out: list[list[int]] = []
+    for start in range(0, z.shape[1], BLOCK):
+        zb = z[:, start: start + BLOCK]
+        base = w_s @ zb + params["dec.lstm.b"].data
+        h, c = (params[f"dec.{n}_w"].data @ zb + params[f"dec.{n}_b"].data for n in ("h0", "c0"))
+        tokens = np.full(zb.shape[1], START)
+        ended = np.zeros(zb.shape[1], dtype=bool)
+        ids = np.full((zb.shape[1], max_len + 1), END)  # the extra last column ends every row
+        for t in range(max_len):
+            h, c, _ = lstm_step(embed[:, tokens], h, c, w_x, w_h, base)
+            ids[:, t] = tokens = np.argmax(out_w @ h + out_b, axis=0)
+            ended |= tokens == END
+            if ended.all():
+                break
+        out += [row[: row.index(END)] for row in ids.tolist()]
     return out
 
 

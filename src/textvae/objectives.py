@@ -114,10 +114,10 @@ def elbo_step(batch: Batch, config, params: VaeParams, rng: np.random.Generator,
               beta_override: float | None = None, deterministic_z: bool = False) -> LossBreakdown:
     """One surrogate-objective evaluation over a padded batch.
 
-    ``config`` needs alpha, keep_prob, free_bits, warmup_steps and latent_dim
-    attributes (TrainConfig satisfies this).  One latent sample is drawn per
-    sentence; ``eps``/``mask`` freeze the noise for gradient checks,
-    ``deterministic_z`` uses z = mu (the pretraining autoencoder mode).
+    ``config`` is a ``training.TrainConfig``, whose fields are read directly.
+    One latent sample is drawn per sentence; ``eps``/``mask`` freeze the noise
+    for gradient checks, ``deterministic_z`` uses z = mu (the pretraining
+    autoencoder mode).
     """
     if config.alpha < 0:
         raise ConfigError(f"fraternal alpha must be >= 0, got {config.alpha}")
@@ -145,7 +145,7 @@ def elbo_step(batch: Batch, config, params: VaeParams, rng: np.random.Generator,
     kl_cols = kl_columns(post)
     kl_raw = ad.reduce_mean(kl_cols)
     if config.free_bits > 0:
-        if getattr(config, "free_bits_per_dim", False):
+        if config.free_bits_per_dim:
             kl_eff_cols = free_bits_per_dimension(post, config.free_bits, config.latent_dim)
         else:
             kl_eff_cols = free_bits(kl_cols, config.free_bits)

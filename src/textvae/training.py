@@ -174,10 +174,12 @@ class TrainResult:
     log: list[dict]
 
 
-def _dev_elbo(dev_sentences, config: TrainConfig, params: VaeParams, seed, batch_size: int) -> float:
-    """Single-sample negative ELBO on the dev split (beta=1, no dropout)."""
+def _dev_elbo(dev_sentences, config: TrainConfig, params: VaeParams, seed,
+              batch_size: int) -> float | None:
+    """Single-sample negative ELBO on the dev split (beta=1, no dropout);
+    None when there is no dev split."""
     if not dev_sentences:
-        return float("nan")
+        return None
     rng = np.random.default_rng(seed)
     eval_cfg = replace(config, alpha=0.0, keep_prob=1.0, free_bits=0.0)
     total, count = 0.0, 0
@@ -247,7 +249,9 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
         record["wall_time"] = time.perf_counter() - t0
         log.append(record)
 
-        val = record["val_elbo"] if np.isfinite(record["val_elbo"]) else record["total"]
+        val = record["val_elbo"]
+        if val is None or not np.isfinite(val):  # no dev split: select on the training total
+            val = record["total"]
         if val < best_val:
             best_val = val
             best = params.clone()

@@ -49,7 +49,8 @@ def test_train_writes_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert "vocab" in manifest["corpus_hashes"]
-    records = [json.loads(l) for l in (out / "train_log.jsonl").read_text().splitlines()]
+    assert_strict_json_artifacts(out)
+    records = read_log(out)
     assert {"epoch", "reconstruction", "kl_raw", "kl_effective", "beta",
             "fraternal_penalty", "total", "grad_norm", "wall_time"} <= set(records[-1])
     assert records[-1]["grad_norm"] > 0
@@ -87,8 +88,20 @@ def trained_checkpoint(tmp_path_factory):
     return out / "checkpoint.bin"
 
 
+def strict_json(text):
+    """json.loads that fails on NaN and Infinity, which strict JSON does not have."""
+    return json.loads(text, parse_constant=pytest.fail)
+
+
 def read_log(run_dir):
-    return [json.loads(l) for l in (run_dir / "train_log.jsonl").read_text().splitlines()]
+    return [strict_json(l) for l in (run_dir / "train_log.jsonl").read_text().splitlines()]
+
+
+def assert_strict_json_artifacts(out):
+    """``out``'s manifest.json and every train_log.jsonl line below ``out`` parse strictly."""
+    strict_json((out / "manifest.json").read_text())
+    for log in out.rglob("train_log.jsonl"):
+        read_log(log.parent)
 
 
 def assert_finite_checkpoint(path):
@@ -149,7 +162,7 @@ def test_train_numeric_blowup_is_a_divergence(tmp_path, lr, failure):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CODES["numeric"]
     lines = (out / "train_log.jsonl").read_text().splitlines()
-    records = [json.loads(l, parse_constant=pytest.fail) for l in lines]  # strict JSON
+    records = [strict_json(l) for l in lines]
     assert records[-1]["phase"] == "aborted"
     assert failure in records[-1]["error"]
     assert json.loads((out / "manifest.json").read_text())["diverged"] is True
@@ -332,16 +345,17 @@ def test_unknown_config_field_named_in_error(tmp_path, capsys):
     assert "learning" in capsys.readouterr().err
 
 
-def test_text_corpus_train_and_eval(tmp_path):
+def write_text_corpus(tmp_path, **sizes):
+    """A --corpus directory of random sentences over 12 words, and a config for it.
+    ``sizes`` gives each split file's sentence count (default: train, dev and test)."""
+    sizes = sizes or {"train": 60, "dev": 10, "test": 10}
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
     rng = np.random.default_rng(0)
     words = [f"w{i}" for i in range(12)]
-    make = lambda n: [[words[j] for j in rng.integers(0, 12, rng.integers(2, 6))] for _ in range(n)]
-    save_text(make(60), corpus_dir / "train.txt")
-    save_text(make(10), corpus_dir / "dev.txt")
-    save_text(make(10), corpus_dir / "test.txt")
-
+    for name, n in sizes.items():
+        save_text([[words[j] for j in rng.integers(0, 12, rng.integers(2, 6))] for _ in range(n)],
+                  corpus_dir / f"{name}.txt")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "train": {"latent_dim": 4, "embed_dim": 8, "hidden_dim": 12, "epochs": 1,
@@ -349,6 +363,11 @@ def test_text_corpus_train_and_eval(tmp_path):
         "eval": {"n_samples": 2, "mi_samples": 2, "max_gen_len": 6},
         "vocab_size": 30,
     }), encoding="utf-8")
+    return corpus_dir, cfg
+
+
+def test_text_corpus_train_and_eval(tmp_path):
+    corpus_dir, cfg = write_text_corpus(tmp_path)
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
                  "--out-dir", str(out)]) == 0
@@ -357,6 +376,56 @@ def test_text_corpus_train_and_eval(tmp_path):
                  "--checkpoint", str(out / "checkpoint.bin"),
                  "--out-dir", str(eval_out), "--seed", "3"]) == 0
     assert (eval_out / "report.txt").exists()
+    assert_strict_json_artifacts(out)
+    assert_strict_json_artifacts(eval_out)
+
+
+def test_train_without_dev_split_logs_null_val_elbo(tmp_path):
+    # a corpus with no dev.txt has no dev ELBO: the log records null, never NaN, and the
+    # checkpoint is still the epoch with the lowest training total
+    corpus_dir, cfg = write_text_corpus(tmp_path, train=60, test=10)
+    runs = {}
+    for name, epochs in (("full", 4), ("cut", None)):
+        if epochs is None:  # a run cut after the full run's best epoch ends on its parameters
+            totals = [r["total"] for r in read_log(runs["full"].parent)]
+            epochs = totals.index(min(totals)) + 1
+        out = tmp_path / name
+        assert main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
+                     "--out-dir", str(out), "--epochs", str(epochs), "--lr", "0.05"]) == 0
+        assert_strict_json_artifacts(out)
+        assert [r["val_elbo"] for r in read_log(out)] == [None] * epochs
+        runs[name] = out / "checkpoint.bin"
+    (full, _, _), (cut, _, _) = (load_checkpoint(runs[n]) for n in ("full", "cut"))
+    for (name, a), (_, b) in zip(full.named_parameters(), cut.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+@pytest.mark.parametrize("command", ["train", "eval", "sweep", "sample", "interpolate"])
+def test_out_dir_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, trained_checkpoint,
+                                                            command, where):
+    cfg = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n", encoding="utf-8")
+    out = taken if where == "a file" else taken / "run"
+    flags = {"train": [], "sweep": ["--alphas", "0"]}.get(
+        command, ["--checkpoint", str(trained_checkpoint)])
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == \
+        EXIT_CODES["config"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert taken.read_text(encoding="utf-8") == "a file\n"
+
+
+def test_sweep_checks_every_run_directory_before_training(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "alpha_0.1").write_text("a file\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out),
+                 "--alphas", "0,0.1"]) == EXIT_CODES["config"]
+    assert str(out / "alpha_0.1") in capsys.readouterr().err
+    assert not (out / "alpha_0" / "checkpoint.bin").exists()  # refused before the first run
 
 
 def test_eval_empty_split_is_data_error(tmp_path):
@@ -388,6 +457,7 @@ def test_eval_deterministic_report(tmp_path):
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
                      "--out-dir", str(e), "--seed", "5"]) == 0
     assert (e1 / "report.txt").read_bytes() == (e2 / "report.txt").read_bytes()
+    assert_strict_json_artifacts(e1)
 
 
 def test_eval_does_not_mutate_checkpoint(tmp_path):
@@ -407,6 +477,7 @@ def test_sweep_single_alpha(tmp_path):
     table = (out / "sweep_table.txt").read_text().splitlines()
     assert len(table) == 2  # header + one row
     assert table[1].startswith("0")
+    assert_strict_json_artifacts(out)
 
 
 def diverge_alpha_0_1(monkeypatch):
@@ -470,14 +541,13 @@ def test_interpolate_endpoints_and_consistency(tmp_path, capsys):
     assert main(["interpolate", "--checkpoint", str(out / "checkpoint.bin"),
                  "--steps", "2", "--seed", "9", "--max-len", "8"]) == 0
     lines = capsys.readouterr().out.strip("\n").split("\n")
-    assert len(lines) == 2
 
-    # endpoint t=0 must match a standalone greedy decode of z1
+    # the endpoints t=0 and t=1 match standalone one-column greedy decodes of z1 and z2
     params, vocab, _ = load_checkpoint(out / "checkpoint.bin")
     rng = np.random.default_rng(9)
-    z1 = rng.standard_normal(params.latent_dim)
-    expected = " ".join(vocab.decode(decode_greedy(z1, 8, params)))
-    assert lines[0] == expected
+    ends = [rng.standard_normal(params.latent_dim) for _ in range(2)]
+    assert lines == [" ".join(vocab.decode(decode_greedy(z[:, None], 8, params)[0]))
+                     for z in ends]
 
 
 def test_interpolate_deterministic_artifact(tmp_path):
@@ -511,7 +581,13 @@ def test_sample_runs(tmp_path, capsys):
     assert main(["sample", "--checkpoint", str(out / "checkpoint.bin"),
                  "--n", "3", "--seed", "2", "--max-len", "6"]) == 0
     lines = capsys.readouterr().out.strip("\n").split("\n")
-    assert len(lines) == 3
+
+    # line i is the one-column greedy decode of the i-th successive prior draw
+    params, vocab, _ = load_checkpoint(out / "checkpoint.bin")
+    rng = np.random.default_rng(2)
+    draws = [rng.standard_normal(params.latent_dim) for _ in range(3)]
+    assert lines == [" ".join(vocab.decode(decode_greedy(z[:, None], 6, params)[0]))
+                     for z in draws]
 
 
 def test_selfcheck_passes(capsys):

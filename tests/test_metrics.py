@@ -417,8 +417,9 @@ def test_evaluate_deterministic_given_seed():
 
 
 def parent_evaluate_loop(sents, p, config, rng):
-    """The per-sentence evaluation that one encode of the split replaced: each
-    sentence encoded alone and decoded as n_samples repeated rows."""
+    """The per-sentence evaluation that one encode of the split and one batched
+    greedy decode replaced: each sentence encoded alone, decoded as n_samples
+    repeated rows, and greedily decoded from its own single latent column."""
     total_nll, total_words = 0.0, 0
     for sent in sents:
         batch = make_batch([sent])
@@ -435,7 +436,7 @@ def parent_evaluate_loop(sents, p, config, rng):
     pairs = []
     for i, sent in enumerate(sents):
         z = mus[i] + np.exp(0.5 * logvars[i]) * rng.standard_normal(p.latent_dim)
-        pairs.append((sent, decode_greedy(z, config.max_gen_len, p)))
+        pairs.append((sent, decode_greedy(z[:, None], config.max_gen_len, p)[0]))
     return {"nll": total_nll / len(sents), "ppl": math.exp(total_nll / total_words), "au": au,
             "mi": mi, "mi_raw": mi_raw, "bleu": corpus_bleu(pairs)}
 

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import textvae.autodiff as ad
+import textvae.model
 from textvae.autodiff import Tensor, grad_check
 from textvae.cli import EXIT_CODES, main
 from textvae.corpus import END, PAD, Vocabulary, make_batch
 from textvae.errors import DataError, DimensionError
 from textvae.model import (
+    BLOCK,
     CHECKPOINT_MAGIC,
     VaeParams,
     decode_batch,
@@ -309,48 +311,81 @@ def test_decode_twin_masks_deterministic_but_distinct():
     assert not np.allclose(H1, H_comp)
 
 
-def test_decode_greedy_end_maximizer_gives_empty():
+def spy_lstm_step_widths(monkeypatch):
+    """Record the column count of every ``lstm_step`` call made by the model."""
+    widths = []
+    real = textvae.model.lstm_step
+
+    def spy(x, h, *rest):
+        widths.append(h.shape[1])
+        return real(x, h, *rest)
+
+    monkeypatch.setattr(textvae.model, "lstm_step", spy)
+    return widths
+
+
+def test_decode_greedy_end_maximizer_gives_empty(monkeypatch):
     p = tiny_params(12)
     p["dec.out_w"].data[...] = 0.0
     p["dec.out_b"].data[...] = 0.0
     p["dec.out_b"].data[END, 0] = 10.0
-    assert decode_greedy(np.zeros(2), 20, p) == []
+    widths = spy_lstm_step_widths(monkeypatch)
+    assert decode_greedy(np.zeros((2, 3)), 20, p) == [[], [], []]
+    assert widths == [3]  # every column emitted END at the first position
 
 
 def test_decode_greedy_deterministic():
     p = tiny_params(13)
-    z = np.random.default_rng(5).standard_normal(2)
+    z = np.random.default_rng(5).standard_normal((2, 6))
     assert decode_greedy(z, 10, p) == decode_greedy(z, 10, p)
 
 
-def test_decode_greedy_matches_stepwise_oracle():
-    # hand-rolled gate equations with argmax feedback, independent of the stacked cell
-    p = tiny_params(24, vocab_size=9)
-    rng = np.random.default_rng(8)
-
+def greedy_oracle(p, z, max_len):
+    """Hand-rolled gate equations with argmax feedback for one (k,) latent,
+    independent of the stacked cell; returns (ids, whether END was emitted)."""
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
     def d(name):
         return p[f"dec.{name}"].data
 
-    for _ in range(4):
-        z = rng.standard_normal((2, 1))
-        h = d("h0_w") @ z + d("h0_b")
-        c = d("c0_w") @ z + d("c0_b")
-        token, expected = 2, []  # start sentinel
-        for _ in range(12):
-            xh = np.vstack([d("embed")[:, [token]], z, h])
-            i, f, o = (sig(gate_pre(p, "dec", k, xh)) for k in range(3))
-            g = np.tanh(gate_pre(p, "dec", 3, xh))
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            token = int(np.argmax(d("out_w") @ h + d("out_b")))
-            if token == END:
-                break
-            expected.append(token)
-        assert decode_greedy(z[:, 0], 12, p) == expected
-        assert decode_greedy(Tensor(z), 12, p) == expected
+    z = z.reshape(-1, 1)
+    h = d("h0_w") @ z + d("h0_b")
+    c = d("c0_w") @ z + d("c0_b")
+    token, ids = 2, []  # start sentinel
+    for _ in range(max_len):
+        xh = np.vstack([d("embed")[:, [token]], z, h])
+        i, f, o = (sig(gate_pre(p, "dec", k, xh)) for k in range(3))
+        g = np.tanh(gate_pre(p, "dec", 3, xh))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        token = int(np.argmax(d("out_w") @ h + d("out_b")))
+        if token == END:
+            return ids, True
+        ids.append(token)
+    return ids, False
+
+
+def test_decode_greedy_matches_stepwise_oracle():
+    # one (k, B) matrix whose columns end at different positions: one emits END first,
+    # others after a few tokens, and some run to max_len without END
+    p = tiny_params(25, vocab_size=9)
+    z = 3.0 * np.random.default_rng(8).standard_normal((40, 2)).T
+    expected = [greedy_oracle(p, z[:, j], 12) for j in range(z.shape[1])]
+    ends = {len(ids) for ids, ended in expected if ended}
+    assert 0 in ends and len(ends) >= 3
+    assert any(len(ids) == 12 and not ended for ids, ended in expected)
+    assert decode_greedy(z, 12, p) == [ids for ids, _ in expected]
+
+
+def test_decode_greedy_runs_columns_in_blocks(monkeypatch):
+    p = tiny_params(22, vocab_size=9)
+    z = 3.0 * np.random.default_rng(3).standard_normal((2, 100))
+    singles = [decode_greedy(z[:, [j]], 12, p)[0] for j in range(100)]
+    widths = spy_lstm_step_widths(monkeypatch)
+    assert decode_greedy(z, 12, p) == singles
+    assert sorted(set(widths), reverse=True) == [BLOCK, 100 - BLOCK] == [64, 36]
+    assert widths == sorted(widths, reverse=True)  # the block of 64 runs first
 
 
 def test_full_pipeline_gradient_check():
