@@ -29,9 +29,11 @@ from .errors import (
     NumericError,
     TextVaeError,
     TrainingError,
+    TrainingInterrupted,
 )
 from .metrics import EvalConfig, MetricsReport, corpus_bleu, evaluate
-from .model import GaussianPosterior, VaeParams, decode_greedy, load_checkpoint, save_checkpoint
+from .model import (GaussianPosterior, VaeParams, decode_greedy, load_checkpoint, save_checkpoint,
+                    write_file)
 from .objectives import elbo_step, kl_columns
 from .training import TrainConfig, TrainResult, train
 
@@ -41,10 +43,13 @@ EXIT_CODES = {
     "data": 3,
     "numeric": 4,
     "internal": 5,
+    "interrupted": 130,  # Ctrl-C; an interrupted train still writes its last good checkpoint
 }
 
 
 def _exit_code_for(exc: Exception) -> int:
+    if isinstance(exc, TrainingInterrupted):
+        return EXIT_CODES["interrupted"]
     if isinstance(exc, ConfigError):
         return EXIT_CODES["config"]
     if isinstance(exc, DataError):
@@ -55,7 +60,7 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_file(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(path) -> Path:
@@ -74,7 +79,7 @@ def _load_config_file(path) -> dict:
         return {}
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
@@ -208,8 +213,9 @@ def _train_and_save(split: CorpusSplit, tcfg: TrainConfig, vocab: Vocabulary,
                     out: Path) -> TrainResult:
     """Train, then write ``checkpoint.bin`` and ``train_log.jsonl`` into ``out``.
 
-    A run that diverges still writes its last good checkpoint and its log,
-    closed by an "aborted" record, before the TrainingError propagates.
+    A run that diverges or is interrupted still writes its last good
+    checkpoint and its log, closed by an "aborted" or "interrupted" record,
+    before the TrainingError propagates.
     """
     error = None
     try:
@@ -217,11 +223,10 @@ def _train_and_save(split: CorpusSplit, tcfg: TrainConfig, vocab: Vocabulary,
         params, log = result.params, result.log
     except TrainingError as exc:
         error, params = exc, exc.params
-        log = exc.log + [{"phase": "aborted", "error": str(exc)}]
+        log = exc.log + [{"phase": "interrupted"} if isinstance(exc, TrainingInterrupted)
+                         else {"phase": "aborted", "error": str(exc)}]
     save_checkpoint(out / "checkpoint.bin", params, vocab, config=tcfg.to_dict())
-    with open(out / "train_log.jsonl", "w", encoding="utf-8") as fh:
-        for record in log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_file(out / "train_log.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
     if error is not None:
         raise error
     return result
@@ -236,12 +241,13 @@ def cmd_train(args) -> int:
     config_echo = {"train": tcfg.to_dict(), "eval": _eval_config(cfg).to_dict(),
                    "vocab_size": len(vocab)}
     manifest = _manifest("train", args, config_echo, split, vocab, tcfg.seed)
-    vocab.save(out / "vocab.txt")
+    write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
     try:
         result = _train_and_save(split, tcfg, vocab, out)
-    except TrainingError:
-        _write_json(out / "manifest.json", {**manifest, "diverged": True})
-        print(f"training diverged; last good checkpoint written to {out / 'checkpoint.bin'}")
+    except TrainingError as exc:
+        ending = "interrupted" if isinstance(exc, TrainingInterrupted) else "diverged"
+        _write_json(out / "manifest.json", {**manifest, ending: True})
+        print(f"training {ending}; last good checkpoint written to {out / 'checkpoint.bin'}")
         raise
     _write_json(out / "manifest.json", manifest)
 
@@ -268,7 +274,7 @@ def cmd_eval(args) -> int:
     print(MetricsReport.table_header())
     print(report.table_row(Path(args.checkpoint).stem))
     if out is not None:
-        (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
+        write_file(out / "report.txt", report.to_text())
         config_echo = {"eval": ecfg.to_dict(), "split": args.split}
         _write_json(out / "manifest.json",
                     _manifest("eval", args, config_echo, split, vocab, _eval_seed(args)))
@@ -290,33 +296,39 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--alphas repeats a value (as run directories: {labels})")
     base = _train_config(cfg, args)
     split, vocab = _resolve_corpus(cfg, args.corpus)
+    if not split.test:
+        raise DataError("test split is empty: sweep evaluates every run on it")
     ecfg = _eval_config(cfg)
     out = _out_dir(args.out_dir)
     run_dirs = [_out_dir(out / f"alpha_{label}") for label in labels]  # all before any run
 
     rows = [MetricsReport.table_header("alpha")]
-    failed, error = [], None
+    failed, error, interrupt = [], None, None
     for alpha, label, run_dir in zip(alphas, labels, run_dirs):
         tcfg = replace(base, alpha=alpha)
         try:
             result = _train_and_save(split, tcfg, vocab, run_dir)
             report = evaluate(split.test, result.params, ecfg, np.random.default_rng(tcfg.seed))
-            (run_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
+            write_file(run_dir / "report.txt", report.to_text())
             rows.append(report.table_row(label))
+        except (TrainingInterrupted, KeyboardInterrupt) as exc:
+            interrupt = exc  # stop here; the table keeps the runs so far
+            break
         except TextVaeError as exc:
             failed.append(alpha)
             error = exc
             rows.append(f"{alpha:<24g} FAILED: {exc}")
         print(rows[-1])
 
-    table = "\n".join(rows) + "\n"
-    (out / "sweep_table.txt").write_text(table, encoding="utf-8")
+    write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")
     config_echo = {"train": base.to_dict(), "eval": ecfg.to_dict(), "alphas": alphas}
-    _write_json(out / "manifest.json",
-                {**_manifest("sweep", args, config_echo, split, vocab, base.seed),
-                 "failed_alphas": failed})
+    manifest = {**_manifest("sweep", args, config_echo, split, vocab, base.seed),
+                "failed_alphas": failed}
+    _write_json(out / "manifest.json", {**manifest, "interrupted": True} if interrupt else manifest)
     print(f"\nsweep table written to {out / 'sweep_table.txt'}"
           + (f" ({len(failed)} run(s) failed)" if failed else ""))
+    if interrupt is not None:
+        raise interrupt
     if len(failed) == len(alphas):
         raise error  # no alpha succeeded: exit with the code of the last failure
     return 0
@@ -330,7 +342,7 @@ def _decode_and_write(args, params: VaeParams, vocab: Vocabulary, z: np.ndarray,
     for line in lines:
         print(line)
     if out is not None:
-        (out / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_file(out / filename, "\n".join(lines) + "\n")
         _write_json(out / "manifest.json",
                     _manifest(args.command, args, config_echo, None, vocab, _eval_seed(args)))
     return 0
@@ -519,6 +531,9 @@ def main(argv=None) -> int:
     except TextVaeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_CODES["interrupted"]
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CODES["internal"]

@@ -41,10 +41,6 @@ class Vocabulary:
     def decode(self, ids) -> list[str]:
         return [self.id_to_token[i] for i in ids]
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.id_to_token) + "\n")
-
 
 def build_vocab(sentences, max_size: int) -> Vocabulary:
     """Keep the most frequent tokens, ties broken lexicographically."""
@@ -67,7 +63,7 @@ def load_text(path) -> list[list[str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     return [line.split() for line in lines if line.strip()]
 

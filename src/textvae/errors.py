@@ -35,3 +35,7 @@ class TrainingError(TextVaeError):
         super().__init__(message)
         self.params = params
         self.log = log
+
+
+class TrainingInterrupted(TrainingError):
+    """Training was interrupted (Ctrl-C). Carries the last good parameters and the log."""

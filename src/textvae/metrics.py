@@ -88,14 +88,6 @@ def active_units_from_means(mus: np.ndarray, threshold: float = 0.01):
     return int(np.sum(variances > threshold)), variances
 
 
-def _diag_gaussian_logpdf(z: np.ndarray, mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
-    """log N(z; mu, diag(exp(logvar))) for (S,k) samples against (N,k) components -> (S,N)."""
-    var = np.exp(logvar)
-    quad = ((z[:, None, :] - mu[None, :, :]) ** 2 / var[None, :, :]).sum(axis=2)
-    norm = (logvar.sum(axis=1) + z.shape[1] * _LOG_2PI)[None, :]
-    return -0.5 * (norm + quad)
-
-
 def mutual_information_from_posteriors(mus: np.ndarray, logvars: np.ndarray,
                                        n_z_samples: int, rng: np.random.Generator):
     """I(x; z) estimate: mean KL-to-prior minus aggregate-posterior-to-prior gap.
@@ -106,16 +98,29 @@ def mutual_information_from_posteriors(mus: np.ndarray, logvars: np.ndarray,
     log-sum-exp over all components.  Each sample's gap is bounded by ln N,
     so the estimate inherits that bound.  Returns (clamped, raw); raw
     estimates within noise of zero are snapped to exactly zero.
+
+    Sentence i's S draws are rows i·S .. i·S + S − 1 of one (N·S, k)
+    matrix.  Blocks of ``BLOCK`` sentences are scored against all N
+    components at once, the Gaussian quadratic form expanded into two
+    matrix products.
     """
     n, k = mus.shape
+    s = n_z_samples
+    inv_var = np.exp(-logvars)
+    mu_inv_var = mus * inv_var
+    # log N(z; mu_n, var_n) = -0.5 * (z²·(1/var_n) − 2·z·(mu_n/var_n) + norm_n)
+    norm = (mus * mu_inv_var).sum(axis=1) + logvars.sum(axis=1) + k * _LOG_2PI
+    eps = rng.standard_normal((n, s, k))  # the same stream as n draws of (S, k)
+    z = (mus[:, None, :] + np.exp(0.5 * logvars)[:, None, :] * eps).reshape(n * s, k)
+    own = np.repeat(np.arange(n), s)  # the component each row was drawn from
     gaps = []
-    for i in range(n):
-        eps = rng.standard_normal((n_z_samples, k))
-        z = mus[i] + np.exp(0.5 * logvars[i]) * eps
-        log_components = _diag_gaussian_logpdf(z, mus, logvars)
+    for start in range(0, n * s, BLOCK * s):
+        zb = z[start: start + BLOCK * s]
+        log_components = -0.5 * ((zb * zb) @ inv_var.T - 2.0 * (zb @ mu_inv_var.T) + norm)
         m = log_components.max(axis=1, keepdims=True)
         log_aggregate = (m[:, 0] + np.log(np.exp(log_components - m).sum(axis=1))) - math.log(n)
-        gaps.append(log_components[:, i] - log_aggregate)
+        rows = np.arange(len(zb))
+        gaps.append(log_components[rows, own[start: start + len(zb)]] - log_aggregate)
     raw = float(np.mean(np.concatenate(gaps)))
     if abs(raw) < 1e-9:
         return 0.0, raw

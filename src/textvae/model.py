@@ -423,7 +423,7 @@ def decode_greedy(z: np.ndarray, max_len: int, params: VaeParams) -> list[list[i
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# checkpoints and other artifact files
 
 
 def _config_echo(params: VaeParams, extra: dict | None) -> dict:
@@ -434,11 +434,24 @@ def _config_echo(params: VaeParams, extra: dict | None) -> dict:
     return echo
 
 
+def write_file(path, data: bytes | str) -> None:
+    """Write ``data`` (``str`` as UTF-8) to ``path`` whole or not at all, through
+    ``<name>.tmp`` beside it; every artifact a run writes goes through here."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, params: VaeParams, vocab: Vocabulary, config: dict | None = None) -> None:
     """Single self-describing file: JSON header + raw little-endian float64 blobs.
 
-    The file is written beside ``path`` under a temporary name and moved into
-    place, so a failed save leaves any previous checkpoint intact.
+    The whole file is serialized before ``write_file`` opens anything, so a
+    failed save leaves any previous checkpoint intact.
     """
     named = params.named_parameters()
     header = {
@@ -448,19 +461,8 @@ def save_checkpoint(path, params: VaeParams, vocab: Vocabulary, config: dict | N
         "vocab_hash": vocab.hash,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for _, t in named:
-                fh.write(t.data.astype("<f8").tobytes(order="C"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_file(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
+                              + [t.data.astype("<f8").tobytes(order="C") for _, t in named]))
 
 
 def load_checkpoint(path):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import tape
 from .corpus import CorpusSplit, batches
-from .errors import ConfigError, NumericError, TrainingError
+from .errors import ConfigError, NumericError, TrainingError, TrainingInterrupted
 from .model import VaeParams
 from .objectives import elbo_step
 
@@ -197,7 +197,8 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
     ``phase="pretrain"`` is the deterministic-autoencoder variant: z = mu and
     beta forced to 0.  Returns the best-validation parameters.  A step or a
     dev ELBO that fails numerically raises TrainingError carrying those
-    parameters and ``log``.
+    parameters and ``log``; a KeyboardInterrupt becomes TrainingInterrupted,
+    carrying the same.
     """
     pretrain = phase == "pretrain"
     named = params.named_parameters()
@@ -207,54 +208,59 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
     step = 0
     t0 = time.perf_counter()
 
-    for epoch in range(config.epochs):
-        sums = {k: 0.0 for k in ("reconstruction", "kl_raw", "kl_effective",
-                                 "beta", "fraternal_penalty", "total")}
-        seen = 0
-        norms = []
-        for batch in batches(corpus.train, config.batch_size, seed=config.seed, epoch=epoch):
+    try:
+        for epoch in range(config.epochs):
+            sums = {k: 0.0 for k in ("reconstruction", "kl_raw", "kl_effective",
+                                     "beta", "fraternal_penalty", "total")}
+            seen = 0
+            norms = []
+            for batch in batches(corpus.train, config.batch_size, seed=config.seed, epoch=epoch):
+                try:
+                    with tape() as t:
+                        lb = elbo_step(batch, config, params, rng, step=step,
+                                       beta_override=0.0 if pretrain else None,
+                                       deterministic_z=pretrain)
+                        adjoints = t.backward(lb.total)
+                    scalars = lb.scalars()
+                    if not np.isfinite(scalars["total"]):
+                        raise TrainingError(f"loss {scalars['total']}")
+                    # parameters the loss does not reach (enc.logvar_* in pretraining) get zeros
+                    grads = {n: adjoints[p] if p in adjoints else np.zeros_like(p.data)
+                             for n, p in named}
+                    norms.append(clip_gradients(grads, config.clip_norm))
+                    adam_step(named, grads, state, config.lr,
+                              config.adam_beta1, config.adam_beta2, config.adam_eps)
+                except (NumericError, TrainingError) as exc:
+                    raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
+                                        f"{exc}", params=best, log=log) from exc
+                for k in sums:
+                    sums[k] += scalars[k] * batch.size
+                seen += batch.size
+                step += 1
+
+            record = {k: sums[k] / seen for k in sums}
+            record["grad_norm"] = float(np.mean(norms))
+            record["epoch"] = epoch
+            record["phase"] = phase
             try:
-                with tape() as t:
-                    lb = elbo_step(batch, config, params, rng, step=step,
-                                   beta_override=0.0 if pretrain else None,
-                                   deterministic_z=pretrain)
-                    adjoints = t.backward(lb.total)
-                scalars = lb.scalars()
-                if not np.isfinite(scalars["total"]):
-                    raise TrainingError(f"loss {scalars['total']}")
-                # parameters the loss does not reach (enc.logvar_* in pretraining) get zeros
-                grads = {n: adjoints.get(p, np.zeros_like(p.data)) for n, p in named}
-                norms.append(clip_gradients(grads, config.clip_norm))
-                adam_step(named, grads, state, config.lr,
-                          config.adam_beta1, config.adam_beta2, config.adam_eps)
-            except (NumericError, TrainingError) as exc:
-                raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
-                                    f"{exc}", params=best, log=log) from exc
-            for k in sums:
-                sums[k] += scalars[k] * batch.size
-            seen += batch.size
-            step += 1
+                record["val_elbo"] = _dev_elbo(corpus.dev, config, params,
+                                               seed=[config.seed, 1000 + epoch],
+                                               batch_size=config.batch_size)
+            except NumericError as exc:
+                raise TrainingError(f"dev ELBO failed in {phase} epoch {epoch}: {exc}",
+                                    params=best, log=log) from exc
+            record["wall_time"] = time.perf_counter() - t0
+            log.append(record)
 
-        record = {k: sums[k] / seen for k in sums}
-        record["grad_norm"] = float(np.mean(norms))
-        record["epoch"] = epoch
-        record["phase"] = phase
-        try:
-            record["val_elbo"] = _dev_elbo(corpus.dev, config, params,
-                                           seed=[config.seed, 1000 + epoch],
-                                           batch_size=config.batch_size)
-        except NumericError as exc:
-            raise TrainingError(f"dev ELBO failed in {phase} epoch {epoch}: {exc}",
-                                params=best, log=log) from exc
-        record["wall_time"] = time.perf_counter() - t0
-        log.append(record)
-
-        val = record["val_elbo"]
-        if val is None or not np.isfinite(val):  # no dev split: select on the training total
-            val = record["total"]
-        if val < best_val:
-            best_val = val
-            best = params.clone()
+            val = record["val_elbo"]
+            if val is None or not np.isfinite(val):  # no dev split: select on the training total
+                val = record["total"]
+            if val < best_val:
+                best_val = val
+                best = params.clone()
+    except KeyboardInterrupt as exc:
+        raise TrainingInterrupted(f"training interrupted in {phase} at step {step}",
+                                  params=best, log=log) from exc
 
     return best
 
@@ -269,7 +275,7 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int) -> TrainRes
     standard loop all draw from one ``default_rng(config.seed)`` in that
     order.  A step that fails numerically, in either phase, raises
     TrainingError carrying the best parameters of that phase so far and the
-    whole log.
+    whole log; an interrupt raises TrainingInterrupted with the same.
     """
     config.validate()
     if not corpus.train:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,90 @@ def test_train_numeric_blowup_is_a_divergence(tmp_path, lr, failure):
     assert failure in records[-1]["error"]
     assert json.loads((out / "manifest.json").read_text())["diverged"] is True
     assert_finite_checkpoint(out / "checkpoint.bin")
+
+
+def test_train_interrupt_keeps_last_good(tmp_path, monkeypatch, capsys):
+    import textvae.training as training_mod
+
+    cfg = write_config(tmp_path, train={"epochs": 3})
+    one = tmp_path / "one_epoch"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(one), "--epochs", "1"]) == 0
+
+    real = training_mod.elbo_step
+    calls = {"n": 0}
+
+    def interrupting(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 8:  # epoch 0 is 5 train steps and 1 dev batch; this is step 6
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training_mod, "elbo_step", interrupting)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == \
+        EXIT_CODES["interrupted"] == 130
+    assert "train at step 6" in capsys.readouterr().err
+    records = read_log(out)
+    assert [(r["phase"], r["epoch"]) for r in records[:-1]] == [("train", 0)]
+    assert records[-1] == {"phase": "interrupted"}
+    assert json.loads((out / "manifest.json").read_text())["interrupted"] is True
+    (got, _, _), (want, _, _) = (load_checkpoint(d / "checkpoint.bin") for d in (out, one))
+    for (name, a), (_, b) in zip(got.named_parameters(), want.named_parameters()):
+        assert np.array_equal(a.data, b.data), name
+
+
+def test_eval_interrupt_writes_no_report(tmp_path, monkeypatch, trained_checkpoint):
+    import textvae.cli as cli_mod
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "evaluate", interrupted)
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", str(write_config(tmp_path)), "--checkpoint",
+                 str(trained_checkpoint), "--out-dir", str(out)]) == EXIT_CODES["interrupted"]
+    assert list(out.iterdir()) == []
+
+
+def test_every_artifact_goes_through_write_file(tmp_path, monkeypatch):
+    import textvae.cli as cli_mod
+    import textvae.model as model_mod
+
+    real = model_mod.write_file
+    written = set()
+
+    def recording(path, data):
+        written.add(Path(path))
+        real(path, data)
+
+    monkeypatch.setattr(model_mod, "write_file", recording)  # save_checkpoint's writer
+    monkeypatch.setattr(cli_mod, "write_file", recording)
+    cfg = write_config(tmp_path)
+    ckpt = ["--checkpoint", str(tmp_path / "train" / "checkpoint.bin")]
+    runs = {"train": [], "eval": ckpt, "sweep": ["--alphas", "0,0.1"],
+            "sample": ckpt + ["--n", "3"], "interpolate": ckpt}
+    left = set()
+    for command, flags in runs.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == 0
+        left |= {f for f in out.rglob("*") if f.is_file()}
+    assert {f.name for f in left} == {
+        "checkpoint.bin", "train_log.jsonl", "vocab.txt", "manifest.json", "report.txt",
+        "sweep_table.txt", "samples.txt", "interpolations.txt"}
+    assert left == written
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("bad", ["corpus", "config"])
+def test_non_utf8_input_is_a_typed_error(tmp_path, capsys, bad):
+    corpus_dir, cfg = write_text_corpus(tmp_path)
+    path, code = {"corpus": (corpus_dir / "train.txt", "data"),
+                  "config": (cfg, "config")}[bad]
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_CODES[code]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_train_eval_round_trip_is_seed_deterministic(tmp_path):
@@ -480,15 +565,15 @@ def test_sweep_single_alpha(tmp_path):
     assert_strict_json_artifacts(out)
 
 
-def diverge_alpha_0_1(monkeypatch):
-    """Make the alpha=0.1 run of a sweep overflow in epoch 1 (step 7)."""
+def diverge_alpha_0_1(monkeypatch, failure=NumericError("exp would overflow: max input 800")):
+    """Make the alpha=0.1 run of a sweep raise ``failure`` in epoch 1 (step 7)."""
     import textvae.training as training_mod
 
     real = training_mod.elbo_step
 
     def failing(batch, config, params, rng, step=0, **kwargs):
         if config.alpha == 0.1 and step == 7:
-            raise NumericError("exp would overflow: max input 800")
+            raise failure
         return real(batch, config, params, rng, step=step, **kwargs)
 
     monkeypatch.setattr(training_mod, "elbo_step", failing)
@@ -522,6 +607,32 @@ def test_sweep_every_alpha_failed_exits_with_last_failure(tmp_path, monkeypatch,
     assert json.loads((out / "manifest.json").read_text())["failed_alphas"] == [0.1]
     assert "FAILED" in (out / "sweep_table.txt").read_text().splitlines()[1]
     assert_finite_checkpoint(out / "alpha_0.1" / "checkpoint.bin")
+
+
+def test_sweep_interrupted_keeps_the_finished_rows(tmp_path, monkeypatch):
+    diverge_alpha_0_1(monkeypatch, KeyboardInterrupt())
+    cfg = write_config(tmp_path, train={"epochs": 2})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out),
+                 "--alphas", "0,0.1,0.5"]) == EXIT_CODES["interrupted"]
+    table = (out / "sweep_table.txt").read_text().splitlines()
+    assert len(table) == 2 and table[1].startswith("0 ") and "FAILED" not in table[1]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["interrupted"] is True and manifest["failed_alphas"] == []
+    assert (out / "alpha_0" / "report.txt").exists()
+    assert read_log(out / "alpha_0.1")[-1] == {"phase": "interrupted"}
+    assert_finite_checkpoint(out / "alpha_0.1" / "checkpoint.bin")
+    assert not (out / "alpha_0.1" / "report.txt").exists()
+    assert list((out / "alpha_0.5").iterdir()) == []  # stopped before the third run
+
+
+def test_sweep_empty_test_split_is_refused_before_training(tmp_path, capsys):
+    cfg = write_config(tmp_path, synthetic={"n_test": 0})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out),
+                 "--alphas", "0,1"]) == EXIT_CODES["data"]
+    assert "test split is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_deterministic(tmp_path):

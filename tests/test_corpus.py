@@ -17,6 +17,7 @@ from textvae.corpus import (
     load_text,
     make_batch,
 )
+from textvae.cli import main
 from textvae.errors import ConfigError, DataError
 
 
@@ -61,10 +62,14 @@ def test_vocab_deterministic_over_shuffles():
 
 
 def test_vocab_save_load_roundtrip(tmp_path):
+    # the vocab.txt a train run writes: one token per line, in id order
     v = build_vocab([["a", "b", "b"]], max_size=8)
-    path = tmp_path / "vocab.txt"
-    v.save(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "train.txt").write_text("a b b\n", encoding="utf-8")
+    (tmp_path / "cfg.json").write_text('{"vocab_size": 8}', encoding="utf-8")
+    assert main(["train", "--config", str(tmp_path / "cfg.json"), "--corpus",
+                 str(tmp_path / "corpus"), "--epochs", "0", "--out-dir", str(tmp_path / "run")]) == 0
+    lines = (tmp_path / "run" / "vocab.txt").read_text(encoding="utf-8").splitlines()
     assert lines == ["<pad>", "<unk>", "<s>", "</s>", "b", "a"]
     v2 = Vocabulary(lines[len(RESERVED_TOKENS):])
     assert v2.id_to_token == v.id_to_token

@@ -291,6 +291,36 @@ def test_mi_model_wrapper_collapsed():
     assert mutual_information_from_posteriors(mus, logvars, 5, np.random.default_rng(0))[0] == 0.0
 
 
+def per_sentence_mi_oracle(mus, logvars, n_z_samples, rng):
+    """The raw MI estimate, one sentence at a time, from an explicit (S, N, k)
+    difference array per sentence: the direct form of the estimator."""
+    n, k = mus.shape
+    var = np.exp(logvars)
+    norm = logvars.sum(axis=1) + k * math.log(2.0 * math.pi)
+    gaps = []
+    for i in range(n):
+        eps = rng.standard_normal((n_z_samples, k))
+        z = mus[i] + np.exp(0.5 * logvars[i]) * eps
+        quad = ((z[:, None, :] - mus[None, :, :]) ** 2 / var[None, :, :]).sum(axis=2)
+        log_components = -0.5 * (norm[None, :] + quad)
+        m = log_components.max(axis=1, keepdims=True)
+        log_aggregate = (m[:, 0] + np.log(np.exp(log_components - m).sum(axis=1))) - math.log(n)
+        gaps.append(log_components[:, i] - log_aggregate)
+    return float(np.mean(np.concatenate(gaps)))
+
+
+@pytest.mark.parametrize("n, scale", [(3, 0.3), (64, 0.05), (130, 0.3), (130, 3.0)])
+def test_mi_matches_per_sentence_oracle(n, scale):
+    # blocks of model.BLOCK sentences (130 is two full blocks and a partial one) and
+    # GEMM-expanded quadratic forms agree with the direct per-sentence form
+    rng = np.random.default_rng(n)
+    mus = scale * rng.standard_normal((n, 8))
+    logvars = rng.uniform(-4.0, 0.5, (n, 8))
+    oracle = per_sentence_mi_oracle(mus, logvars, 7, np.random.default_rng(5))
+    _, raw = mutual_information_from_posteriors(mus, logvars, 7, np.random.default_rng(5))
+    assert abs(raw - oracle) <= 1e-12 * abs(oracle)
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 

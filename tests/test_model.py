@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from textvae.model import (
     load_checkpoint,
     reparameterize,
     save_checkpoint,
+    write_file,
 )
 
 
@@ -562,6 +564,24 @@ def test_checkpoint_failed_save_keeps_previous(tmp_path):
         save_checkpoint(path, p, vocab)
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+@pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_write_file_failed_write_keeps_previous(tmp_path, monkeypatch, failure):
+    path = tmp_path / "report.txt"
+    write_file(path, "before\n")
+    real = Path.write_bytes
+
+    def half_then_fail(self, data):  # the temporary file gets half its bytes
+        real(self, data[: len(data) // 2])
+        raise failure
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(type(failure)):
+        write_file(path, "after, and longer than before\n")
+    assert path.read_bytes() == b"before\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
 
 
 def test_reset_decoder_keeps_encoder_bitwise(tmp_path):
