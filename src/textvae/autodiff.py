@@ -325,14 +325,16 @@ class GradCheckReport:
 # ~1e-10 roundoff noise; without a floor, parameters whose true gradient is
 # zero would divide noise by noise.
 _REL_ERR_FLOOR = 1e-4
+# central-difference step
+_FD_STEP = 1e-5
 
 
-def grad_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+def grad_check(f, params, tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients of ``f()`` with central finite differences.
 
     ``f`` must be a zero-argument deterministic program returning a scalar
     Tensor; ``params`` is a dict or iterable of (name, Tensor).  Every
-    parameter entry is perturbed by ±h.
+    parameter entry is perturbed by ±_FD_STEP.
     """
     if isinstance(params, dict):
         named = list(params.items())
@@ -358,12 +360,12 @@ def grad_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + _FD_STEP
             up = f().item()
-            flat[i] = orig - h
+            flat[i] = orig - _FD_STEP
             down = f().item()
             flat[i] = orig
-            numeric[i] = (up - down) / (2.0 * h)
+            numeric[i] = (up - down) / (2.0 * _FD_STEP)
         a = analytic[name].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), _REL_ERR_FLOOR)
         err = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0

@@ -32,6 +32,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # epsilon substituted for zero n-gram precisions so a single miss does not
 # annihilate the geometric mean
 BLEU_EPSILON = 1e-9
+# longest n-gram order BLEU counts
+BLEU_MAX_N = 4
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +159,10 @@ def _bleu_from_counts(matches, totals, ref_len: int, hyp_len: int) -> float:
     return geo * brevity
 
 
-def corpus_bleu(pairs, max_n: int = 4) -> float:
-    """Aggregate-count BLEU over (reference, hypothesis) pairs."""
-    matches = [0] * max_n
-    totals = [0] * max_n
+def corpus_bleu(pairs) -> float:
+    """Aggregate-count BLEU over (reference, hypothesis) pairs, n-grams up to BLEU_MAX_N."""
+    matches = [0] * BLEU_MAX_N
+    totals = [0] * BLEU_MAX_N
     ref_len = hyp_len = 0
     n_pairs = 0
     for reference, hypothesis in pairs:
@@ -171,7 +173,7 @@ def corpus_bleu(pairs, max_n: int = 4) -> float:
         n_pairs += 1
         ref_len += len(reference)
         hyp_len += len(hypothesis)
-        for n in range(1, max_n + 1):
+        for n in range(1, BLEU_MAX_N + 1):
             m, t = _clipped_matches(reference, hypothesis, n)
             matches[n - 1] += m
             totals[n - 1] += t

@@ -1,15 +1,23 @@
-"""ELBO assembly: closed-form KL, linear KL annealing, free bits, fraternal
-twin pass, all over padded batches.
+"""ELBO assembly: closed-form KL, free bits, fraternal twin pass, all over
+padded batches.
 
 All losses are built in minimization form: the training step minimizes
 
     reconstruction + beta * kl_effective + alpha * fraternal_penalty
 
 where reconstruction is the negative (twin-mean) log-likelihood averaged
-over the batch.  The twin pass feeds the SAME latent sample through two
-decoders whose input embeddings are masked with complementary draws, so
-making the hidden states agree forces the decoder to route information
-through the latent variable rather than the words.
+over the batch.  The twin pass runs ONE decoder twice, with shared weights,
+on the same latent sample: the first pass keeps the input words of a
+Bernoulli(keep_prob) mask, its twin keeps exactly the others (so only
+1 - keep_prob of the words).  alpha scales the batch mean of each
+sentence's squared hidden-state gap between the passes, summed over its
+valid positions and divided by (valid positions x hidden dim).  Making the
+hidden states agree forces the decoder to route information through the
+latent variable rather than the words.  Zolna et al. (2018) penalize the
+pre-softmax logits instead.
+
+``elbo_step`` is a pure function of its inputs: the training loop draws the
+latent noise and the mask and sets beta (see ``training``).
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Batch
-from .errors import ConfigError
-from .layers import sample_masks
 from .model import (GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize,
                     sentence_sums)
 
@@ -38,20 +44,15 @@ def kl_columns(post: GaussianPosterior) -> Tensor:
     return ad.column_sums(_kl_elementwise(post.mu, post.logvar))
 
 
-def free_bits(kl_total: Tensor, lam: float) -> Tensor:
-    """max(kl, lambda): below the threshold the term is constant (no gradient)."""
-    if lam < 0:
-        raise ConfigError(f"free-bits threshold must be >= 0, got {lam}")
-    return ad.maximum_scalar(kl_total, lam)
-
-
-def free_bits_per_dimension(post: GaussianPosterior, lam: float, latent_dim: int) -> Tensor:
-    """Per-dimension variant: the lambda budget is split evenly across
-    dimensions and each coordinate's KL is clamped separately.  (1, B) row."""
-    if lam < 0:
-        raise ConfigError(f"free-bits threshold must be >= 0, got {lam}")
-    clamped = ad.maximum_scalar(_kl_elementwise(post.mu, post.logvar), lam / latent_dim)
-    return ad.column_sums(clamped)
+def free_bits(post: GaussianPosterior, lam: float, per_dim: bool) -> Tensor:
+    """Per-sentence KL floored at ``lam`` as a (1, B) row: max(kl, lambda), so
+    below the threshold the term is constant (no gradient).  With ``per_dim``
+    the budget is split evenly across the k dimensions and each coordinate's
+    KL is clamped separately."""
+    kl = _kl_elementwise(post.mu, post.logvar)
+    if per_dim:
+        return ad.column_sums(ad.maximum_scalar(kl, lam / kl.shape[0]))
+    return ad.maximum_scalar(ad.column_sums(kl), lam)
 
 
 def _hidden_gap_penalty(H_a: Tensor, H_b: Tensor, valid: np.ndarray) -> Tensor:
@@ -67,19 +68,9 @@ def _hidden_gap_penalty(H_a: Tensor, H_b: Tensor, valid: np.ndarray) -> Tensor:
     return sentence_sums(per_position, valid / (valid.sum(axis=0) * H_a.shape[0]))
 
 
-def fraternal_batch(z: Tensor, batch: Batch, keep_prob: float, params: VaeParams,
-                    rng: np.random.Generator, mask: np.ndarray | None = None):
-    """Twin decode with complementary masks; returns (mean log-lik (1,B), penalty (1,B)).
-
-    One mask pair is drawn per sentence per call; ``mask`` freezes the base
-    draw (tests, gradient checks).
-    """
-    B, L = batch.ids.shape
-    n_steps = L + 1
-    if mask is None:
-        mask = sample_masks((B, n_steps), keep_prob, rng)
-    else:
-        mask = np.asarray(mask, dtype=np.float64).reshape(B, n_steps)
+def fraternal_batch(z: Tensor, batch: Batch, mask: np.ndarray, params: VaeParams):
+    """Twin decode under ``mask`` (B, L+1) and its complement 1 - mask; returns
+    (mean log-lik (1,B), penalty (1,B))."""
     ll_a, H_a, valid = decode_batch(z, batch.ids, batch.lengths, params, mask=mask)
     ll_b, H_b, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=1.0 - mask)
     mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)
@@ -109,56 +100,33 @@ class LossBreakdown:
         }
 
 
-def elbo_step(batch: Batch, config, params: VaeParams, rng: np.random.Generator, step: int = 0,
-              eps: np.ndarray | None = None, mask: np.ndarray | None = None,
-              beta_override: float | None = None, deterministic_z: bool = False) -> LossBreakdown:
+def elbo_step(batch: Batch, config, params: VaeParams, eps: np.ndarray | None,
+              mask: np.ndarray | None, beta: float) -> LossBreakdown:
     """One surrogate-objective evaluation over a padded batch.
 
     ``config`` is a ``training.TrainConfig``, whose fields are read directly.
-    One latent sample is drawn per sentence; ``eps``/``mask`` freeze the noise
-    for gradient checks, ``deterministic_z`` uses z = mu (the pretraining
-    autoencoder mode).
+    ``eps`` is the (k, B) latent noise, or None for z = mu (the pretraining
+    autoencoder mode); ``mask`` is the (B, L+1) word-dropout mask of the
+    first decoder pass, or None for no dropout, and must be given when
+    alpha > 0; ``beta`` weighs the KL term.
     """
-    if config.alpha < 0:
-        raise ConfigError(f"fraternal alpha must be >= 0, got {config.alpha}")
-    B = batch.size
-
     post = encode_batch(batch.ids, batch.lengths, params)
-    if deterministic_z:
-        z = post.mu
-    else:
-        if eps is None:
-            eps = rng.standard_normal((config.latent_dim, B))
-        z = reparameterize(post, eps)
+    z = post.mu if eps is None else reparameterize(post, eps)
 
     if config.alpha > 0:
-        mean_ll, penalty_cols = fraternal_batch(z, batch, config.keep_prob, params, rng, mask=mask)
+        mean_ll, penalty_cols = fraternal_batch(z, batch, mask, params)
         penalty = ad.reduce_mean(penalty_cols)
     else:
-        single_mask = mask
-        if single_mask is None and config.keep_prob < 1.0:
-            single_mask = sample_masks((B, batch.ids.shape[1] + 1), config.keep_prob, rng)
-        mean_ll, _, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=single_mask)
+        mean_ll, _, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=mask)
         penalty = Tensor(0.0)
 
     reconstruction = ad.scale(ad.reduce_mean(mean_ll), -1.0)
     kl_cols = kl_columns(post)
     kl_raw = ad.reduce_mean(kl_cols)
     if config.free_bits > 0:
-        if config.free_bits_per_dim:
-            kl_eff_cols = free_bits_per_dimension(post, config.free_bits, config.latent_dim)
-        else:
-            kl_eff_cols = free_bits(kl_cols, config.free_bits)
+        kl_effective = ad.reduce_mean(free_bits(post, config.free_bits, config.free_bits_per_dim))
     else:
-        kl_eff_cols = kl_cols
-    kl_effective = ad.reduce_mean(kl_eff_cols)
-
-    if beta_override is not None:
-        beta = float(beta_override)
-    else:
-        if config.warmup_steps is None:
-            raise ConfigError("warmup_steps is unresolved; train() resolves it, or pass beta_override")
-        beta = min(step / config.warmup_steps, 1.0)  # linear KL warmup
+        kl_effective = kl_raw
 
     total = ad.add(reconstruction, ad.scale(kl_effective, beta))
     if config.alpha > 0:

@@ -1,8 +1,14 @@
 """Stochastic-gradient training loop, Adam optimizer, pretraining protocol.
 
-A run is fully determined by (seed, config, corpus): parameter init, batch
-shuffling, latent noise and dropout masks all come from one seeded generator
-consumed in a fixed order.
+A run is fully determined by (seed, config, corpus).  Batch shuffling is
+seeded per epoch; everything else the training loop uses comes from one
+``default_rng(config.seed)``, consumed in this order: the parameter init,
+then per training step the latent noise ``eps`` (not in pretraining, where
+z = mu) and then the word-dropout mask (only when alpha > 0 or
+keep_prob < 1), then after pretraining the decoder reset, then the steps of
+the standard loop.  The loop also sets the KL weight: beta = 0 in
+pretraining, else the linear warmup min(step / warmup_steps, 1).  The dev
+ELBO draws its noise from its own generator, seeded per epoch.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 from .autodiff import tape
 from .corpus import CorpusSplit, batches
 from .errors import ConfigError, NumericError, TrainingError, TrainingInterrupted
+from .layers import sample_masks
 from .model import VaeParams
 from .objectives import elbo_step
 
@@ -113,16 +120,12 @@ def adam_step(params, grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
     """Bias-corrected Adam update, in place on the parameter tensors.
 
-    Every gradient is checked before anything is updated: a non-finite
-    gradient raises TrainingError with the parameters and state untouched.
-    The update runs in two scratch buffers shared by every tensor of the
-    call, in the operation order of the textbook expression
+    The gradients must be finite (``clip_gradients`` checks them).  The
+    update runs in two scratch buffers shared by every tensor of the call,
+    in the operation order of the textbook expression
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so it rounds the same way.
     """
     params = list(params)
-    for name, _ in params:
-        if not np.all(np.isfinite(grads[name])):
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
     state.t += 1
     t = state.t
     size = max((p.data.size for _, p in params), default=0)
@@ -155,7 +158,12 @@ def adam_step(params, grads, state: AdamState, lr: float,
 def clip_gradients(grads: dict, max_norm: float) -> float:
     """Scale the gradients in ``grads`` in place so their global L2 norm is at
     most ``max_norm`` (0 clips nothing); returns the norm before clipping.
-    A norm that overflows, even of finite gradients, raises TrainingError."""
+    A non-finite gradient raises TrainingError naming its parameter, and a
+    norm that overflows, of finite gradients, raises one too; either way no
+    gradient has been scaled."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in parameter {name!r}")
     with np.errstate(over="ignore"):
         total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
     if not np.isfinite(total):
@@ -181,10 +189,11 @@ def _dev_elbo(dev_sentences, config: TrainConfig, params: VaeParams, seed,
     if not dev_sentences:
         return None
     rng = np.random.default_rng(seed)
-    eval_cfg = replace(config, alpha=0.0, keep_prob=1.0, free_bits=0.0)
+    eval_cfg = replace(config, alpha=0.0, free_bits=0.0)
     total, count = 0.0, 0
     for batch in batches(dev_sentences, batch_size, seed=None):
-        lb = elbo_step(batch, eval_cfg, params, rng, beta_override=1.0)
+        eps = rng.standard_normal((config.latent_dim, batch.size))
+        lb = elbo_step(batch, eval_cfg, params, eps, None, 1.0)
         total += lb.total.item() * batch.size
         count += batch.size
     return total / count
@@ -194,13 +203,15 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
                rng: np.random.Generator, log: list[dict]) -> VaeParams:
     """Run ``config.epochs`` epochs of one phase, appending a record per epoch to ``log``.
 
-    ``phase="pretrain"`` is the deterministic-autoencoder variant: z = mu and
-    beta forced to 0.  Returns the best-validation parameters.  A step or a
+    Each step draws its noise from ``rng`` in the order the module docstring
+    gives.  ``phase="pretrain"`` is the deterministic-autoencoder variant:
+    z = mu and beta = 0.  Returns the best-validation parameters.  A step or a
     dev ELBO that fails numerically raises TrainingError carrying those
     parameters and ``log``; a KeyboardInterrupt becomes TrainingInterrupted,
     carrying the same.
     """
     pretrain = phase == "pretrain"
+    draw_mask = config.alpha > 0 or config.keep_prob < 1.0
     named = params.named_parameters()
     state = AdamState()
     best = params.clone()
@@ -215,18 +226,18 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
             seen = 0
             norms = []
             for batch in batches(corpus.train, config.batch_size, seed=config.seed, epoch=epoch):
+                eps = None if pretrain else rng.standard_normal((config.latent_dim, batch.size))
+                mask = (sample_masks((batch.size, batch.ids.shape[1] + 1), config.keep_prob, rng)
+                        if draw_mask else None)
+                beta = 0.0 if pretrain else min(step / config.warmup_steps, 1.0)
                 try:
                     with tape() as t:
-                        lb = elbo_step(batch, config, params, rng, step=step,
-                                       beta_override=0.0 if pretrain else None,
-                                       deterministic_z=pretrain)
+                        lb = elbo_step(batch, config, params, eps, mask, beta)
                         adjoints = t.backward(lb.total)
                     scalars = lb.scalars()
                     if not np.isfinite(scalars["total"]):
                         raise TrainingError(f"loss {scalars['total']}")
-                    # parameters the loss does not reach (enc.logvar_* in pretraining) get zeros
-                    grads = {n: adjoints[p] if p in adjoints else np.zeros_like(p.data)
-                             for n, p in named}
+                    grads = {n: adjoints[p] for n, p in named}
                     norms.append(clip_gradients(grads, config.clip_norm))
                     adam_step(named, grads, state, config.lr,
                               config.adam_beta1, config.adam_beta2, config.adam_eps)

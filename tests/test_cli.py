@@ -121,9 +121,9 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     calls = {"n": 0}
     poisoned = []
 
-    def failing(batch, config, params, rng, **kwargs):
+    def failing(batch, config, params, *inputs):
         calls["n"] += 1
-        lb = real(batch, config, params, rng, **kwargs)
+        lb = real(batch, config, params, *inputs)
         if calls["n"] == 8:  # epoch 0 is 5 train steps and 1 dev batch; this is step 6
             if failure.endswith("exp overflow"):
                 raise NumericError("exp would overflow: max input 800")
@@ -146,6 +146,8 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     assert [(r["phase"], r["epoch"]) for r in records[:-1]] == [(phase, 0)]
     assert records[-1]["phase"] == "aborted"
     assert f"{phase} epoch 1, step 6" in records[-1]["error"]
+    if failure == "non-finite gradient":
+        assert "non-finite gradient in parameter 'dec.out_b'" in records[-1]["error"]
     assert json.loads((out / "manifest.json").read_text())["diverged"] is True
     assert_finite_checkpoint(out / "checkpoint.bin")
 
@@ -570,11 +572,14 @@ def diverge_alpha_0_1(monkeypatch, failure=NumericError("exp would overflow: max
     import textvae.training as training_mod
 
     real = training_mod.elbo_step
+    steps = {"n": 0}
 
-    def failing(batch, config, params, rng, step=0, **kwargs):
-        if config.alpha == 0.1 and step == 7:
-            raise failure
-        return real(batch, config, params, rng, step=step, **kwargs)
+    def failing(batch, config, params, *inputs):
+        if config.alpha == 0.1:  # training steps only: the dev ELBO runs at alpha 0
+            if steps["n"] == 7:
+                raise failure
+            steps["n"] += 1
+        return real(batch, config, params, *inputs)
 
     monkeypatch.setattr(training_mod, "elbo_step", failing)
 

@@ -70,7 +70,7 @@ def test_apply_mask_length_mismatch():
 
 
 def test_complementary_masks_partition(monkeypatch):
-    # the twin decoders see complementary masks, drawn or given
+    # the twin decoder passes see complementary masks, drawn or all ones
     import textvae.objectives as objectives
 
     seen = []
@@ -84,8 +84,8 @@ def test_complementary_masks_partition(monkeypatch):
     p = tiny_params(3)
     batch = make_batch([(4, 5, 4), (5,), (4, 4, 5, 5, 4)])
     z = Tensor(np.random.default_rng(7).standard_normal((2, 3)))
-    fraternal_batch(z, batch, 0.6, p, np.random.default_rng(7))
-    fraternal_batch(z, batch, 0.6, p, np.random.default_rng(7), mask=np.ones((3, 6)))
+    fraternal_batch(z, batch, sample_masks((3, 6), 0.6, np.random.default_rng(7)), p)
+    fraternal_batch(z, batch, np.ones((3, 6)), p)
     for mask_a, mask_b in (seen[:2], seen[2:]):
         assert mask_a.shape == (3, 6)
         assert np.array_equal(mask_a + mask_b, np.ones((3, 6)))

@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 
 import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check, tape
 from textvae.corpus import make_batch
-from textvae.errors import ConfigError
+from textvae.layers import sample_masks
 from textvae.model import GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize
 from textvae.objectives import elbo_step, fraternal_batch, free_bits, kl_columns
 from textvae.training import TrainConfig
@@ -64,69 +63,47 @@ def test_kl_gradcheck():
     assert report.passed
 
 
-def test_anneal_weight_linear():
-    p = tiny_params(1)
-    cfg = _config(warmup_steps=100)
-    batch = make_batch([(4,)])
-
-    def beta(step):
-        return elbo_step(batch, cfg, p, np.random.default_rng(0), step=step).beta
-
-    assert beta(0) == 0.0
-    assert beta(100) == 1.0
-    assert beta(50) == 0.5
-    assert beta(1000) == 1.0
-    prev = -1.0
-    for step in range(0, 300, 7):
-        assert beta(step) >= prev
-        prev = beta(step)
-
-
 def test_free_bits_values():
-    assert free_bits(Tensor(10.0), 8.0).item() == 10.0
-    assert free_bits(Tensor(3.0), 8.0).item() == 8.0
-    for kl in (0.0, 0.5, 7.3):
-        assert free_bits(Tensor(kl), 0.0).item() == kl
+    # KL = 0.5 * sum(mu^2) at logvar 0: 10 above the floor 8, 3 below it
+    assert free_bits(posterior([4.0, 2.0], [0.0, 0.0]), 8.0, False).item() == 10.0
+    assert free_bits(posterior([2.0, 1.0, 1.0], [0.0] * 3), 8.0, False).item() == 8.0
+    for mu in (0.0, 1.0, 3.8):
+        p = posterior([mu], [0.0])
+        assert free_bits(p, 0.0, False).item() == kl(p)
 
 
 def test_free_bits_blocks_gradient_below_threshold():
     # the kink: below lambda the branch is constant
     p = posterior([0.1, 0.1], [0.0, 0.0])
     with tape() as t:
-        grads = t.backward(ad.reduce_mean(free_bits(kl_columns(p), 8.0)))
+        grads = t.backward(ad.reduce_mean(free_bits(p, 8.0, False)))
     assert np.array_equal(grads[p.mu], np.zeros((2, 1)))
     assert np.array_equal(grads[p.logvar], np.zeros((2, 1)))
 
     p2 = posterior([3.0, 3.0], [0.0, 0.0])  # KL = 9 > 8: gradient flows
     with tape() as t:
-        grads = t.backward(ad.reduce_mean(free_bits(kl_columns(p2), 8.0)))
+        grads = t.backward(ad.reduce_mean(free_bits(p2, 8.0, False)))
     assert np.any(grads[p2.mu] != 0.0)
 
 
-def test_free_bits_rejects_negative_lambda():
-    with pytest.raises(ConfigError):
-        free_bits(Tensor(1.0), -1.0)
-
-
 def test_free_bits_per_dimension_option():
-    from textvae.objectives import free_bits_per_dimension
-
     # dim 0 above its share of the budget, dim 1 below: only dim 1 clamps
     p = posterior([2.0, 0.0], [0.0, 0.0])  # per-dim KL = [2.0, 0.0]
-    row = free_bits_per_dimension(p, 2.0, latent_dim=2)  # per-dim floor 1.0
+    row = free_bits(p, 2.0, per_dim=True)  # per-dim floor 1.0
     assert abs(row.data[0, 0] - 3.0) < 1e-12
 
     p2 = posterior([2.0, 0.0], [0.0, 0.0])
     with tape() as t:
-        grads = t.backward(ad.reduce_mean(free_bits_per_dimension(p2, 2.0, 2)))
+        grads = t.backward(ad.reduce_mean(free_bits(p2, 2.0, True)))
     assert grads[p2.mu][0, 0] != 0.0   # active dimension keeps gradient
     assert grads[p2.mu][1, 0] == 0.0   # clamped dimension is constant
 
 
 def test_elbo_per_dim_free_bits_config():
     p = tiny_params(18)
-    cfg = _config(free_bits=1.0, free_bits_per_dim=True, warmup_steps=5)
-    lb = elbo_step(make_batch([(4, 5)]), cfg, p, np.random.default_rng(0), step=5)
+    cfg = _config(free_bits=1.0, free_bits_per_dim=True)
+    eps = np.random.default_rng(0).standard_normal((2, 1))
+    lb = elbo_step(make_batch([(4, 5)]), cfg, p, eps, None, 1.0)
     assert lb.kl_effective.item() >= 1.0 - 1e-12
     assert lb.kl_effective.item() >= lb.kl_raw.item() - 1e-12
 
@@ -137,7 +114,8 @@ def test_fraternal_zero_decoder_zero_penalty():
         if name.startswith("dec."):
             t.data[...] = 0.0
     z = Tensor(np.random.default_rng(0).standard_normal((2, 1)))
-    _, penalty = fraternal_batch(z, make_batch([(4, 5, 4)]), 0.7, p, np.random.default_rng(1))
+    mask = sample_masks((1, 4), 0.7, np.random.default_rng(1))
+    _, penalty = fraternal_batch(z, make_batch([(4, 5, 4)]), mask, p)
     assert penalty.item() == 0.0
 
 
@@ -146,7 +124,7 @@ def test_fraternal_penalty_matches_bruteforce_oracle():
     z = Tensor(np.random.default_rng(2).standard_normal((2, 1)))
     batch = make_batch([(4, 5, 5, 4)])
     d = np.array([[1.0, 0.0, 1.0, 1.0, 0.0]])
-    mean_ll, penalty = fraternal_batch(z, batch, 0.7, p, np.random.default_rng(3), mask=d)
+    mean_ll, penalty = fraternal_batch(z, batch, d, p)
 
     ll1, H1, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=d)
     ll2, H2, _ = decode_batch(z, batch.ids, batch.lengths, p, mask=1.0 - d)
@@ -162,21 +140,15 @@ def test_fraternal_symmetric_under_mask_swap():
     z = Tensor(np.random.default_rng(4).standard_normal((2, 1)))
     batch = make_batch([(4, 5, 4)])
     d = np.array([[1.0, 0.0, 1.0, 0.0]])
-    ll_a, pen_a = fraternal_batch(z, batch, 0.5, p, np.random.default_rng(0), mask=d)
-    ll_b, pen_b = fraternal_batch(z, batch, 0.5, p, np.random.default_rng(0), mask=1.0 - d)
+    ll_a, pen_a = fraternal_batch(z, batch, d, p)
+    ll_b, pen_b = fraternal_batch(z, batch, 1.0 - d, p)
     assert abs(pen_a.item() - pen_b.item()) < 1e-12
     assert abs(ll_a.item() - ll_b.item()) < 1e-12
 
 
-def test_fraternal_rejects_negative_alpha():
-    p = tiny_params(5)
-    with pytest.raises(ConfigError):
-        elbo_step(make_batch([(4,)]), _config(alpha=-0.1), p, np.random.default_rng(0))
-
-
 def _config(**kw):
     base = dict(latent_dim=2, embed_dim=4, hidden_dim=4, epochs=1, batch_size=2,
-                warmup_steps=10, alpha=0.0, keep_prob=1.0, free_bits=0.0, seed=0)
+                alpha=0.0, keep_prob=1.0, free_bits=0.0, seed=0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -185,9 +157,8 @@ def test_elbo_autoencoder_limit():
     # beta=0, alpha=0, b=1: total is the plain negative log-likelihood
     p = tiny_params(6)
     batch = make_batch([(4, 5, 4)])
-    rng = np.random.default_rng(7)
-    eps = rng.standard_normal((2, 1))
-    lb = elbo_step(batch, _config(), p, rng, step=0, eps=eps)
+    eps = np.random.default_rng(7).standard_normal((2, 1))
+    lb = elbo_step(batch, _config(), p, eps, None, 0.0)
     assert lb.beta == 0.0
     post = encode_batch(batch.ids, batch.lengths, p)
     ll, _, _ = decode_batch(reparameterize(post, eps), batch.ids, batch.lengths, p)
@@ -200,7 +171,7 @@ def test_elbo_standard_negative_elbo():
     p = tiny_params(8)
     batch = make_batch([(5, 4)])
     eps = np.random.default_rng(9).standard_normal((2, 1))
-    lb = elbo_step(batch, _config(warmup_steps=10), p, np.random.default_rng(0), step=10, eps=eps)
+    lb = elbo_step(batch, _config(), p, eps, None, 1.0)
     assert lb.beta == 1.0
     assert abs(lb.total.item() - (lb.reconstruction.item() + lb.kl_raw.item())) < 1e-12
     assert abs(lb.kl_effective.item() - lb.kl_raw.item()) < 1e-15
@@ -208,9 +179,11 @@ def test_elbo_standard_negative_elbo():
 
 def test_elbo_total_formula_with_all_terms():
     p = tiny_params(10)
-    cfg = _config(alpha=0.1, keep_prob=0.7, free_bits=1.0, warmup_steps=2)
+    cfg = _config(alpha=0.1, keep_prob=0.7, free_bits=1.0)
     rng = np.random.default_rng(11)
-    lb = elbo_step(make_batch([(4, 5, 4), (5, 5)]), cfg, p, rng, step=1)
+    eps = rng.standard_normal((2, 2))
+    mask = sample_masks((2, 4), 0.7, rng)
+    lb = elbo_step(make_batch([(4, 5, 4), (5, 5)]), cfg, p, eps, mask, 0.5)
     expected = (lb.reconstruction.item() + lb.beta * lb.kl_effective.item()
                 + cfg.alpha * lb.fraternal_penalty.item())
     assert abs(lb.total.item() - expected) < 1e-12
@@ -230,9 +203,7 @@ def test_elbo_full_config_gradient_check():
     mask = np.array([[1.0, 0.0, 1.0, 1.0]])
 
     def f():
-        lb = elbo_step(batch, cfg, p, np.random.default_rng(0), step=5,
-                       eps=eps, mask=mask, beta_override=0.5)
-        return lb.total
+        return elbo_step(batch, cfg, p, eps, mask, 0.5).total
 
     report = grad_check(f, dict(p.named_parameters()), tol=1e-4)
     assert report.passed, str(report)
@@ -244,8 +215,8 @@ def test_elbo_deterministic_with_frozen_noise():
     eps = np.random.default_rng(15).standard_normal((2, 1))
     mask = np.array([[1.0, 1.0, 0.0]])
     batch = make_batch([(4, 5)])
-    a = elbo_step(batch, cfg, p, np.random.default_rng(0), eps=eps, mask=mask).total.item()
-    b = elbo_step(batch, cfg, p, np.random.default_rng(99), eps=eps, mask=mask).total.item()
+    a = elbo_step(batch, cfg, p, eps, mask, 0.5).total.item()
+    b = elbo_step(batch, cfg, p, eps.copy(), mask.copy(), 0.5).total.item()
     assert a == b
 
 
@@ -254,10 +225,8 @@ def test_elbo_batched_matches_single_sentences():
     p = tiny_params(16)
     cfg = _config(keep_prob=1.0, alpha=0.0)
     sents = [(4, 5), (5, 4, 4, 5, 5), (4,), (5, 5, 4), (4, 4), (5,), (4, 5, 5, 5), (5, 4)]
-    batched = elbo_step(make_batch(sents), cfg, p, np.random.default_rng(0),
-                        beta_override=1.0, deterministic_z=True)
-    singles = [elbo_step(make_batch([s]), cfg, p, np.random.default_rng(0),
-                         beta_override=1.0, deterministic_z=True) for s in sents]
+    batched = elbo_step(make_batch(sents), cfg, p, None, None, 1.0)
+    singles = [elbo_step(make_batch([s]), cfg, p, None, None, 1.0) for s in sents]
     assert abs(batched.total.item() - np.mean([s.total.item() for s in singles])) < 1e-10
     assert abs(batched.kl_raw.item() - np.mean([s.kl_raw.item() for s in singles])) < 1e-10
 
@@ -268,12 +237,10 @@ def test_elbo_batched_fraternal_matches_single_sentences():
     sents = [(4, 5, 4), (5,), (4, 4, 5, 5)]
     rng = np.random.default_rng(1)
     mask = np.stack([(rng.random(5) < 0.6).astype(float) for _ in sents])
-    batched = elbo_step(make_batch(sents), cfg, p, np.random.default_rng(0),
-                        beta_override=1.0, deterministic_z=True, mask=mask)
+    batched = elbo_step(make_batch(sents), cfg, p, None, mask, 1.0)
     totals, penalties = [], []
     for j, s in enumerate(sents):
-        lb = elbo_step(make_batch([s]), cfg, p, np.random.default_rng(0), beta_override=1.0,
-                       deterministic_z=True, mask=mask[j: j + 1, : len(s) + 1])
+        lb = elbo_step(make_batch([s]), cfg, p, None, mask[j: j + 1, : len(s) + 1], 1.0)
         totals.append(lb.total.item())
         penalties.append(lb.fraternal_penalty.item())
     assert abs(batched.fraternal_penalty.item() - np.mean(penalties)) < 1e-10
@@ -285,8 +252,12 @@ def test_tape_size_does_not_grow_with_sentence_length():
     p = tiny_params(14)
     cfg = _config(alpha=1.0, keep_prob=0.7, free_bits=1.0)
     sizes = []
+    rng = np.random.default_rng(0)
     for sents in ([(4, 5, 4), (5,)], [(4, 5) * 7 + (4,), (5, 4, 4)]):  # max length 3, then 15
+        batch = make_batch(sents)
+        eps = rng.standard_normal((2, 2))
+        mask = sample_masks((2, batch.ids.shape[1] + 1), 0.7, rng)
         with tape() as t:
-            elbo_step(make_batch(sents), cfg, p, np.random.default_rng(0), step=1)
+            elbo_step(batch, cfg, p, eps, mask, 0.1)
             sizes.append(len(t))
     assert sizes[0] == sizes[1]

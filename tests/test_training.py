@@ -4,6 +4,7 @@ import pytest
 from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
 from textvae.errors import ConfigError, TrainingError
+from textvae.layers import sample_masks
 from textvae.model import VaeParams
 from textvae.training import AdamState, TrainConfig, adam_step, clip_gradients, train
 
@@ -23,6 +24,8 @@ def test_config_validation():
         TrainConfig(keep_prob=1.5).validate()
     with pytest.raises(ConfigError):
         TrainConfig(alpha=-0.1).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(free_bits=-1).validate()
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"no_such_knob": 1})
     with pytest.raises(ConfigError):  # the CLI's --seed always replaces a config file's seed
@@ -46,15 +49,15 @@ def test_adam_first_step_magnitude_is_lr_sign():
     assert np.max(np.abs(p.data - np.array([[0.9, -0.9]]))) < 1e-6
 
 
-def test_adam_rejects_nonfinite_gradient():
-    p = Tensor(np.array([[1.0]]), requires_grad=True)
+def test_clip_rejects_nonfinite_gradient():
     with pytest.raises(TrainingError) as exc:
-        adam_step([("p", p)], {"p": np.array([[np.nan]])}, AdamState(), lr=0.1)
-    assert "'p'" in str(exc.value)
+        clip_gradients({"p": np.array([[np.nan]])}, 0.0)
+    assert "non-finite gradient in parameter 'p'" in str(exc.value)
 
 
-def test_adam_nonfinite_gradient_updates_nothing():
-    # a NaN in the last gradient leaves every parameter and the state untouched
+def test_clip_nonfinite_gradient_updates_nothing():
+    # a step is clip_gradients then adam_step: an inf in the last gradient raises
+    # before any gradient is scaled, leaving every parameter and the state untouched
     a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     b = Tensor(np.array([[3.0]]), requires_grad=True)
     named = [("a", a), ("b", b)]
@@ -62,9 +65,12 @@ def test_adam_nonfinite_gradient_updates_nothing():
     adam_step(named, {"a": np.ones((1, 2)), "b": np.ones((1, 1))}, state, lr=0.1)
     before = {n: t.data.copy() for n, t in named}
     moments = {n: (state.m[n].copy(), state.v[n].copy()) for n, _ in named}
+    grads = {"a": np.ones((1, 2)), "b": np.array([[np.inf]])}
     with pytest.raises(TrainingError) as exc:
-        adam_step(named, {"a": np.ones((1, 2)), "b": np.array([[np.inf]])}, state, lr=0.1)
+        clip_gradients(grads, 0.5)
+        adam_step(named, grads, state, lr=0.1)
     assert "'b'" in str(exc.value)
+    assert np.array_equal(grads["a"], np.ones((1, 2)))
     assert state.t == 1
     for n, t in named:
         assert np.array_equal(t.data, before[n]), n
@@ -243,3 +249,77 @@ def test_pretrained_encoder_separates_template_classes():
         b = float(np.mean(np.linalg.norm(other - x, axis=1)))
         scores.append((b - a) / max(a, b))
     assert float(np.mean(scores)) > 0.0
+
+
+def spy_steps(monkeypatch):
+    """Record (batch, named parameters, eps, mask, beta) of every elbo_step call of the
+    training loop."""
+    import textvae.training as training_mod
+
+    real = training_mod.elbo_step
+    calls = []
+
+    def spy(batch, config, params, eps, mask, beta):
+        calls.append((batch, params.named_parameters(), eps, mask, beta))
+        return real(batch, config, params, eps, mask, beta)
+
+    monkeypatch.setattr(training_mod, "elbo_step", spy)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, keep_prob", [(0.5, 0.7), (0.0, 0.7), (0.5, 1.0), (0.0, 1.0)])
+def test_step_draws_eps_then_mask_after_init(monkeypatch, alpha, keep_prob):
+    # replay the run's generator: init, then per step eps, then the mask, if any
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    cfg = small_config(epochs=1, alpha=alpha, keep_prob=keep_prob)
+    calls = spy_steps(monkeypatch)
+    train(split, cfg, len(vocab))
+    rng = np.random.default_rng(cfg.seed)
+    VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
+    n_train_steps = -(-len(split.train) // cfg.batch_size)
+    for batch, _, eps, mask, _ in calls[:2]:
+        assert np.array_equal(eps, rng.standard_normal((cfg.latent_dim, batch.size)))
+        if alpha == 0 and keep_prob == 1:
+            assert mask is None
+        else:
+            n_steps = batch.ids.shape[1] + 1
+            assert np.array_equal(mask, sample_masks((batch.size, n_steps), keep_prob, rng))
+    assert len(calls) > n_train_steps  # the dev ELBO ran too, on its own generator
+    assert all(mask is None for _, _, _, mask, _ in calls[n_train_steps:])
+
+
+def test_logged_beta_is_the_warmup_mean_of_each_epoch():
+    # 120 sentences in batches of 8: 15 equal steps per epoch, warmup over 20 steps
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    cfg = small_config(epochs=3, batch_size=8, warmup_steps=20, pretrain_epochs=1)
+    log = train(split, cfg, len(vocab)).log
+    assert [(r["phase"], r["beta"]) for r in log[:1]] == [("pretrain", 0.0)]
+    assert [r["phase"] for r in log[1:]] == ["reset", "train", "train", "train"]
+    for epoch, rec in enumerate(log[2:]):
+        want = np.mean([min(step / 20, 1.0) for step in range(15 * epoch, 15 * epoch + 15)])
+        assert abs(rec["beta"] - want) < 1e-12, (epoch, rec["beta"], want)
+    assert log[-1]["beta"] == 1.0
+
+
+@pytest.mark.parametrize("mode", ["pretrain", "alpha 0", "alpha 1"])
+def test_every_parameter_gets_a_gradient(monkeypatch, mode):
+    # pretraining reaches enc.logvar_* through the beta = 0 KL term
+    from textvae.autodiff import Tape
+
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    cfg = {"pretrain": small_config(pretrain_epochs=1, epochs=0),
+           "alpha 0": small_config(epochs=1),
+           "alpha 1": small_config(epochs=1, alpha=1.0, keep_prob=0.7)}[mode]
+    calls = spy_steps(monkeypatch)
+    real_backward = Tape.backward
+    adjoints = []
+    monkeypatch.setattr(Tape, "backward",
+                        lambda t, loss: adjoints.append(real_backward(t, loss)) or adjoints[-1])
+    train(split, cfg, len(vocab))
+    named = calls[0][1]  # the store of every step: no reset falls between them
+    assert len(named) == 16 and len(adjoints) == 8  # 120 sentences in batches of 16
+    if mode == "pretrain":  # z = mu, no dropout, beta = 0
+        assert all(eps is None and mask is None and beta == 0.0
+                   for _, _, eps, mask, beta in calls[:8])
+    for grads in adjoints:
+        assert all(p in grads for _, p in named), [n for n, p in named if p not in grads]
