@@ -4,7 +4,10 @@ A dynamic tape records every differentiable operation in execution order.
 Operations compute eagerly with numpy; each recorded entry carries a backward
 rule that maps the output adjoint to input adjoints.  ``Tape.backward`` walks
 the record once in reverse and returns ``∂loss/∂t`` for every leaf ``t`` the
-loss depends on, as a dict keyed by tensor.  Tensors carry no gradient state.
+loss depends on, as a dict keyed by tensor.  A tape is walked once: the walk
+pops each entry as it reaches it, so an op's saved state is released as soon
+as its input adjoints are out, and a second walk raises ContractError.
+Tensors carry no gradient state.
 An op defined elsewhere (``model.lstm_recurrence``, ``model.output_log_lik``)
 asks ``recording`` for the tape, keeps backward state only when there is one,
 and records itself with ``Tape.record``.
@@ -55,11 +58,13 @@ class Tape:
     reverse order, and returns the gradients of the leaves (tensors no
     recorded op produced).  An op's output adjoint is complete when the walk
     reaches that op and is dropped there, so no intermediate adjoint outlives
-    the walk.
+    the walk.  The walk also pops the entry itself, releasing the op's saved
+    state, so a tape can be walked only once and is empty afterwards.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._walked = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,8 +78,14 @@ class Tape:
         """Return ``{leaf: ∂loss/∂leaf}`` for every leaf the loss depends on."""
         if loss.shape != ():
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+        if self._walked:
+            raise ContractError("backward on a tape that was already walked: "
+                                "a tape releases its entries as it is walked")
+        self._walked = True
         adjoints: dict[Tensor, np.ndarray] = {loss: np.ones(())} if loss.requires_grad else {}
-        for out, inputs, backward_fn in reversed(self._entries):
+        entries = self._entries
+        while entries:
+            out, inputs, backward_fn = entries.pop()
             g = adjoints.pop(out, None)
             if g is None:
                 continue  # not an ancestor of the loss

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError
 
 
 def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
@@ -54,8 +53,7 @@ def sample_masks(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarra
     """Bernoulli(keep_prob) word-dropout masks as a float64 0/1 array.
 
     One (B, n) draw consumes the generator exactly like B successive draws
-    of n, row by row.
+    of n, row by row.  ``keep_prob`` must lie in [0, 1]; ``TrainConfig.validate``
+    checks it.
     """
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ConfigError(f"keep probability must lie in [0, 1], got {keep_prob}")
     return (rng.random(shape) < keep_prob).astype(np.float64)

@@ -48,7 +48,9 @@ log-probabilities, the twin hidden-state gap) is weighted by ``valid`` in
 Output layer: ``output_log_lik`` takes the decoder's H to the target
 log-probability at every position as one autodiff op: the projection and the
 log-softmax at each target share one (V, T·B) buffer, updated in place, and
-record one tape entry.
+record one tape entry.  The tape is walked once and pops each entry as it
+goes, so the backward may turn that buffer into the softmax gradient in
+place, and the buffer is released with the entry.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import END, RESERVED_TOKENS, START, Vocabulary
-from .errors import ContractError, DataError, DimensionError
+from .errors import DataError, DimensionError
 from .layers import linear, lstm_step
 
 CHECKPOINT_MAGIC = b"TEXTVAE1\n"
@@ -163,9 +165,11 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     term is computed once.
     Returns the hidden states as one position-major (d, T·B) tensor.
 
-    The cell runs in numpy through ``lstm_step``, one call per position.
-    The backward is an analytic BPTT loop; the per-position gates and memory
-    cells it needs are kept only while a tape records the op.
+    The cell runs in numpy through ``lstm_step``, one call per position,
+    writing each hidden state into one preallocated (d, T·B) array.  The
+    backward is an analytic BPTT loop; the per-position gates and memory
+    cells it needs are kept only while a tape records the op, and it pops
+    each position's as it consumes them.
     """
     d, B = h0.shape
     n_x, n_cols = xs.shape
@@ -190,14 +194,15 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
 
     xd = xs.data
     h, c = h0.data, c0.data
-    hs, cs, gates_seq = [], [c], []
+    H = np.empty((d, TB))
+    cs, gates_seq = [c], []
     for t in range(T):
         h, c, gates = lstm_step(xd[:, t * step: (t + 1) * step], h, c, w_x, w_h, base)
-        hs.append(h)
+        H[:, t * B: (t + 1) * B] = h
         if tape is not None:
             cs.append(c)
             gates_seq.append(gates)
-    out = Tensor(np.concatenate(hs, axis=1))
+    out = Tensor(H)
     if tape is None:
         return out
 
@@ -208,14 +213,14 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
         sign = -1.0 if _CORRUPT_TANH_BACKWARD else 1.0
         for t in reversed(range(T)):
             cols = slice(t * B, (t + 1) * B)
-            gates = gates_seq[t]
+            gates = gates_seq.pop()
             i, f, o, gg = gates[:d], gates[d: 2 * d], gates[2 * d: 3 * d], gates[3 * d:]
             dh_t = g[:, cols] + dh
-            tc = np.tanh(cs[t + 1])
+            tc = np.tanh(cs.pop())
             dc_t = dc + sign * dh_t * o * (1.0 - tc * tc)
             dp = d_pre[:, cols]
             dp[:d] = dc_t * gg
-            dp[d: 2 * d] = dc_t * cs[t]
+            dp[d: 2 * d] = dc_t * cs[-1]
             dp[2 * d: 3 * d] = dh_t * tc
             dp[:3 * d] *= gates[:3 * d] * (1.0 - gates[:3 * d])
             dp[3 * d:] = sign * dc_t * i * (1.0 - gg * gg)
@@ -224,8 +229,11 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
         d_pre_sum = d_pre.reshape(4 * d, T, B).sum(axis=1)  # the static input and the bias
         # a shared input's adjoint sums its columns first, as the static input's sums positions
         d_pre_x = d_pre.reshape(4 * d, T, B).sum(axis=2) if shared_input else d_pre
-        h_prev = np.concatenate([h0.data, out.data[:, : TB - B]], axis=1)
-        d_w = np.concatenate([d_pre_x @ xd.T, d_pre_sum @ sd.T, d_pre @ h_prev.T], axis=1)
+        h_prev = np.concatenate([h0.data, H[:, : TB - B]], axis=1)
+        d_w = np.empty(w.shape)
+        np.matmul(d_pre_x, xd.T, out=d_w[:, :n_x])
+        np.matmul(d_pre_sum, sd.T, out=d_w[:, n_x: n_x + n_s])
+        np.matmul(d_pre, h_prev.T, out=d_w[:, n_x + n_s:])
         # without a static input, inputs has no slot for its (0, B) gradient
         return (w_x.T @ d_pre_x if xs.requires_grad else None, dh, dc,
                 d_w, d_pre_sum.sum(axis=1, keepdims=True), w_s.T @ d_pre_sum)
@@ -245,8 +253,8 @@ def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray)
     The forward works on one (V, T·B) buffer: logits, then their shifted
     exponentials, in place.  Without a tape nothing is kept.  With one, the
     buffer is kept and the backward turns it into the softmax gradient in
-    place; that is safe because ``Tape.backward`` visits each entry once,
-    and a second walk over the same entry raises ContractError.
+    place; that is safe because a tape is walked once (a second walk raises
+    ContractError), and popping the entry releases the buffer.
     """
     d, n_cols = H.shape
     vocab = weight.shape[0]
@@ -269,12 +277,9 @@ def output_log_lik(H: Tensor, weight: Tensor, bias: Tensor, targets: np.ndarray)
     out = Tensor(-(m + np.log(sumexp) - picked).reshape(1, -1))
     if tape is None:
         return out
-    kept = [buf]
 
     def backward(g):
-        if not kept:
-            raise ContractError("output layer: backward ran twice over one tape entry")
-        p = kept.pop()
+        p = buf
         p /= sumexp
         p[tgt, cols] -= 1.0
         p *= -g

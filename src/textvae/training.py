@@ -22,11 +22,14 @@ import numpy as np
 
 from .autodiff import tape
 from .corpus import CorpusSplit, batches
-from .errors import ConfigError, NumericError, TrainingError, TrainingInterrupted
+from .errors import ConfigError, ContractError, NumericError, TrainingError, TrainingInterrupted
 from .layers import sample_masks
 from .model import VaeParams
 from .objectives import elbo_step
 
+
+# elements per Adam slice; the update's two scratch buffers hold one slice each
+CHUNK = 16384
 
 _INT_FIELDS = ("latent_dim", "embed_dim", "hidden_dim", "batch_size", "epochs",
                "warmup_steps", "pretrain_epochs", "seed")
@@ -120,38 +123,40 @@ def adam_step(params, grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
     """Bias-corrected Adam update, in place on the parameter tensors.
 
-    The gradients must be finite (``clip_gradients`` checks them).  The
-    update runs in two scratch buffers shared by every tensor of the call,
-    in the operation order of the textbook expression
+    The gradients must be finite (``clip_gradients`` checks them), and the
+    parameters C-contiguous.  Each tensor is walked in flat slices of
+    ``CHUNK`` elements through two chunk-sized scratch buffers shared by the
+    whole call, in the operation order of the textbook expression
     ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so it rounds the same way.
     """
     params = list(params)
+    for name, p in params:
+        if not p.data.flags.c_contiguous:  # a flat slice of it would be a copy
+            raise ContractError(f"adam_step: parameter {name!r} is not C-contiguous")
     state.t += 1
     t = state.t
-    size = max((p.data.size for _, p in params), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    scratch_a, scratch_b = np.empty(CHUNK), np.empty(CHUNK)
     for name, p in params:
-        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        a = scratch_a[: p.data.size].reshape(p.shape)
-        b = scratch_b[: p.data.size].reshape(p.shape)
-        m *= beta1
-        m += np.multiply(1 - beta1, g, out=a)
-        v *= beta2
-        np.multiply(1 - beta2, g, out=a)
-        a *= g
-        v += a
-        np.divide(v, 1 - beta2 ** t, out=a)  # v_hat
-        np.sqrt(a, out=a)
-        a += eps
-        np.divide(m, 1 - beta1 ** t, out=b)  # m_hat
-        b *= lr
-        b /= a
-        p.data -= b
+        flat = [x.reshape(-1) for x in (p.data, grads[name], state.m[name], state.v[name])]
+        for lo in range(0, p.data.size, CHUNK):
+            pc, g, m, v = (x[lo: lo + CHUNK] for x in flat)
+            a, b = scratch_a[: pc.size], scratch_b[: pc.size]
+            m *= beta1
+            m += np.multiply(1 - beta1, g, out=a)
+            v *= beta2
+            np.multiply(1 - beta2, g, out=a)
+            a *= g
+            v += a
+            np.divide(v, 1 - beta2 ** t, out=a)  # v_hat
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(m, 1 - beta1 ** t, out=b)  # m_hat
+            b *= lr
+            b /= a
+            pc -= b
     return state
 
 
@@ -199,6 +204,28 @@ def _dev_elbo(dev_sentences, config: TrainConfig, params: VaeParams, seed,
     return total / count
 
 
+def _step(batch, config: TrainConfig, params: VaeParams, state: AdamState, eps, mask,
+          beta: float) -> tuple[dict, float]:
+    """One optimizer step: tape the loss, walk the tape, check the loss, clip, update.
+
+    Returns the step's loss scalars and its gradient norm before clipping.
+    The tape, the loss and the gradients are locals of this call, so none of
+    them outlives the step.
+    """
+    with tape() as t:
+        lb = elbo_step(batch, config, params, eps, mask, beta)
+        adjoints = t.backward(lb.total)
+    scalars = lb.scalars()
+    if not np.isfinite(scalars["total"]):
+        raise TrainingError(f"loss {scalars['total']}")
+    named = params.named_parameters()
+    grads = {n: adjoints[p] for n, p in named}
+    norm = clip_gradients(grads, config.clip_norm)
+    adam_step(named, grads, state, config.lr, config.adam_beta1, config.adam_beta2,
+              config.adam_eps)
+    return scalars, norm
+
+
 def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: VaeParams,
                rng: np.random.Generator, log: list[dict]) -> VaeParams:
     """Run ``config.epochs`` epochs of one phase, appending a record per epoch to ``log``.
@@ -212,7 +239,6 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
     """
     pretrain = phase == "pretrain"
     draw_mask = config.alpha > 0 or config.keep_prob < 1.0
-    named = params.named_parameters()
     state = AdamState()
     best = params.clone()
     best_val = float("inf")
@@ -231,19 +257,11 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
                         if draw_mask else None)
                 beta = 0.0 if pretrain else min(step / config.warmup_steps, 1.0)
                 try:
-                    with tape() as t:
-                        lb = elbo_step(batch, config, params, eps, mask, beta)
-                        adjoints = t.backward(lb.total)
-                    scalars = lb.scalars()
-                    if not np.isfinite(scalars["total"]):
-                        raise TrainingError(f"loss {scalars['total']}")
-                    grads = {n: adjoints[p] for n, p in named}
-                    norms.append(clip_gradients(grads, config.clip_norm))
-                    adam_step(named, grads, state, config.lr,
-                              config.adam_beta1, config.adam_beta2, config.adam_eps)
+                    scalars, norm = _step(batch, config, params, state, eps, mask, beta)
                 except (NumericError, TrainingError) as exc:
                     raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
                                         f"{exc}", params=best, log=log) from exc
+                norms.append(norm)
                 for k in sums:
                     sums[k] += scalars[k] * batch.size
                 seen += batch.size

@@ -194,6 +194,19 @@ def test_backward_returns_exactly_the_reachable_leaves():
     assert np.array_equal(grads[b], (a.data * b.data + 1.0) * a.data)
 
 
+def test_backward_walks_a_tape_once():
+    # the walk pops each entry as it goes, releasing the op's saved state
+    x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    with tape() as t:
+        loss = ad.reduce_mean(ad.mul(x, x))
+        assert len(t) == 2
+        grads = t.backward(loss)
+        assert len(t) == 0
+        with pytest.raises(ContractError):
+            t.backward(loss)
+    assert np.allclose(grads[x], 2.0 * x.data / 3.0, rtol=1e-15, atol=0.0)
+
+
 def test_forward_is_reproducible():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(-2, 2, (3, 3)))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check
 from textvae.corpus import make_batch
-from textvae.errors import ConfigError, DimensionError
+from textvae.errors import DimensionError
 from textvae.layers import linear, lstm_step, sample_masks
 from textvae.model import VaeParams, decode_batch, encode_batch, lstm_recurrence
 from textvae.objectives import fraternal_batch
@@ -43,11 +43,6 @@ def test_mask_pair_law_of_large_numbers():
     masks = sample_masks((10, 1000), 0.5, np.random.default_rng(123))
     assert set(np.unique(masks)) <= {0.0, 1.0}
     assert 0.48 <= masks.mean() <= 0.52
-
-
-def test_mask_pair_bad_prob():
-    with pytest.raises(ConfigError):
-        sample_masks((4,), 1.5, np.random.default_rng(0))
 
 
 def test_apply_mask_trivials():

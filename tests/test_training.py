@@ -1,12 +1,16 @@
+import tracemalloc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
-from textvae.errors import ConfigError, TrainingError
+from textvae.errors import ConfigError, ContractError, TrainingError
 from textvae.layers import sample_masks
 from textvae.model import VaeParams
-from textvae.training import AdamState, TrainConfig, adam_step, clip_gradients, train
+from textvae.training import CHUNK, AdamState, TrainConfig, adam_step, clip_gradients, train
 
 SMALL_SPEC = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                            n_train=120, n_dev=20, n_test=20, seed=42)
@@ -112,6 +116,83 @@ def test_adam_bitwise_equals_textbook_expression():
         for n, p in named:
             assert np.array_equal(p.data, want[n]), (t, n)
             assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
+
+
+def whole_tensor_adam_step(params, grads, state, lr, beta1, beta2, eps):
+    """The unchunked update: two scratch buffers the size of the largest tensor,
+    each tensor updated in one pass, in the textbook operation order."""
+    state.t += 1
+    t = state.t
+    size = max(p.data.size for _, p in params)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    for name, p in params:
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        a = scratch_a[: p.data.size].reshape(p.shape)
+        b = scratch_b[: p.data.size].reshape(p.shape)
+        m *= beta1
+        m += np.multiply(1 - beta1, g, out=a)
+        v *= beta2
+        np.multiply(1 - beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(v, 1 - beta2 ** t, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, 1 - beta1 ** t, out=b)
+        b *= lr
+        b /= a
+        p.data -= b
+
+
+def test_adam_chunks_bitwise_equal_whole_tensor_update():
+    # sizes on either side of a chunk boundary, several chunks with a tail, and a 2-D
+    # tensor whose flat length is no multiple of CHUNK
+    rng = np.random.default_rng(17)
+    shapes = [(1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (3 * CHUNK + 7,), (129, 300)]
+    named = [(f"p{i}", Tensor(rng.standard_normal(s), requires_grad=True))
+             for i, s in enumerate(shapes)]
+    oracle = [(n, Tensor(p.data.copy(), requires_grad=True)) for n, p in named]
+    lr, beta1, beta2, eps = 3e-3, 0.8, 0.99, 1e-6
+    state, want = AdamState(), AdamState()
+    for step in (1, 2, 3):
+        grads = {n: rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 3)
+                 for (n, _), s in zip(named, shapes)}
+        adam_step(named, grads, state, lr, beta1, beta2, eps)
+        whole_tensor_adam_step(oracle, grads, want, lr, beta1, beta2, eps)
+        for (n, p), (_, q) in zip(named, oracle):
+            assert np.array_equal(p.data, q.data), (step, n)
+            assert np.array_equal(state.m[n], want.m[n]) and np.array_equal(state.v[n], want.v[n])
+
+
+def test_adam_scratch_is_chunk_sized():
+    # the first step allocates the two moments; a later one only two chunk-sized buffers
+    n = 1_000_000
+    p = Tensor(np.zeros(n), requires_grad=True)
+    g = np.full(n, 0.5)
+    state = AdamState()
+    adam_step([("p", p)], {"p": g}, state, lr=0.1)
+    tracemalloc.start()
+    try:
+        adam_step([("p", p)], {"p": g}, state, lr=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def test_adam_rejects_non_contiguous_parameter():
+    # checked before any tensor or the step count moves
+    a = Tensor(np.zeros((2, 2)), requires_grad=True)
+    b = Tensor(np.zeros((3, 4)).T, requires_grad=True)
+    state = AdamState()
+    with pytest.raises(ContractError):
+        adam_step([("a", a), ("b", b)], {"a": np.ones((2, 2)), "b": np.ones((4, 3))}, state,
+                  lr=0.1)
+    assert not a.data.any() and not b.data.any() and state.t == 0 and not state.m
 
 
 def fresh_init(cfg, vocab):
@@ -323,3 +404,42 @@ def test_every_parameter_gets_a_gradient(monkeypatch, mode):
                    for _, _, eps, mask, beta in calls[:8])
     for grads in adjoints:
         assert all(p in grads for _, p in named), [n for n, p in named if p not in grads]
+
+
+def test_no_step_state_outlives_its_step(monkeypatch):
+    # a step's tape, loss and gradients die, by reference counting alone, before the
+    # next forward pass starts: the next step's or the dev ELBO's
+    import textvae.training as training_mod
+
+    real_tape, real_adam, real_elbo = (training_mod.tape, training_mod.adam_step,
+                                       training_mod.elbo_step)
+    step_refs, ended = [], []  # the open step's weakrefs; those of finished steps
+
+    @contextmanager
+    def keeping_tape():
+        with real_tape() as t:
+            step_refs.append(weakref.ref(t))
+            yield t
+
+    def keeping_adam(named, grads, *args):
+        ended.extend(step_refs + [weakref.ref(g) for g in grads.values()])
+        step_refs.clear()
+        return real_adam(named, grads, *args)
+
+    survivors = []
+
+    def checking_elbo(*args):
+        survivors.append(sum(r() is not None for r in ended))
+        lb = real_elbo(*args)
+        if step_refs:  # inside a training step's tape
+            step_refs.append(weakref.ref(lb.total.data))
+        return lb
+
+    monkeypatch.setattr(training_mod, "tape", keeping_tape)
+    monkeypatch.setattr(training_mod, "adam_step", keeping_adam)
+    monkeypatch.setattr(training_mod, "elbo_step", checking_elbo)
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    train(split, small_config(epochs=2, alpha=1.0, keep_prob=0.7, pretrain_epochs=1),
+          len(vocab))
+    assert len(ended) == 3 * 8 * 18  # 3 epochs of 8 steps: a tape, a loss, 16 gradients
+    assert survivors[1:] and not any(survivors), survivors
