@@ -367,19 +367,18 @@ def grad_check(f, params, tol: float = 1e-4) -> GradCheckReport:
     per_param: dict[str, float] = {}
     worst, worst_name = 0.0, ""
     for name, p in named:
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + _FD_STEP
+        numeric = np.zeros(p.shape)
+        for i in np.ndindex(p.shape):  # in place whatever the memory layout
+            orig = p.data[i]
+            p.data[i] = orig + _FD_STEP
             up = f().item()
-            flat[i] = orig - _FD_STEP
+            p.data[i] = orig - _FD_STEP
             down = f().item()
-            flat[i] = orig
+            p.data[i] = orig
             numeric[i] = (up - down) / (2.0 * _FD_STEP)
-        a = analytic[name].reshape(-1)
+        a = analytic[name].reshape(p.shape)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), _REL_ERR_FLOOR)
-        err = float(np.max(np.abs(a - numeric) / denom)) if flat.size else 0.0
+        err = float(np.max(np.abs(a - numeric) / denom)) if p.data.size else 0.0
         per_param[name] = err
         if err >= worst:
             worst, worst_name = err, name

@@ -3,6 +3,12 @@
 Every run is parameterized by a JSON config file plus flag overrides (flags
 win), and every artifact directory receives a manifest tying outputs to the
 config echo, corpus hashes, seed and library version.
+
+A config file holds one JSON object with at most four keys: the sections
+``train`` (TrainConfig), ``eval`` (EvalConfig) and ``synthetic``
+(SyntheticSpec), each an object whose keys are that dataclass's fields, and
+``vocab_size``, the vocabulary cap of a --corpus directory.  An unknown key,
+a value of the wrong type or one out of range exits 2.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +36,7 @@ from .errors import (
     TextVaeError,
     TrainingError,
     TrainingInterrupted,
+    read_config,
 )
 from .metrics import EvalConfig, MetricsReport, corpus_bleu, evaluate
 from .model import (GaussianPosterior, VaeParams, decode_greedy, load_checkpoint, save_checkpoint,
@@ -60,7 +67,7 @@ def _exit_code_for(exc: Exception) -> int:
 
 
 def _write_json(path: Path, obj) -> None:
-    write_file(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    write_file(path, json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _out_dir(path) -> Path:
@@ -113,30 +120,7 @@ def _train_config(cfg: dict, args) -> TrainConfig:
     for key, value in overrides.items():
         if value is not None:
             section[key] = value
-    try:
-        return TrainConfig.from_dict(section)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
-
-
-def _eval_config(cfg: dict) -> EvalConfig:
-    section = dict(cfg.get("eval", {}))
-    try:
-        return EvalConfig(**section).validate()
-    except TypeError as exc:
-        raise ConfigError(f"bad eval config: {exc}") from exc
-
-
-def _synthetic_spec(cfg: dict) -> SyntheticSpec | None:
-    if "synthetic" not in cfg:
-        return None
-    section = dict(cfg["synthetic"])
-    try:
-        if "length_range" in section:
-            section["length_range"] = tuple(section["length_range"])
-        return SyntheticSpec(**section).validate()
-    except TypeError as exc:
-        raise ConfigError(f"bad synthetic config: {exc}") from exc
+    return read_config(TrainConfig, section, "train")
 
 
 def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
@@ -172,10 +156,9 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
     if "vocab_size" in cfg:
         raise ConfigError("config field 'vocab_size' applies only to a --corpus directory; "
                           "a synthetic corpus sets its own vocabulary")
-    spec = _synthetic_spec(cfg)
-    if spec is None:
+    if "synthetic" not in cfg:
         raise ConfigError("no corpus: pass --corpus DIR or a 'synthetic' config section")
-    split, generated = generate_synthetic(spec)
+    split, generated = generate_synthetic(read_config(SyntheticSpec, cfg["synthetic"], "synthetic"))
     if vocab is not None and generated.hash != vocab.hash:
         raise DataError(
             "synthetic corpus vocabulary does not match the checkpoint vocabulary "
@@ -225,8 +208,9 @@ def _train_and_save(split: CorpusSplit, tcfg: TrainConfig, vocab: Vocabulary,
         error, params = exc, exc.params
         log = exc.log + [{"phase": "interrupted"} if isinstance(exc, TrainingInterrupted)
                          else {"phase": "aborted", "error": str(exc)}]
-    save_checkpoint(out / "checkpoint.bin", params, vocab, config=tcfg.to_dict())
-    write_file(out / "train_log.jsonl", "".join(json.dumps(r, sort_keys=True) + "\n" for r in log))
+    save_checkpoint(out / "checkpoint.bin", params, vocab, config=asdict(tcfg))
+    write_file(out / "train_log.jsonl",
+               "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in log))
     if error is not None:
         raise error
     return result
@@ -235,11 +219,11 @@ def _train_and_save(split: CorpusSplit, tcfg: TrainConfig, vocab: Vocabulary,
 def cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
     tcfg = _train_config(cfg, args)
+    ecfg = read_config(EvalConfig, cfg.get("eval", {}), "eval")
     split, vocab = _resolve_corpus(cfg, args.corpus)
     out = _out_dir(args.out_dir)
 
-    config_echo = {"train": tcfg.to_dict(), "eval": _eval_config(cfg).to_dict(),
-                   "vocab_size": len(vocab)}
+    config_echo = {"train": asdict(tcfg), "eval": asdict(ecfg), "vocab_size": len(vocab)}
     manifest = _manifest("train", args, config_echo, split, vocab, tcfg.seed)
     write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
     try:
@@ -267,7 +251,7 @@ def cmd_eval(args) -> int:
     if not sentences:
         raise DataError(f"{args.split} split is empty")
 
-    ecfg = _eval_config(cfg)
+    ecfg = read_config(EvalConfig, cfg.get("eval", {}), "eval")
     out = _out_dir(args.out_dir) if args.out_dir else None
     report = evaluate(sentences, params, ecfg, np.random.default_rng(_eval_seed(args)))
 
@@ -275,7 +259,7 @@ def cmd_eval(args) -> int:
     print(report.table_row(Path(args.checkpoint).stem))
     if out is not None:
         write_file(out / "report.txt", report.to_text())
-        config_echo = {"eval": ecfg.to_dict(), "split": args.split}
+        config_echo = {"eval": asdict(ecfg), "split": args.split}
         _write_json(out / "manifest.json",
                     _manifest("eval", args, config_echo, split, vocab, _eval_seed(args)))
     return 0
@@ -289,23 +273,21 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--alphas must be comma-separated numbers: {exc}") from exc
     if not alphas:
         raise ConfigError("--alphas needs at least one value")
-    if not all(math.isfinite(a) and a >= 0 for a in alphas):
-        raise ConfigError(f"alpha values must be finite and >= 0, got {alphas}")
     labels = [f"{a:g}" for a in alphas]  # each run writes to alpha_<label>/
     if len(set(labels)) < len(labels):
         raise ConfigError(f"--alphas repeats a value (as run directories: {labels})")
     base = _train_config(cfg, args)
+    runs = [replace(base, alpha=a).validate() for a in alphas]  # all before any run
+    ecfg = read_config(EvalConfig, cfg.get("eval", {}), "eval")
     split, vocab = _resolve_corpus(cfg, args.corpus)
     if not split.test:
         raise DataError("test split is empty: sweep evaluates every run on it")
-    ecfg = _eval_config(cfg)
     out = _out_dir(args.out_dir)
     run_dirs = [_out_dir(out / f"alpha_{label}") for label in labels]  # all before any run
 
     rows = [MetricsReport.table_header("alpha")]
     failed, error, interrupt = [], None, None
-    for alpha, label, run_dir in zip(alphas, labels, run_dirs):
-        tcfg = replace(base, alpha=alpha)
+    for tcfg, label, run_dir in zip(runs, labels, run_dirs):
         try:
             result = _train_and_save(split, tcfg, vocab, run_dir)
             report = evaluate(split.test, result.params, ecfg, np.random.default_rng(tcfg.seed))
@@ -315,13 +297,13 @@ def cmd_sweep(args) -> int:
             interrupt = exc  # stop here; the table keeps the runs so far
             break
         except TextVaeError as exc:
-            failed.append(alpha)
+            failed.append(tcfg.alpha)
             error = exc
-            rows.append(f"{alpha:<24g} FAILED: {exc}")
+            rows.append(f"{tcfg.alpha:<24g} FAILED: {exc}")
         print(rows[-1])
 
     write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")
-    config_echo = {"train": base.to_dict(), "eval": ecfg.to_dict(), "alphas": alphas}
+    config_echo = {"train": asdict(base), "eval": asdict(ecfg), "alphas": alphas}
     manifest = {**_manifest("sweep", args, config_echo, split, vocab, base.seed),
                 "failed_alphas": failed}
     _write_json(out / "manifest.json", {**manifest, "interrupted": True} if interrupt else manifest)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_types
 
 PAD, UNK, START, END = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -118,17 +118,13 @@ class SyntheticSpec:
     seed: int = 12345
 
     def validate(self) -> "SyntheticSpec":
-        # bool is an int subclass, so compare the exact type
+        check_types(self)
         for name, low in (("n_templates", 2), ("words_per_slot", 1), ("n_train", 1),
                           ("n_dev", 0), ("n_test", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        span = self.length_range
-        if not (isinstance(span, (tuple, list)) and len(span) == 2
-                and all(type(v) is int for v in span) and 1 <= span[0] <= span[1]):
-            raise ConfigError(f"length_range must be two integers 1 <= lo <= hi, "
-                              f"got {self.length_range!r}")
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if not 1 <= self.length_range[0] <= self.length_range[1]:
+            raise ConfigError(f"length_range must satisfy 1 <= lo <= hi, got {self.length_range!r}")
         return self
 
 

@@ -1,7 +1,14 @@
 """Exception hierarchy shared across the toolkit.
 
-Each class maps to a distinct CLI exit code (see cli.EXIT_CODES).
+Each class maps to a distinct CLI exit code (see cli.EXIT_CODES).  The
+config dataclasses' type checks live here too, in one table, because this is
+the one module every module that defines a config already imports.
 """
+
+import math
+import numbers
+import typing
+from dataclasses import fields
 
 
 class TextVaeError(Exception):
@@ -39,3 +46,38 @@ class TrainingError(TextVaeError):
 
 class TrainingInterrupted(TrainingError):
     """Training was interrupted (Ctrl-C). Carries the last good parameters and the log."""
+
+
+# each annotation a config dataclass field may carry -> (what it must be, its test);
+# bool is an int subclass, so the tests compare exact types or refuse it by name;
+# JSON has no tuple, so a pair may arrive as a two-element list
+FIELD_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    int | None: ("an integer or null", lambda v: v is None or type(v) is int),
+    float: ("a finite number", lambda v: isinstance(v, numbers.Real)
+            and not isinstance(v, bool) and math.isfinite(v)),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    tuple[int, int]: ("two integers", lambda v: isinstance(v, (tuple, list)) and len(v) == 2
+                      and all(type(x) is int for x in v)),
+}
+
+
+def check_types(config) -> None:
+    """Raise ConfigError naming the first field of dataclass ``config`` whose value
+    does not have its annotated type (see FIELD_TYPES)."""
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        kind, ok = FIELD_TYPES[hints[f.name]]
+        value = getattr(config, f.name)
+        if not ok(value):
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+
+
+def read_config(cls, section: dict, name: str):
+    """Build config dataclass ``cls`` from config-file section ``name``, the JSON
+    object ``section``, and validate it.  A key that is not a field of ``cls``, a
+    value of the wrong type or one out of range raises ConfigError."""
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown} in config section {name!r}")
+    return cls(**section).validate()

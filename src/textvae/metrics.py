@@ -15,15 +15,14 @@ evaluation is reproducible.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
 from .corpus import make_batch
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError, check_types
 from .model import BLOCK, GaussianPosterior, VaeParams, decode_batch, decode_greedy, encode_batch
 from .objectives import kl_columns
 
@@ -194,18 +193,13 @@ class EvalConfig:
     max_gen_len: int = 30
 
     def validate(self) -> "EvalConfig":
+        check_types(self)
         for name in ("n_samples", "mi_samples", "max_gen_len"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        value = self.au_threshold
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not (math.isfinite(value) and value >= 0)):
-            raise ConfigError(f"au_threshold must be a finite number >= 0, got {value!r}")
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.au_threshold < 0:
+            raise ConfigError(f"au_threshold must be >= 0, got {self.au_threshold!r}")
         return self
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -251,6 +245,8 @@ class MetricsReport:
                 f"{'MI':>6} {'BLEU':>6}")
 
 
+# an overflow shows as a metric that is not finite, which the check at the end refuses
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(corpus, params: VaeParams, config: EvalConfig,
              rng: np.random.Generator) -> MetricsReport:
     """Full metric suite on a sentence list.
@@ -258,7 +254,7 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
     The split is encoded once.  NLL/PPL and their importance-weighted
     versions pool one sampling pass of ``n_samples`` draws per sentence;
     BLEU decodes greedily from one posterior sample per sentence against the
-    original.
+    original.  A metric that is not finite raises NumericError.
     """
     sents = [tuple(int(i) for i in s) for s in corpus]
     if not sents:
@@ -280,11 +276,15 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
     z = mus + np.exp(0.5 * logvars) * rng.standard_normal(mus.shape)  # one draw per sentence
     bleu_score = corpus_bleu(zip(sents, decode_greedy(z.T, config.max_gen_len, params)))
 
-    return MetricsReport(nll=float(total_nll / len(sents)),
-                         ppl=float(np.exp(total_nll / total_words)),
-                         iw_nll=float(total_iw / len(sents)),
-                         iw_ppl=float(np.exp(total_iw / total_words)),
-                         kl=float(kl), au=int(au), mi=float(mi),
-                         mi_raw=float(mi_raw), mi_clamped=bool(mi_raw < 0),
-                         bleu=float(bleu_score), n_sentences=len(sents),
-                         config=config.to_dict())
+    report = MetricsReport(nll=float(total_nll / len(sents)),
+                           ppl=float(np.exp(total_nll / total_words)),
+                           iw_nll=float(total_iw / len(sents)),
+                           iw_ppl=float(np.exp(total_iw / total_words)),
+                           kl=float(kl), au=int(au), mi=float(mi),
+                           mi_raw=float(mi_raw), mi_clamped=bool(mi_raw < 0),
+                           bleu=float(bleu_score), n_sentences=len(sents),
+                           config=asdict(config))
+    for key in ("nll", "ppl", "iw_nll", "iw_ppl", "kl", "mi", "mi_raw", "bleu"):
+        if not math.isfinite(getattr(report, key)):
+            raise NumericError(f"evaluation metric {key} is not finite: {getattr(report, key)}")
+    return report

@@ -274,6 +274,15 @@ def test_grad_check_constant_function():
     assert report.max_error == 0.0
 
 
+def test_grad_check_perturbs_a_non_contiguous_parameter_in_place():
+    # a flat view of an F-ordered array is a copy: perturbing it left f() unchanged
+    w = Tensor(np.asfortranarray(np.arange(1.0, 7.0).reshape(3, 2)), requires_grad=True)
+    before = w.data.copy()
+    report = grad_check(lambda: ad.reduce_mean(ad.mul(w, w)), {"w": w}, tol=1e-6)
+    assert report.passed, str(report)
+    assert w.data.flags.f_contiguous and np.array_equal(w.data, before)
+
+
 def test_grad_check_rejects_nondeterminism():
     rng = np.random.default_rng(9)
     x = Tensor([1.0], requires_grad=True)

@@ -1,13 +1,22 @@
 import json
+import math
+import tempfile
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textvae.autodiff import Tape
 from textvae.cli import EXIT_CODES, main
-from textvae.errors import NumericError
+from textvae.corpus import SyntheticSpec
+from textvae.errors import FIELD_TYPES, NumericError
+from textvae.metrics import EvalConfig
 from textvae.model import VaeParams, decode_greedy, load_checkpoint
+from textvae.training import TrainConfig
 
 
 def save_text(sentences, path) -> None:
@@ -152,15 +161,23 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     assert_finite_checkpoint(out / "checkpoint.bin")
 
 
-@pytest.mark.parametrize("lr, failure", [(1000.0, "dev ELBO failed in train epoch 0"),
-                                         (100.0, "gradient norm overflows")],
-                         ids=["dev elbo overflow", "grad norm overflow"])
-def test_train_numeric_blowup_is_a_divergence(tmp_path, lr, failure):
+TWO_DIMS = {"latent_dim": 2, "embed_dim": 2, "hidden_dim": 2}
+
+
+@pytest.mark.parametrize("train, failure", [
+    ({"lr": 1000.0}, "dev ELBO failed in train epoch 0"),
+    ({"lr": 100.0}, "gradient norm overflows"),
+    ({"lr": 1e300, **TWO_DIMS}, "dev ELBO failed in train epoch 0: ELBO is not finite"),
+    ({"lr": 1e300, **TWO_DIMS, "batch_size": 4}, "train epoch 0, step 1: loss nan"),
+], ids=["dev elbo overflow", "grad norm overflow", "dev elbo nan", "step overflow"])
+def test_train_numeric_blowup_is_a_divergence(tmp_path, train, failure):
     # a huge step size drives the model to overflow: in the dev ELBO's exp at lr 1000,
-    # in the squares of finite gradients at lr 100; both end the run as diverged
+    # in the squares of finite gradients at lr 100, and at lr 1e300 into inf - inf in the
+    # matmuls of the dev ELBO after one step, or of the second step; each ends the run as
+    # diverged, with no RuntimeWarning escaping under the suite's warnings-as-errors filter
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
-        "train": {"epochs": 2, "lr": lr, "latent_dim": 4, "embed_dim": 8, "hidden_dim": 16},
+        "train": {"epochs": 2, "latent_dim": 4, "embed_dim": 8, "hidden_dim": 16, **train},
         "synthetic": {"n_train": 16, "n_dev": 16, "n_test": 8}}), encoding="utf-8")
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CODES["numeric"]
@@ -430,6 +447,87 @@ def test_unknown_config_field_named_in_error(tmp_path, capsys):
     code = main(["train", "--config", str(path), "--out-dir", str(tmp_path / "x")])
     assert code == EXIT_CODES["config"]
     assert "learning" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["eval", "synthetic"])
+def test_unknown_key_in_any_section_named_in_error(tmp_path, capsys, section):
+    cfg = write_config(tmp_path, **{section: {"learning": 1}})
+    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == \
+        EXIT_CODES["config"]
+    err = capsys.readouterr().err
+    assert "learning" in err and repr(section) in err
+
+
+# every config field's small valid values and range bounds, per section; a number
+# field has no upper bound but its finiteness, so 1e300 is one of its valid values
+FUZZ_VALID = {
+    "train": {"latent_dim": [1, 2], "embed_dim": [1, 2], "hidden_dim": [1, 2],
+              "lr": [0, 0.05, 1e300], "batch_size": [1, 4], "epochs": [0, 1],
+              "warmup_steps": [None, 1, 5], "free_bits": [0, 0.5, 1e300],
+              "free_bits_per_dim": [False, True], "alpha": [0, 1, 1e300],
+              "keep_prob": [0, 0.5, 1], "pretrain_epochs": [0, 1], "clip_norm": [0, 1, 1e300],
+              "seed": [0, 3]},
+    "eval": {"n_samples": [1, 2], "mi_samples": [1, 2], "au_threshold": [0, 0.01, 1e300],
+             "max_gen_len": [1, 4]},
+    "synthetic": {"n_templates": [2, 3], "words_per_slot": [1, 3],
+                  "length_range": [[1, 1], [2, 4]], "n_train": [1, 8], "n_dev": [0, 4],
+                  "n_test": [0, 4], "seed": [0, 7]},
+}
+# values any field may be set to: zero, huge, negative, fractional, bool, string, null, nested
+FUZZ_ANY = [0, 1e300, -1, -0.5, 2.5, True, "1", None, {"a": 1}, [1, 2, 3]]
+FUZZ_BASE = {
+    "train": {"latent_dim": 2, "embed_dim": 2, "hidden_dim": 2, "batch_size": 4, "epochs": 1},
+    "eval": {"n_samples": 2, "mi_samples": 2, "max_gen_len": 4},
+    "synthetic": {"n_templates": 2, "words_per_slot": 3, "length_range": [2, 4],
+                  "n_train": 8, "n_dev": 4, "n_test": 4},
+}
+FUZZ_METRICS = ("nll", "ppl", "iw_nll", "iw_ppl", "kl", "mi", "mi_raw", "bleu")
+
+
+def test_every_config_field_has_a_type_check_and_fuzz_values():
+    # a field of a type FIELD_TYPES lacks would be a KeyError, exit 5, in a user's run
+    sections = {"train": TrainConfig, "eval": EvalConfig, "synthetic": SyntheticSpec}
+    for section, cls in sections.items():
+        for name, hint in typing.get_type_hints(cls).items():
+            assert hint in FIELD_TYPES, f"{cls.__name__}.{name}: {hint}"
+        assert set(FUZZ_VALID[section]) == {f.name for f in fields(cls)}, section
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(sections=st.fixed_dictionaries({name: st.fixed_dictionaries(
+           {}, optional={k: st.sampled_from(v) for k, v in fields_.items()})
+           for name, fields_ in FUZZ_VALID.items()}),
+       mutations=st.lists(st.tuples(
+           st.sampled_from([(s, k) for s, fields_ in FUZZ_VALID.items() for k in fields_]),
+           st.sampled_from(FUZZ_ANY)), max_size=2))
+def test_any_config_ends_in_a_documented_exit_code(sections, mutations):
+    # a tiny run of at most one epoch per phase, from any mix of valid and bad field values
+    cfg = {name: {**FUZZ_BASE[name], **drawn} for name, drawn in sections.items()}
+    for (name, key), value in mutations:
+        cfg[name][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+        out = root / "run"
+        code = main(["train", "--config", str(root / "config.json"), "--out-dir", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code in (0, 4):
+            read_log(out)  # strict JSON: NaN and Infinity refused
+            load_checkpoint(out / "checkpoint.bin")
+        if code == 0:
+            code = main(["eval", "--config", str(root / "config.json"), "--checkpoint",
+                         str(out / "checkpoint.bin"), "--out-dir", str(root / "eval")])
+            report = root / "eval" / "report.txt"
+            if code == 0:
+                values = dict(line.split(": ", 1) for line in report.read_text().splitlines())
+                assert all(math.isfinite(float(values[k])) for k in FUZZ_METRICS), values
+            else:
+                # 3: an empty test split; 4: a metric beyond float64, such as the perplexity
+                # of a finite model whose NLL exceeds about 709 nats a word
+                assert code == EXIT_CODES["numeric"] or (
+                    code == EXIT_CODES["data"] and cfg["synthetic"]["n_test"] == 0)
+                assert not report.exists()
+        assert list(root.rglob("*.tmp")) == []
 
 
 def write_text_corpus(tmp_path, **sizes):

@@ -6,7 +6,7 @@ import pytest
 import textvae.metrics
 from textvae.autodiff import Tensor
 from textvae.corpus import END, make_batch
-from textvae.errors import DataError
+from textvae.errors import DataError, NumericError
 from textvae.metrics import (
     BLEU_EPSILON,
     EvalConfig,
@@ -426,6 +426,15 @@ def test_evaluate_smoke_untrained():
     assert 0.0 <= report.bleu <= 1.0
     text = report.to_text()
     assert "nll:" in text and "config.n_samples:" in text
+
+
+def test_evaluate_refuses_a_metric_that_is_not_finite():
+    # output weights near 1e300 give log-probabilities near -1e300, whose perplexity overflows
+    p = tiny_params(11)
+    p["dec.out_w"].data *= 1e300
+    with pytest.raises(NumericError, match="ppl is not finite"):
+        evaluate([(4, 5), (5, 4, 4)], p, EvalConfig(n_samples=2, mi_samples=2, max_gen_len=4),
+                 np.random.default_rng(0))
 
 
 def test_evaluate_collapsed_model():

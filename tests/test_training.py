@@ -1,13 +1,14 @@
 import tracemalloc
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
-from textvae.errors import ConfigError, ContractError, TrainingError
+from textvae.errors import ConfigError, ContractError, TrainingError, read_config
 from textvae.layers import sample_masks
 from textvae.model import VaeParams
 from textvae.training import CHUNK, AdamState, TrainConfig, adam_step, clip_gradients, train
@@ -31,10 +32,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(free_bits=-1).validate()
     with pytest.raises(ConfigError):
-        TrainConfig.from_dict({"no_such_knob": 1})
+        read_config(TrainConfig, {"no_such_knob": 1}, "train")
     with pytest.raises(ConfigError):  # the CLI's --seed always replaces a config file's seed
-        TrainConfig.from_dict({"seed": True})
-    assert TrainConfig.from_dict({"lr": 0, "warmup_steps": None, "free_bits": 1}).lr == 0
+        read_config(TrainConfig, {"seed": True}, "train")
+    assert read_config(TrainConfig, {"lr": 0, "warmup_steps": None, "free_bits": 1}, "train").lr == 0
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -254,6 +255,23 @@ def test_train_divergence_aborts_with_last_good(monkeypatch):
         train(split, cfg, len(vocab))
     assert exc.value.params is not None
     assert isinstance(exc.value.log, list)
+
+
+@pytest.mark.parametrize("n_dev, failure", [(16, "dev ELBO failed"),
+                                            (0, "train-split ELBO failed")])
+def test_non_finite_epoch_elbo_is_a_divergence(n_dev, failure):
+    # lr 1e300 takes one finite step to parameters whose ELBO is NaN (inf - inf in the
+    # matmuls).  numpy's warnings are silenced, so only the finite check can end the run:
+    # it diverges and keeps the initial parameters instead of selecting the NaN epoch,
+    # also when there is no dev split and the epoch is selected on its training total
+    split, vocab = generate_synthetic(replace(SMALL_SPEC, n_train=16, n_dev=n_dev))
+    cfg = small_config(lr=1e300, epochs=1, latent_dim=2, embed_dim=2, hidden_dim=2)  # one step
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match=failure) as exc:
+        train(split, cfg, len(vocab))
+    assert "ELBO is not finite" in str(exc.value)
+    for (n, t), (_, t0) in zip(exc.value.params.named_parameters(),
+                               fresh_init(cfg, vocab).named_parameters()):
+        assert np.array_equal(t.data, t0.data), n
 
 
 def test_clip_gradients_norm_bits_and_overflow():
