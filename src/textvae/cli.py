@@ -136,7 +136,7 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
             path = root / f"{name}.txt"
             sents[name] = load_text(path) if path.exists() else []
         if not sents["train"] and vocab is None:
-            raise DataError(f"corpus directory {root} has no train.txt")
+            raise DataError(f"corpus directory {root} has no train.txt with a sentence in it")
         if vocab is None:
             vocab = build_vocab(sents["train"], int(cfg.get("vocab_size", 10000)))
         elif sents["train"]:
@@ -424,12 +424,16 @@ def _selfcheck_bleu() -> list[tuple[str, bool, str]]:
 
 
 def cmd_selfcheck(args) -> int:
-    if args.corrupt_backward:  # negative-control hook used by the test suite
-        model._CORRUPT_TANH_BACKWARD = True
+    cell = model.lstm_step
+    if args.corrupt_backward:  # negative control: h scaled, which the analytic BPTT misses
+        def scaled(*inputs):
+            h, c, gates = cell(*inputs)
+            return 1.5 * h, c, gates
+        model.lstm_step = scaled
     try:
         checks = _selfcheck_gradients() + _selfcheck_kl() + _selfcheck_bleu()
     finally:
-        model._CORRUPT_TANH_BACKWARD = False
+        model.lstm_step = cell
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + ("" if ok else f"  [{detail}]"))

@@ -28,7 +28,7 @@ class DimensionError(TextVaeError):
 
 
 class NumericError(TextVaeError):
-    """Numeric domain violation (exp overflow)."""
+    """An evaluation metric that is not finite (see ``metrics.evaluate``)."""
 
 
 class ContractError(TextVaeError):

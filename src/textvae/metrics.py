@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import make_batch
+from .corpus import batches, make_batch
 from .errors import ConfigError, DataError, NumericError, check_types
 from .model import BLOCK, GaussianPosterior, VaeParams, decode_batch, decode_greedy, encode_batch
 from .objectives import kl_columns
@@ -50,8 +50,6 @@ def reconstruction_nll(x, mu: np.ndarray, logvar: np.ndarray, params: VaeParams,
     bound on -log p(x) that tightens as k grows.  One decode scores all k
     draws against the sentence's single row of ids.
     """
-    if n_samples < 1:
-        raise DataError(f"n_samples must be >= 1, got {n_samples}")
     mu, logvar = np.reshape(mu, (-1, 1)), np.reshape(logvar, (-1, 1))
     eps = rng.standard_normal((params.latent_dim, n_samples))
     z = mu + np.exp(0.5 * logvar) * eps  # columns: one sample each
@@ -71,10 +69,8 @@ def reconstruction_nll(x, mu: np.ndarray, logvar: np.ndarray, params: VaeParams,
 
 def collect_posteriors(corpus, params: VaeParams):
     """Posterior means/logvars for every sentence, as (N, k) arrays, in batches of ``BLOCK``."""
-    sents = list(corpus)
     mus, logvars = [], []
-    for start in range(0, len(sents), BLOCK):
-        batch = make_batch(sents[start: start + BLOCK])
+    for batch in batches(corpus, BLOCK, seed=None):
         post = encode_batch(batch.ids, batch.lengths, params)
         mus.append(post.mu.data.T.copy())
         logvars.append(post.logvar.data.T.copy())

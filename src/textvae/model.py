@@ -148,12 +148,6 @@ class VaeParams:
 # ---------------------------------------------------------------------------
 # recurrence
 
-# Test hook: when True, the recurrence's backward negates every tanh
-# derivative.  Used as a negative control by grad_check tests and
-# `textvae selfcheck --corrupt-backward`.
-_CORRUPT_TANH_BACKWARD = False
-
-
 def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
                     static: Tensor | None = None, shared_input: bool = False) -> Tensor:
     """Run the LSTM ``prefix`` over T positions as one autodiff op.
@@ -210,20 +204,19 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
         d_pre = np.empty((4 * d, TB))
         dh = np.zeros((d, B))
         dc = np.zeros((d, B))
-        sign = -1.0 if _CORRUPT_TANH_BACKWARD else 1.0
         for t in reversed(range(T)):
             cols = slice(t * B, (t + 1) * B)
             gates = gates_seq.pop()
             i, f, o, gg = gates[:d], gates[d: 2 * d], gates[2 * d: 3 * d], gates[3 * d:]
             dh_t = g[:, cols] + dh
             tc = np.tanh(cs.pop())
-            dc_t = dc + sign * dh_t * o * (1.0 - tc * tc)
+            dc_t = dc + dh_t * o * (1.0 - tc * tc)
             dp = d_pre[:, cols]
             dp[:d] = dc_t * gg
             dp[d: 2 * d] = dc_t * cs[-1]
             dp[2 * d: 3 * d] = dh_t * tc
             dp[:3 * d] *= gates[:3 * d] * (1.0 - gates[:3 * d])
-            dp[3 * d:] = sign * dc_t * i * (1.0 - gg * gg)
+            dp[3 * d:] = dc_t * i * (1.0 - gg * gg)
             dh = w_h.T @ dp
             dc = dc_t * f
         d_pre_sum = d_pre.reshape(4 * d, T, B).sum(axis=1)  # the static input and the bias

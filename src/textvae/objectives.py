@@ -33,23 +33,24 @@ from .model import (GaussianPosterior, VaeParams, decode_batch, encode_batch, re
                     sentence_sums)
 
 
-def _kl_elementwise(mu: Tensor, logvar: Tensor) -> Tensor:
-    # 0.5 * (mu^2 + exp(logvar) - 1 - logvar), per coordinate
+def kl_elementwise(post: GaussianPosterior) -> Tensor:
+    """KL(q(z|x) || N(0, I)) per coordinate, as a (k, B) matrix over a batched posterior."""
+    mu, logvar = post.mu, post.logvar
+    # 0.5 * (mu^2 + exp(logvar) - 1 - logvar)
     inner = ad.sub(ad.sub(ad.add(ad.mul(mu, mu), ad.exp(logvar)), 1.0), logvar)
     return ad.scale(inner, 0.5)
 
 
 def kl_columns(post: GaussianPosterior) -> Tensor:
     """Per-sentence KL totals as a (1, B) row over a batched posterior."""
-    return ad.column_sums(_kl_elementwise(post.mu, post.logvar))
+    return ad.column_sums(kl_elementwise(post))
 
 
-def free_bits(post: GaussianPosterior, lam: float, per_dim: bool) -> Tensor:
-    """Per-sentence KL floored at ``lam`` as a (1, B) row: max(kl, lambda), so
-    below the threshold the term is constant (no gradient).  With ``per_dim``
-    the budget is split evenly across the k dimensions and each coordinate's
-    KL is clamped separately."""
-    kl = _kl_elementwise(post.mu, post.logvar)
+def free_bits(kl: Tensor, lam: float, per_dim: bool) -> Tensor:
+    """Per-sentence KL floored at ``lam`` as a (1, B) row, from the (k, B)
+    ``kl_elementwise``: max(kl, lambda), so below the threshold the term is
+    constant (no gradient).  With ``per_dim`` the budget is split evenly across
+    the k dimensions and each coordinate's KL is clamped separately."""
     if per_dim:
         return ad.column_sums(ad.maximum_scalar(kl, lam / kl.shape[0]))
     return ad.maximum_scalar(ad.column_sums(kl), lam)
@@ -121,10 +122,10 @@ def elbo_step(batch: Batch, config, params: VaeParams, eps: np.ndarray | None,
         penalty = Tensor(0.0)
 
     reconstruction = ad.scale(ad.reduce_mean(mean_ll), -1.0)
-    kl_cols = kl_columns(post)
-    kl_raw = ad.reduce_mean(kl_cols)
+    kl = kl_elementwise(post)
+    kl_raw = ad.reduce_mean(ad.column_sums(kl))
     if config.free_bits > 0:
-        kl_effective = ad.reduce_mean(free_bits(post, config.free_bits, config.free_bits_per_dim))
+        kl_effective = ad.reduce_mean(free_bits(kl, config.free_bits, config.free_bits_per_dim))
     else:
         kl_effective = kl_raw
 

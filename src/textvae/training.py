@@ -20,8 +20,7 @@ import numpy as np
 
 from .autodiff import tape
 from .corpus import CorpusSplit, batches
-from .errors import (ConfigError, ContractError, NumericError, TrainingError, TrainingInterrupted,
-                     check_types)
+from .errors import ConfigError, ContractError, TrainingError, TrainingInterrupted, check_types
 from .layers import sample_masks
 from .model import VaeParams
 from .objectives import elbo_step
@@ -152,11 +151,11 @@ class TrainResult:
     log: list[dict]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the finite check at the end decides
+@np.errstate(over="ignore", invalid="ignore")  # the caller's finite check decides
 def _dev_elbo(sentences, config: TrainConfig, params: VaeParams, seed,
               batch_size: int) -> float:
-    """Single-sample negative ELBO of ``sentences`` (beta=1, no dropout); a result
-    that is not finite raises NumericError."""
+    """Single-sample negative ELBO of ``sentences`` (beta=1, no dropout), finite or
+    not."""
     rng = np.random.default_rng(seed)
     eval_cfg = replace(config, alpha=0.0, free_bits=0.0)
     total, count = 0.0, 0
@@ -165,8 +164,6 @@ def _dev_elbo(sentences, config: TrainConfig, params: VaeParams, seed,
         lb = elbo_step(batch, eval_cfg, params, eps, None, 1.0)
         total += lb.total.item() * batch.size
         count += batch.size
-    if not np.isfinite(total):
-        raise NumericError(f"ELBO is not finite: {total / count}")
     return total / count
 
 
@@ -198,11 +195,12 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
 
     Each step draws its noise from ``rng`` in the order the module docstring
     gives.  ``phase="pretrain"`` is the deterministic-autoencoder variant:
-    z = mu and beta = 0.  Returns the best-validation parameters.  A step, or
-    an epoch's ELBO on the dev split (the train split when there is none), that
-    fails numerically or is not finite raises TrainingError carrying those
-    parameters and ``log``; a KeyboardInterrupt becomes TrainingInterrupted,
-    carrying the same.
+    z = mu and beta = 0.  Returns the best-validation parameters.  A step whose
+    loss or gradients are not finite, or an epoch whose ELBO on the dev split
+    (the train split when there is none) is not finite, raises TrainingError
+    carrying those parameters and ``log``, which then ends with the failed
+    epoch's record; a KeyboardInterrupt becomes TrainingInterrupted, carrying
+    the same.
     """
     pretrain = phase == "pretrain"
     draw_mask = config.alpha > 0 or config.keep_prob < 1.0
@@ -225,7 +223,7 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
                 beta = 0.0 if pretrain else min(step / config.warmup_steps, 1.0)
                 try:
                     scalars, norm = _step(batch, config, params, state, eps, mask, beta)
-                except (NumericError, TrainingError) as exc:
+                except TrainingError as exc:
                     raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
                                         f"{exc}", params=best, log=log) from exc
                 norms.append(norm)
@@ -240,16 +238,16 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
             record["phase"] = phase
             # without a dev split the train split's ELBO still refuses diverged
             # parameters, and the epoch is selected on its training total
-            split = "dev" if corpus.dev else "train-split"
-            try:
-                elbo = _dev_elbo(corpus.dev or corpus.train, config, params,
-                                 seed=[config.seed, 1000 + epoch], batch_size=config.batch_size)
-            except NumericError as exc:
-                raise TrainingError(f"{split} ELBO failed in {phase} epoch {epoch}: {exc}",
-                                    params=best, log=log) from exc
-            record["val_elbo"] = elbo if corpus.dev else None
+            elbo = _dev_elbo(corpus.dev or corpus.train, config, params,
+                             seed=[config.seed, 1000 + epoch], batch_size=config.batch_size)
+            finite = np.isfinite(elbo)
+            record["val_elbo"] = elbo if corpus.dev and finite else None  # the log has no NaN
             record["wall_time"] = time.perf_counter() - t0
             log.append(record)
+            if not finite:
+                split = "dev" if corpus.dev else "train-split"
+                raise TrainingError(f"{split} ELBO failed in {phase} epoch {epoch}: "
+                                    f"ELBO is not finite: {elbo}", params=best, log=log)
 
             val = elbo if corpus.dev else record["total"]
             if val < best_val:
@@ -270,9 +268,9 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int) -> TrainRes
     redraws every decoder-side parameter while keeping the encoder, and only
     then starts the standard loop.  Init, pretraining, the reset and the
     standard loop all draw from one ``default_rng(config.seed)`` in that
-    order.  A step that fails numerically, in either phase, raises
-    TrainingError carrying the best parameters of that phase so far and the
-    whole log; an interrupt raises TrainingInterrupted with the same.
+    order.  A step or an epoch-end ELBO that is not finite, in either phase,
+    raises TrainingError carrying the best parameters of that phase so far and
+    the whole log; an interrupt raises TrainingInterrupted with the same.
     """
     config.validate()
     if not corpus.train:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from textvae.autodiff import Tape
 from textvae.cli import EXIT_CODES, main
 from textvae.corpus import SyntheticSpec
-from textvae.errors import FIELD_TYPES, NumericError
+from textvae.errors import FIELD_TYPES, ConfigError, check_types
 from textvae.metrics import EvalConfig
 from textvae.model import VaeParams, decode_greedy, load_checkpoint
 from textvae.training import TrainConfig
@@ -119,6 +119,12 @@ def assert_finite_checkpoint(path):
     assert all(np.all(np.isfinite(t.data)) for _, t in params.named_parameters())
 
 
+def overflow_kl(params):
+    """Set every posterior log-variance near 800 in the live parameters, so the KL's
+    exp overflows to inf and the step's loss is not finite."""
+    params["enc.logvar_b"].data[:] = 800.0
+
+
 @pytest.mark.parametrize("failure", ["exp overflow", "non-finite gradient", "pretrain exp overflow"])
 def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     import textvae.training as training_mod
@@ -132,12 +138,12 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
 
     def failing(batch, config, params, *inputs):
         calls["n"] += 1
-        lb = real(batch, config, params, *inputs)
         if calls["n"] == 8:  # epoch 0 is 5 train steps and 1 dev batch; this is step 6
             if failure.endswith("exp overflow"):
-                raise NumericError("exp would overflow: max input 800")
-            poisoned.append(params["dec.out_b"])
-        return lb
+                overflow_kl(params)  # loss inf in training, nan in pretraining (beta 0)
+            else:
+                poisoned.append(params["dec.out_b"])
+        return real(batch, config, params, *inputs)
 
     def poisoning_backward(tape_self, loss):
         grads = real_backward(tape_self, loss)
@@ -157,6 +163,8 @@ def test_train_failure_mid_step_keeps_last_good(tmp_path, monkeypatch, failure):
     assert f"{phase} epoch 1, step 6" in records[-1]["error"]
     if failure == "non-finite gradient":
         assert "non-finite gradient in parameter 'dec.out_b'" in records[-1]["error"]
+    else:
+        assert ("loss nan" if phase == "pretrain" else "loss inf") in records[-1]["error"]
     assert json.loads((out / "manifest.json").read_text())["diverged"] is True
     assert_finite_checkpoint(out / "checkpoint.bin")
 
@@ -185,6 +193,8 @@ def test_train_numeric_blowup_is_a_divergence(tmp_path, train, failure):
     records = [strict_json(l) for l in lines]
     assert records[-1]["phase"] == "aborted"
     assert failure in records[-1]["error"]
+    if "ELBO failed" in failure:  # the failed epoch keeps its record, with a null ELBO
+        assert [(r["epoch"], r["val_elbo"]) for r in records[:-1]] == [(0, None)]
     assert json.loads((out / "manifest.json").read_text())["diverged"] is True
     assert_finite_checkpoint(out / "checkpoint.bin")
 
@@ -349,7 +359,7 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["train", "--config", str(cfg2), "--out-dir", str(tmp_path / "y")]) == EXIT_CODES["config"]
 
 
-@pytest.mark.parametrize("overrides", [
+BAD_CONFIG_VALUES = [
     {"train": [1]},
     {"synthetic": "corpus"},
     {"eval": 5},
@@ -384,19 +394,71 @@ def test_bad_config_exit_code(tmp_path):
     {"train": {"free_bits": float("inf")}},
     {"train": {"clip_norm": float("nan")}},
     {"eval": {"au_threshold": float("inf")}},
-], ids=["train not object", "synthetic not object", "eval not object", "vocab_size not int",
-        "n_train not int", "negative n_dev", "mi_samples 0", "n_samples 0", "n_samples float",
-        "negative au_threshold", "n_samples bool", "mi_samples bool", "max_gen_len bool",
-        "au_threshold bool", "au_threshold string", "seed bool", "negative seed", "latent_dim float", "embed_dim float", "hidden_dim bool",
-        "batch_size float", "epochs float", "pretrain_epochs string", "warmup_steps float",
-        "lr string", "alpha bool", "clip_norm null", "free_bits_per_dim string",
-        "free_bits_per_dim int", "lr inf", "alpha inf", "free_bits inf", "clip_norm nan",
-        "au_threshold inf"])
+    # each range check's first value out of range, for the fields no case above covers
+    {"train": {"latent_dim": 0}},
+    {"train": {"embed_dim": 0}},
+    {"train": {"hidden_dim": 0}},
+    {"train": {"lr": -5e-324}},
+    {"train": {"batch_size": 0}},
+    {"train": {"epochs": -1}},
+    {"train": {"warmup_steps": 0}},
+    {"train": {"free_bits": -5e-324}},
+    {"train": {"alpha": -5e-324}},
+    {"train": {"keep_prob": math.nextafter(1.0, 2.0)}},
+    {"train": {"pretrain_epochs": -1}},
+    {"train": {"clip_norm": -5e-324}},
+    {"synthetic": {"n_templates": 1}},
+    {"synthetic": {"words_per_slot": 0}},
+    {"synthetic": {"length_range": [5, 4]}},
+    {"synthetic": {"n_train": 0}},
+    {"synthetic": {"n_test": -1}},
+    {"synthetic": {"seed": -1}},
+    {"eval": {"max_gen_len": 0}},
+]
+BAD_CONFIG_IDS = [
+    "train not object", "synthetic not object", "eval not object", "vocab_size not int",
+    "n_train not int", "negative n_dev", "mi_samples 0", "n_samples 0", "n_samples float",
+    "negative au_threshold", "n_samples bool", "mi_samples bool", "max_gen_len bool",
+    "au_threshold bool", "au_threshold string", "seed bool", "negative seed",
+    "latent_dim float", "embed_dim float", "hidden_dim bool", "batch_size float",
+    "epochs float", "pretrain_epochs string", "warmup_steps float", "lr string", "alpha bool",
+    "clip_norm null", "free_bits_per_dim string", "free_bits_per_dim int", "lr inf",
+    "alpha inf", "free_bits inf", "clip_norm nan", "au_threshold inf", "latent_dim 0",
+    "embed_dim 0", "hidden_dim 0", "lr below 0", "batch_size 0", "epochs -1", "warmup_steps 0",
+    "free_bits below 0", "alpha below 0", "keep_prob above 1", "pretrain_epochs -1",
+    "clip_norm below 0", "n_templates 1", "words_per_slot 0", "length_range lo above hi",
+    "n_train 0", "n_test -1", "synthetic seed -1", "max_gen_len 0",
+]
+CONFIG_SECTIONS = {"train": TrainConfig, "eval": EvalConfig, "synthetic": SyntheticSpec}
+
+
+@pytest.mark.parametrize("overrides", BAD_CONFIG_VALUES, ids=BAD_CONFIG_IDS)
 def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == \
         EXIT_CODES["config"]
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_every_config_range_check_has_a_case():
+    # a range case sets one field to a value of the right type that validate refuses;
+    # every field but a bool has a range check, and each needs a case that reaches it
+    covered = set()
+    for overrides in BAD_CONFIG_VALUES:
+        for section, values in overrides.items():
+            if section not in CONFIG_SECTIONS or not isinstance(values, dict):
+                continue
+            config = CONFIG_SECTIONS[section](**values)
+            try:
+                check_types(config)
+            except ConfigError:
+                continue
+            with pytest.raises(ConfigError):
+                config.validate()
+            covered |= {(section, name) for name in values}
+    hints = {section: typing.get_type_hints(cls) for section, cls in CONFIG_SECTIONS.items()}
+    assert covered == {(section, name) for section, fields_ in hints.items()
+                       for name, hint in fields_.items() if hint is not bool}
 
 
 @pytest.mark.parametrize("command, flags, overrides", [
@@ -486,8 +548,7 @@ FUZZ_METRICS = ("nll", "ppl", "iw_nll", "iw_ppl", "kl", "mi", "mi_raw", "bleu")
 
 def test_every_config_field_has_a_type_check_and_fuzz_values():
     # a field of a type FIELD_TYPES lacks would be a KeyError, exit 5, in a user's run
-    sections = {"train": TrainConfig, "eval": EvalConfig, "synthetic": SyntheticSpec}
-    for section, cls in sections.items():
+    for section, cls in CONFIG_SECTIONS.items():
         for name, hint in typing.get_type_hints(cls).items():
             assert hint in FIELD_TYPES, f"{cls.__name__}.{name}: {hint}"
         assert set(FUZZ_VALID[section]) == {f.name for f in fields(cls)}, section
@@ -563,6 +624,37 @@ def test_text_corpus_train_and_eval(tmp_path):
     assert (eval_out / "report.txt").exists()
     assert_strict_json_artifacts(out)
     assert_strict_json_artifacts(eval_out)
+
+
+# (split files, expected exit code) of text corpora that are awkward but possible input
+TEXT_CORPORA = {
+    "blank lines": ({"train": b"w1 w2\n\n \t \nw2 w3 w1\n\n", "dev": b"\nw3 w1\n",
+                     "test": b"w2 w2\n"}, 0),
+    "one-word sentences": ({"train": b"w1\nw2\nw3\n", "dev": b"w4\n", "test": b"w1 w1\n"}, 0),
+    "train of blank lines only": ({"train": b"\n \n\t\n", "dev": b"w1\n", "test": b"w2\n"}, 3),
+    "non-UTF-8 bytes": ({"train": b"w1 \xff\xfe w2\n", "dev": b"w1\n", "test": b"w2\n"}, 3),
+    "sentence in two splits": ({"train": b"w1 w2\nw3\n", "dev": b"w1 w2\n",
+                                "test": b"w3 w1\n"}, 3),
+    "no dev.txt": ({"train": b"w1 w2\nw2 w3\n", "test": b"w3 w1\n"}, 0),
+    "no test.txt": ({"train": b"w1 w2\nw2 w3\n", "dev": b"w3 w1\n"}, 0),
+}
+
+
+@pytest.mark.parametrize("files, code", TEXT_CORPORA.values(), ids=TEXT_CORPORA.keys())
+def test_text_corpus_ends_in_a_documented_exit_code(tmp_path, files, code):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for name, raw in files.items():
+        (corpus_dir / f"{name}.txt").write_bytes(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {**FUZZ_BASE["train"], "warmup_steps": 1},
+                               "vocab_size": 30}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
+                 "--out-dir", str(out)]) == code
+    if code == 0:
+        read_log(out)  # strict JSON
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_train_without_dev_split_logs_null_val_elbo(tmp_path):
@@ -665,8 +757,9 @@ def test_sweep_single_alpha(tmp_path):
     assert_strict_json_artifacts(out)
 
 
-def diverge_alpha_0_1(monkeypatch, failure=NumericError("exp would overflow: max input 800")):
-    """Make the alpha=0.1 run of a sweep raise ``failure`` in epoch 1 (step 7)."""
+def diverge_alpha_0_1(monkeypatch, failure=overflow_kl):
+    """Make the alpha=0.1 run of a sweep call ``failure`` on its live parameters in
+    epoch 1 (step 7), by default overflowing the step's loss."""
     import textvae.training as training_mod
 
     real = training_mod.elbo_step
@@ -675,7 +768,7 @@ def diverge_alpha_0_1(monkeypatch, failure=NumericError("exp would overflow: max
     def failing(batch, config, params, *inputs):
         if config.alpha == 0.1:  # training steps only: the dev ELBO runs at alpha 0
             if steps["n"] == 7:
-                raise failure
+                failure(params)
             steps["n"] += 1
         return real(batch, config, params, *inputs)
 
@@ -713,7 +806,10 @@ def test_sweep_every_alpha_failed_exits_with_last_failure(tmp_path, monkeypatch,
 
 
 def test_sweep_interrupted_keeps_the_finished_rows(tmp_path, monkeypatch):
-    diverge_alpha_0_1(monkeypatch, KeyboardInterrupt())
+    def interrupt(params):
+        raise KeyboardInterrupt
+
+    diverge_alpha_0_1(monkeypatch, interrupt)
     cfg = write_config(tmp_path, train={"epochs": 2})
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out-dir", str(out),
@@ -812,5 +908,9 @@ def test_selfcheck_passes(capsys):
 
 
 def test_selfcheck_corrupted_backward_fails(capsys):
+    # exactly the checks whose gradients pass through the LSTM recurrence fail
     assert main(["selfcheck", "--corrupt-backward"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    failed = [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["gradients: lstm recurrence", "gradients: full objective"]
+    assert "3/5 checks passed" in out

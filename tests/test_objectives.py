@@ -5,7 +5,7 @@ from textvae.autodiff import Tensor, grad_check, tape
 from textvae.corpus import make_batch
 from textvae.layers import sample_masks
 from textvae.model import GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize
-from textvae.objectives import elbo_step, fraternal_batch, free_bits, kl_columns
+from textvae.objectives import elbo_step, fraternal_batch, free_bits, kl_columns, kl_elementwise
 from textvae.training import TrainConfig
 
 
@@ -65,36 +65,37 @@ def test_kl_gradcheck():
 
 def test_free_bits_values():
     # KL = 0.5 * sum(mu^2) at logvar 0: 10 above the floor 8, 3 below it
-    assert free_bits(posterior([4.0, 2.0], [0.0, 0.0]), 8.0, False).item() == 10.0
-    assert free_bits(posterior([2.0, 1.0, 1.0], [0.0] * 3), 8.0, False).item() == 8.0
+    assert free_bits(kl_elementwise(posterior([4.0, 2.0], [0.0, 0.0])), 8.0, False).item() == 10.0
+    assert free_bits(kl_elementwise(posterior([2.0, 1.0, 1.0], [0.0] * 3)), 8.0,
+                     False).item() == 8.0
     for mu in (0.0, 1.0, 3.8):
         p = posterior([mu], [0.0])
-        assert free_bits(p, 0.0, False).item() == kl(p)
+        assert free_bits(kl_elementwise(p), 0.0, False).item() == kl(p)
 
 
 def test_free_bits_blocks_gradient_below_threshold():
     # the kink: below lambda the branch is constant
     p = posterior([0.1, 0.1], [0.0, 0.0])
     with tape() as t:
-        grads = t.backward(ad.reduce_mean(free_bits(p, 8.0, False)))
+        grads = t.backward(ad.reduce_mean(free_bits(kl_elementwise(p), 8.0, False)))
     assert np.array_equal(grads[p.mu], np.zeros((2, 1)))
     assert np.array_equal(grads[p.logvar], np.zeros((2, 1)))
 
     p2 = posterior([3.0, 3.0], [0.0, 0.0])  # KL = 9 > 8: gradient flows
     with tape() as t:
-        grads = t.backward(ad.reduce_mean(free_bits(p2, 8.0, False)))
+        grads = t.backward(ad.reduce_mean(free_bits(kl_elementwise(p2), 8.0, False)))
     assert np.any(grads[p2.mu] != 0.0)
 
 
 def test_free_bits_per_dimension_option():
     # dim 0 above its share of the budget, dim 1 below: only dim 1 clamps
     p = posterior([2.0, 0.0], [0.0, 0.0])  # per-dim KL = [2.0, 0.0]
-    row = free_bits(p, 2.0, per_dim=True)  # per-dim floor 1.0
+    row = free_bits(kl_elementwise(p), 2.0, per_dim=True)  # per-dim floor 1.0
     assert abs(row.data[0, 0] - 3.0) < 1e-12
 
     p2 = posterior([2.0, 0.0], [0.0, 0.0])
     with tape() as t:
-        grads = t.backward(ad.reduce_mean(free_bits(p2, 2.0, True)))
+        grads = t.backward(ad.reduce_mean(free_bits(kl_elementwise(p2), 2.0, True)))
     assert grads[p2.mu][0, 0] != 0.0   # active dimension keeps gradient
     assert grads[p2.mu][1, 0] == 0.0   # clamped dimension is constant
 
@@ -261,3 +262,19 @@ def test_tape_size_does_not_grow_with_sentence_length():
             elbo_step(batch, cfg, p, eps, mask, 0.1)
             sizes.append(len(t))
     assert sizes[0] == sizes[1]
+
+
+def test_free_bits_reuses_the_elementwise_kl():
+    # kl_raw and the free-bits floor read one elementwise KL: 6 tape entries fewer than
+    # building it twice, with the same values
+    p = VaeParams.init(6, 8, 8, 4, np.random.default_rng(3))
+    batch = make_batch([(4, 5, 4), (5,)])
+    eps = np.random.default_rng(4).standard_normal((4, 2))
+    cfg = _config(latent_dim=4, embed_dim=8, hidden_dim=8, free_bits=2.0)
+    with tape() as t:
+        lb = elbo_step(batch, cfg, p, eps, None, 0.5)
+        assert len(t) == 34
+    post = encode_batch(batch.ids, batch.lengths, p)
+    floor = ad.reduce_mean(ad.maximum_scalar(kl_columns(post), 2.0))
+    assert lb.kl_effective.item() == floor.item()
+    assert lb.kl_raw.item() == ad.reduce_mean(kl_columns(post)).item()

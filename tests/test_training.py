@@ -269,6 +269,10 @@ def test_non_finite_epoch_elbo_is_a_divergence(n_dev, failure):
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match=failure) as exc:
         train(split, cfg, len(vocab))
     assert "ELBO is not finite" in str(exc.value)
+    # the failed epoch keeps its record: its finite loss terms, but no ELBO, as JSON has no NaN
+    [record] = exc.value.log
+    assert record["epoch"] == 0 and record["val_elbo"] is None
+    assert all(np.isfinite(record[k]) for k in ("total", "kl_raw", "grad_norm", "wall_time"))
     for (n, t), (_, t0) in zip(exc.value.params.named_parameters(),
                                fresh_init(cfg, vocab).named_parameters()):
         assert np.array_equal(t.data, t0.data), n
