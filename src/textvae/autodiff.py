@@ -316,7 +316,6 @@ def reduce_mean(x) -> Tensor:
 class GradCheckReport:
     """Outcome of an analytic-vs-finite-difference comparison."""
 
-    per_param: dict
     max_error: float
     tol: float
     passed: bool
@@ -360,7 +359,6 @@ def grad_check(f, params, tol: float = 1e-4) -> GradCheckReport:
         grads = t.backward(f())
     analytic = {name: grads.get(p, np.zeros_like(p.data)) for name, p in named}
 
-    per_param: dict[str, float] = {}
     worst, worst_name = 0.0, ""
     for name, p in named:
         numeric = np.zeros(p.shape)
@@ -375,8 +373,6 @@ def grad_check(f, params, tol: float = 1e-4) -> GradCheckReport:
         a = analytic[name].reshape(p.shape)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), _REL_ERR_FLOOR)
         err = float(np.max(np.abs(a - numeric) / denom)) if p.data.size else 0.0
-        per_param[name] = err
         if err >= worst:
             worst, worst_name = err, name
-    return GradCheckReport(per_param=per_param, max_error=worst, tol=tol,
-                           passed=worst < tol, worst_param=worst_name)
+    return GradCheckReport(max_error=worst, tol=tol, passed=worst < tol, worst_param=worst_name)

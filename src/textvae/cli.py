@@ -9,6 +9,19 @@ A config file holds one JSON object with at most four keys: the sections
 (SyntheticSpec), each an object whose keys are that dataclass's fields, and
 ``vocab_size``, the vocabulary cap of a --corpus directory.  An unknown key,
 a value of the wrong type or one out of range exits 2.
+
+A run directory is what ``train`` writes into --out-dir, and ``sweep`` into
+``alpha_<alpha>/`` for each alpha: ``vocab.txt``, ``checkpoint.bin``,
+``train_log.jsonl`` and ``manifest.json``.  A run that diverges or is
+interrupted writes all four too, from its last good parameters; the log's
+last record and a manifest flag say how it ended.  A sweep cell adds its
+test-split ``report.txt``; the sweep's --out-dir holds ``sweep_table.txt``
+and the sweep's manifest.
+
+Exit codes (``exit_code`` on the classes in ``errors``): 0 ok, 2 config,
+3 data, 4 numeric (a divergence, a non-finite metric, a shape mismatch),
+5 internal, 130 interrupted.  A failed ``selfcheck`` exits 1, and a sweep in
+which every alpha failed exits with its last failure's code.
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -31,7 +45,6 @@ from .corpus import (CorpusSplit, SyntheticSpec, Vocabulary, build_vocab, genera
 from .errors import (
     ConfigError,
     DataError,
-    DimensionError,
     NumericError,
     TextVaeError,
     TrainingError,
@@ -46,24 +59,15 @@ from .training import TrainConfig, TrainResult, train
 
 EXIT_CODES = {
     "ok": 0,
-    "config": 2,
-    "data": 3,
-    "numeric": 4,
-    "internal": 5,
-    "interrupted": 130,  # Ctrl-C; an interrupted train still writes its last good checkpoint
+    "config": ConfigError.exit_code,
+    "data": DataError.exit_code,
+    "numeric": NumericError.exit_code,
+    "internal": TextVaeError.exit_code,
+    "interrupted": TrainingInterrupted.exit_code,
 }
 
-
-def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, TrainingInterrupted):
-        return EXIT_CODES["interrupted"]
-    if isinstance(exc, ConfigError):
-        return EXIT_CODES["config"]
-    if isinstance(exc, DataError):
-        return EXIT_CODES["data"]
-    if isinstance(exc, (NumericError, DimensionError, TrainingError)):
-        return EXIT_CODES["numeric"]
-    return EXIT_CODES["internal"]
+# the TrainConfig fields that train takes as flags (--epochs ... --pretrain-epochs)
+TRAIN_FLAGS = ("epochs", "lr", "alpha", "keep_prob", "free_bits", "pretrain_epochs")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -107,27 +111,20 @@ def _load_config_file(path) -> dict:
 
 
 def _train_config(cfg: dict, args) -> TrainConfig:
+    """The config's train section, overridden by --seed and the TRAIN_FLAGS given."""
     section = dict(cfg.get("train", {}))
-    overrides = {
-        "seed": args.seed,
-        "epochs": getattr(args, "epochs", None),
-        "lr": getattr(args, "lr", None),
-        "alpha": getattr(args, "alpha", None),
-        "keep_prob": getattr(args, "keep_prob", None),
-        "free_bits": getattr(args, "free_bits", None),
-        "pretrain_epochs": getattr(args, "pretrain_epochs", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            section[key] = value
+    for key in ("seed",) + TRAIN_FLAGS:
+        if getattr(args, key, None) is not None:
+            section[key] = getattr(args, key)
     return read_config(TrainConfig, section, "train")
 
 
 def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
     """Returns (split, vocab).  A text directory needs train/dev/test .txt files.
 
-    When ``vocab`` is given (evaluating a checkpoint), text corpora are
-    encoded with it; a freshly derivable vocabulary must hash-match.
+    When ``vocab`` is given (evaluating a checkpoint), the corpus must derive
+    the same vocabulary: a text corpus rebuilds it from train.txt, capped at
+    the checkpoint's own size, and a synthetic one generates it.
     """
     if corpus_dir is not None:
         root = Path(corpus_dir)
@@ -137,33 +134,26 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
             sents[name] = load_text(path) if path.exists() else []
         if not sents["train"] and vocab is None:
             raise DataError(f"corpus directory {root} has no train.txt with a sentence in it")
-        if vocab is None:
-            vocab = build_vocab(sents["train"], int(cfg.get("vocab_size", 10000)))
-        elif sents["train"]:
-            derived = build_vocab(sents["train"], int(cfg.get("vocab_size", 10000)))
-            if derived.hash != vocab.hash:
-                raise DataError(
-                    "corpus vocabulary does not match the checkpoint vocabulary "
-                    f"({derived.hash[:12]} vs {vocab.hash[:12]})")
+        cap = len(vocab) if vocab is not None else int(cfg.get("vocab_size", 10000))
+        derived = build_vocab(sents["train"], cap) if sents["train"] else vocab
         split = CorpusSplit(
-            train=[vocab.encode(s) for s in sents["train"]],
-            dev=[vocab.encode(s) for s in sents["dev"]],
-            test=[vocab.encode(s) for s in sents["test"]],
+            train=[derived.encode(s) for s in sents["train"]],
+            dev=[derived.encode(s) for s in sents["dev"]],
+            test=[derived.encode(s) for s in sents["test"]],
             source=str(root),
-        )
-        return split.validate(len(vocab)), vocab
-
-    if "vocab_size" in cfg:
-        raise ConfigError("config field 'vocab_size' applies only to a --corpus directory; "
-                          "a synthetic corpus sets its own vocabulary")
-    if "synthetic" not in cfg:
-        raise ConfigError("no corpus: pass --corpus DIR or a 'synthetic' config section")
-    split, generated = generate_synthetic(read_config(SyntheticSpec, cfg["synthetic"], "synthetic"))
-    if vocab is not None and generated.hash != vocab.hash:
-        raise DataError(
-            "synthetic corpus vocabulary does not match the checkpoint vocabulary "
-            f"({generated.hash[:12]} vs {vocab.hash[:12]})")
-    return split, (vocab or generated)
+        ).validate(len(derived))
+    else:
+        if "vocab_size" in cfg:
+            raise ConfigError("config field 'vocab_size' applies only to a --corpus directory; "
+                              "a synthetic corpus sets its own vocabulary")
+        if "synthetic" not in cfg:
+            raise ConfigError("no corpus: pass --corpus DIR or a 'synthetic' config section")
+        split, derived = generate_synthetic(
+            read_config(SyntheticSpec, cfg["synthetic"], "synthetic"))
+    if vocab is not None and derived.hash != vocab.hash:
+        raise DataError("corpus vocabulary does not match the checkpoint vocabulary "
+                        f"({derived.hash[:12]} vs {vocab.hash[:12]})")
+    return split, derived
 
 
 def _eval_seed(args) -> int:
@@ -173,13 +163,12 @@ def _eval_seed(args) -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _manifest(command: str, args, config_echo: dict, split, vocab: Vocabulary,
-              seed: int) -> dict:
+def _manifest(args, config_echo: dict, split, vocab: Vocabulary, seed: int) -> dict:
     hashes = split_hashes(split) if split is not None else {}
     if vocab is not None:
         hashes["vocab"] = vocab.hash
     return {
-        "command": command,
+        "command": args.command,
         "argv": list(getattr(args, "_argv", [])),
         "config": config_echo,
         "corpus_hashes": hashes,
@@ -192,26 +181,35 @@ def _manifest(command: str, args, config_echo: dict, split, vocab: Vocabulary,
 # commands
 
 
-def _train_and_save(split: CorpusSplit, tcfg: TrainConfig, vocab: Vocabulary,
-                    out: Path) -> TrainResult:
-    """Train, then write ``checkpoint.bin`` and ``train_log.jsonl`` into ``out``.
+def _train_and_save(args, split: CorpusSplit, tcfg: TrainConfig, ecfg: EvalConfig,
+                    vocab: Vocabulary, out: Path) -> TrainResult:
+    """Train, writing the run directory ``out``: ``vocab.txt``, ``checkpoint.bin``,
+    ``train_log.jsonl`` and ``manifest.json``.
 
     A run that diverges or is interrupted still writes its last good
-    checkpoint and its log, closed by an "aborted" or "interrupted" record,
-    before the TrainingError propagates.
+    checkpoint, its log closed by an "aborted" or "interrupted" record and a
+    manifest flagged "diverged" or "interrupted", before the TrainingError
+    propagates.
     """
+    config_echo = {"train": asdict(tcfg), "eval": asdict(ecfg), "vocab_size": len(vocab)}
+    manifest = _manifest(args, config_echo, split, vocab, tcfg.seed)
+    write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
     error = None
     try:
         result = train(split, tcfg, len(vocab))
         params, log = result.params, result.log
     except TrainingError as exc:
         error, params = exc, exc.params
-        log = exc.log + [{"phase": "interrupted"} if isinstance(exc, TrainingInterrupted)
+        ending = "interrupted" if isinstance(exc, TrainingInterrupted) else "diverged"
+        log = exc.log + [{"phase": "interrupted"} if ending == "interrupted"
                          else {"phase": "aborted", "error": str(exc)}]
+        manifest[ending] = True
     save_checkpoint(out / "checkpoint.bin", params, vocab, config=asdict(tcfg))
     write_file(out / "train_log.jsonl",
                "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in log))
+    _write_json(out / "manifest.json", manifest)
     if error is not None:
+        print(f"training {ending}; last good checkpoint written to {out / 'checkpoint.bin'}")
         raise error
     return result
 
@@ -222,18 +220,7 @@ def cmd_train(args) -> int:
     ecfg = read_config(EvalConfig, cfg.get("eval", {}), "eval")
     split, vocab = _resolve_corpus(cfg, args.corpus)
     out = _out_dir(args.out_dir)
-
-    config_echo = {"train": asdict(tcfg), "eval": asdict(ecfg), "vocab_size": len(vocab)}
-    manifest = _manifest("train", args, config_echo, split, vocab, tcfg.seed)
-    write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
-    try:
-        result = _train_and_save(split, tcfg, vocab, out)
-    except TrainingError as exc:
-        ending = "interrupted" if isinstance(exc, TrainingInterrupted) else "diverged"
-        _write_json(out / "manifest.json", {**manifest, ending: True})
-        print(f"training {ending}; last good checkpoint written to {out / 'checkpoint.bin'}")
-        raise
-    _write_json(out / "manifest.json", manifest)
+    result = _train_and_save(args, split, tcfg, ecfg, vocab, out)
 
     summary = f"trained {tcfg.epochs} epochs"
     if tcfg.epochs:
@@ -261,7 +248,7 @@ def cmd_eval(args) -> int:
         write_file(out / "report.txt", report.to_text())
         config_echo = {"eval": asdict(ecfg), "split": args.split}
         _write_json(out / "manifest.json",
-                    _manifest("eval", args, config_echo, split, vocab, _eval_seed(args)))
+                    _manifest(args, config_echo, split, vocab, _eval_seed(args)))
     return 0
 
 
@@ -289,7 +276,7 @@ def cmd_sweep(args) -> int:
     failed, error, interrupt = [], None, None
     for tcfg, label, run_dir in zip(runs, labels, run_dirs):
         try:
-            result = _train_and_save(split, tcfg, vocab, run_dir)
+            result = _train_and_save(args, split, tcfg, ecfg, vocab, run_dir)
             report = evaluate(split.test, result.params, ecfg, np.random.default_rng(tcfg.seed))
             write_file(run_dir / "report.txt", report.to_text())
             rows.append(report.table_row(label))
@@ -304,7 +291,7 @@ def cmd_sweep(args) -> int:
 
     write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")
     config_echo = {"train": asdict(base), "eval": asdict(ecfg), "alphas": alphas}
-    manifest = {**_manifest("sweep", args, config_echo, split, vocab, base.seed),
+    manifest = {**_manifest(args, config_echo, split, vocab, base.seed),
                 "failed_alphas": failed}
     _write_json(out / "manifest.json", {**manifest, "interrupted": True} if interrupt else manifest)
     print(f"\nsweep table written to {out / 'sweep_table.txt'}"
@@ -326,7 +313,7 @@ def _decode_and_write(args, params: VaeParams, vocab: Vocabulary, z: np.ndarray,
     if out is not None:
         write_file(out / filename, "\n".join(lines) + "\n")
         _write_json(out / "manifest.json",
-                    _manifest(args.command, args, config_echo, None, vocab, _eval_seed(args)))
+                    _manifest(args, config_echo, None, vocab, _eval_seed(args)))
     return 0
 
 
@@ -467,12 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write the best checkpoint")
     common(p, out_required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--keep-prob", type=float, default=None, dest="keep_prob")
-    p.add_argument("--free-bits", type=float, default=None, dest="free_bits")
-    p.add_argument("--pretrain-epochs", type=int, default=None, dest="pretrain_epochs")
+    hints = typing.get_type_hints(TrainConfig)
+    for name in TRAIN_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=hints[name], default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="compute the metric suite for a checkpoint")
@@ -514,7 +498,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except TextVaeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_CODES["interrupted"]

@@ -16,6 +16,7 @@ from .errors import ConfigError, DataError, check_types
 
 PAD, UNK, START, END = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
+SENTINEL_IDS = frozenset((PAD, START, END))  # reserved ids that no sentence holds
 
 
 def _hash_tokens(tokens) -> str:
@@ -43,16 +44,17 @@ class Vocabulary:
 
 
 def build_vocab(sentences, max_size: int) -> Vocabulary:
-    """Keep the most frequent tokens, ties broken lexicographically."""
+    """Keep the most frequent tokens, ties broken lexicographically.  A reserved
+    token in the text is not counted: it keeps its reserved id."""
     if max_size <= len(RESERVED_TOKENS):
         raise ConfigError(f"max_size must exceed {len(RESERVED_TOKENS)}, got {max_size}")
     counts = Counter()
-    n_sentences = 0
     for sent in sentences:
-        n_sentences += 1
         counts.update(sent)
-    if n_sentences == 0:
-        raise DataError("cannot build a vocabulary from an empty corpus")
+    for tok in RESERVED_TOKENS:
+        del counts[tok]
+    if not counts:
+        raise DataError("cannot build a vocabulary from a corpus without a content token")
     budget = max_size - len(RESERVED_TOKENS)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return Vocabulary([tok for tok, _ in ranked[:budget]])
@@ -83,8 +85,12 @@ class CorpusSplit:
             for sent in getattr(self, name):
                 if len(sent) == 0:
                     raise DataError(f"{name} split contains an empty sentence")
-                if any(i < 0 or i >= vocab_size for i in sent):
-                    raise DataError(f"{name} split contains an out-of-vocabulary id")
+                for i in sent:
+                    if i < 0 or i >= vocab_size:
+                        raise DataError(f"{name} split contains an out-of-vocabulary id")
+                    if i in SENTINEL_IDS:
+                        raise DataError(f"{name} split contains the reserved token "
+                                        f"{RESERVED_TOKENS[i]!r}")
                 prev = seen.get(sent)
                 if prev is not None and prev != name:
                     raise DataError(f"splits are not disjoint: a sentence appears in {prev} and {name}")

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Each class maps to a distinct CLI exit code (see cli.EXIT_CODES).  The
-config dataclasses' type checks live here too, in one table, because this is
-the one module every module that defines a config already imports.
+Each class declares its CLI exit code as ``exit_code``, and only there;
+cli.EXIT_CODES is built from them.  The config dataclasses' type checks live
+here too, in one table, because this is the one module every module that
+defines a config already imports.
 """
 
 import math
@@ -13,30 +14,37 @@ from dataclasses import fields
 
 class TextVaeError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 5  # internal, as is any exception that is not a TextVaeError
 
 
 class ConfigError(TextVaeError):
     """Invalid configuration value or malformed config file."""
+    exit_code = 2
 
 
 class DataError(TextVaeError):
     """Bad input data: empty corpus, unreadable file, hash mismatch."""
+    exit_code = 3
 
 
 class DimensionError(TextVaeError):
     """Tensor shape mismatch; message names the offending shapes."""
+    exit_code = 4
 
 
 class NumericError(TextVaeError):
     """An evaluation metric that is not finite (see ``metrics.evaluate``)."""
+    exit_code = 4
 
 
 class ContractError(TextVaeError):
     """An internal contract was violated (non-scalar loss, non-determinism)."""
+    exit_code = 5
 
 
 class TrainingError(TextVaeError):
     """Training diverged. Carries the last good parameters and the log."""
+    exit_code = 4
 
     def __init__(self, message, params=None, log=None):
         super().__init__(message)
@@ -46,6 +54,7 @@ class TrainingError(TextVaeError):
 
 class TrainingInterrupted(TrainingError):
     """Training was interrupted (Ctrl-C). Carries the last good parameters and the log."""
+    exit_code = 130
 
 
 # each annotation a config dataclass field may carry -> (what it must be, its test);

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textvae.autodiff import Tape
-from textvae.cli import EXIT_CODES, main
+from textvae.cli import EXIT_CODES, TRAIN_FLAGS, main
 from textvae.corpus import SyntheticSpec
-from textvae.errors import FIELD_TYPES, ConfigError, check_types
+from textvae.errors import (FIELD_TYPES, ConfigError, ContractError, DataError, DimensionError,
+                            NumericError, TextVaeError, TrainingError, TrainingInterrupted,
+                            check_types)
 from textvae.metrics import EvalConfig
 from textvae.model import VaeParams, decode_greedy, load_checkpoint
 from textvae.training import TrainConfig
@@ -304,12 +306,16 @@ def test_train_eval_round_trip_is_seed_deterministic(tmp_path):
 def test_flag_overrides_win_over_config(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out-dir", str(out),
-                 "--epochs", "2", "--alpha", "0.2", "--keep-prob", "0.8"]) == 0
+    flags = {"epochs": 2, "lr": 0.002, "alpha": 0.2, "keep_prob": 0.8, "free_bits": 0.5,
+             "pretrain_epochs": 1}
+    assert set(flags) == set(TRAIN_FLAGS)
+    argv = []
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)] + argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["train"]["epochs"] == 2
-    assert manifest["config"]["train"]["alpha"] == 0.2
-    assert manifest["config"]["train"]["keep_prob"] == 0.8
+    for name, value in flags.items():
+        assert manifest["config"]["train"][name] == value, name
 
 
 def test_config_seed_is_used_unless_the_flag_is_given(tmp_path):
@@ -348,6 +354,33 @@ def test_eval_without_seed_draws_from_seed_zero(tmp_path):
     assert reports[0] == reports[1]
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.bin"),
                  "--seed", "-1"]) == EXIT_CODES["config"]
+
+
+ERROR_EXIT_CODES = {ConfigError: 2, DataError: 3, DimensionError: 4, NumericError: 4,
+                    TrainingError: 4, ContractError: 5, TrainingInterrupted: 130}
+
+
+def test_every_error_class_has_an_exit_code_case():
+    classes, todo = set(), [TextVaeError]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes |= set(subclasses)
+        todo += subclasses
+    assert classes == set(ERROR_EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls, code", ERROR_EXIT_CODES.items(),
+                         ids=[cls.__name__ for cls in ERROR_EXIT_CODES])
+def test_each_error_class_ends_main_with_its_exit_code(monkeypatch, capsys, cls, code):
+    import textvae.cli as cli_mod
+
+    def failing(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli_mod, "cmd_selfcheck", failing)
+    assert cls.exit_code == code
+    assert main(["selfcheck"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -626,6 +659,28 @@ def test_text_corpus_train_and_eval(tmp_path):
     assert_strict_json_artifacts(eval_out)
 
 
+def test_eval_text_corpus_without_config_rebuilds_the_capped_vocabulary(tmp_path):
+    # a checkpoint trained under a vocab_size cap carries its own cap: eval needs no config
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for name, text in (("train", "a b d\na c\nb c a\nc c e\n"), ("dev", "b a\n"),
+                       ("test", "a a b\nc b\n")):
+        (corpus_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+    cfg = tmp_path / "capped.json"  # keeps c, a and b: d and e become <unk>
+    cfg.write_text(json.dumps({"train": {"latent_dim": 2, "embed_dim": 4, "hidden_dim": 4,
+                                         "epochs": 1, "warmup_steps": 4},
+                               "vocab_size": 7}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
+                 "--out-dir", str(out)]) == 0
+    reports = []
+    for name, flags in (("with", ["--config", str(cfg)]), ("without", [])):
+        assert main(["eval", "--corpus", str(corpus_dir), "--checkpoint",
+                     str(out / "checkpoint.bin"), "--out-dir", str(tmp_path / name)] + flags) == 0
+        reports.append((tmp_path / name / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+
+
 # (split files, expected exit code) of text corpora that are awkward but possible input
 TEXT_CORPORA = {
     "blank lines": ({"train": b"w1 w2\n\n \t \nw2 w3 w1\n\n", "dev": b"\nw3 w1\n",
@@ -637,6 +692,12 @@ TEXT_CORPORA = {
                                 "test": b"w3 w1\n"}, 3),
     "no dev.txt": ({"train": b"w1 w2\nw2 w3\n", "test": b"w3 w1\n"}, 0),
     "no test.txt": ({"train": b"w1 w2\nw2 w3\n", "dev": b"w3 w1\n"}, 0),
+    "reserved <unk> token": ({"train": b"w1 <unk> w2\nw2 w3\n", "dev": b"<unk> w1\n",
+                              "test": b"w3 <unk>\n"}, 0),
+    "train of reserved tokens only": ({"train": b"<unk>\n<unk> <unk>\n", "dev": b"w1\n",
+                                       "test": b"w2\n"}, 3),
+    "reserved </s> token": ({"train": b"w1 </s> w2\nw2 w3\n", "dev": b"w3 w1\n",
+                             "test": b"w2\n"}, 3),
 }
 
 
@@ -791,6 +852,23 @@ def test_sweep_diverged_alpha_keeps_last_good_and_continues(tmp_path, monkeypatc
     assert not (out / "alpha_0.1" / "report.txt").exists()
     assert (out / "alpha_0" / "report.txt").exists()
     assert [r["epoch"] for r in read_log(out / "alpha_0")] == [0, 1]
+
+
+def test_sweep_cell_is_a_run_directory(tmp_path, monkeypatch):
+    diverge_alpha_0_1(monkeypatch)
+    cfg = write_config(tmp_path, train={"epochs": 2})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out), "--alphas", "0.1,0"]) == 0
+    for label, alpha, diverged in (("0.1", 0.1, True), ("0", 0.0, False)):
+        run = out / f"alpha_{label}"
+        manifest = strict_json((run / "manifest.json").read_text())
+        _, vocab, _ = load_checkpoint(run / "checkpoint.bin")
+        assert manifest["config"]["train"]["alpha"] == alpha
+        assert manifest["corpus_hashes"]["vocab"] == vocab.hash
+        assert manifest.get("diverged", False) is diverged
+        assert (run / "vocab.txt").read_text().splitlines() == vocab.id_to_token
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(run / "checkpoint.bin")]) == 0
 
 
 def test_sweep_every_alpha_failed_exits_with_last_failure(tmp_path, monkeypatch, capsys):

@@ -174,6 +174,21 @@ def test_corpus_split_rejects_empty_sentence():
         split.validate(6)
 
 
+def test_reserved_tokens_in_text_keep_their_ids():
+    # a text <unk> (as the Penn Treebank writes every rare word) is UNK, not a content token
+    vocab = build_vocab([["w1", "<unk>", "w2"], ["<unk>", "w1"]], 10)
+    assert vocab.id_to_token == list(RESERVED_TOKENS) + ["w1", "w2"]
+    assert vocab.encode(["w1", "<unk>", "w2"]) == (4, UNK, 5)
+
+
+@pytest.mark.parametrize("sentinel", [PAD, START, END])
+def test_corpus_split_rejects_a_sentinel_id(sentinel):
+    split = CorpusSplit(train=[(4, 5)], dev=[(4, UNK, sentinel, 5)], test=[])
+    with pytest.raises(DataError, match=f"dev split contains the reserved token "
+                                        f"'{RESERVED_TOKENS[sentinel]}'"):
+        split.validate(6)
+
+
 def test_make_batch_pads_and_masks():
     b = make_batch([(4, 5, 6), (7,)])
     assert b.ids.shape == (2, 3)
