@@ -7,8 +7,11 @@ config echo, corpus hashes, seed and library version.
 A config file holds one JSON object with at most four keys: the sections
 ``train`` (TrainConfig), ``eval`` (EvalConfig) and ``synthetic``
 (SyntheticSpec), each an object whose keys are that dataclass's fields, and
-``vocab_size``, the vocabulary cap of a --corpus directory.  An unknown key,
-a value of the wrong type or one out of range exits 2.
+``vocab_size``, the vocabulary cap of a --corpus directory.  ``train``, ``eval``
+and ``sweep`` check every section: an unknown key, a value of the wrong type
+or one out of range exits 2.  A manifest's ``config`` echoes the checked file
+(``train`` with the flags applied); for ``train`` and each sweep cell it is a
+config file that re-runs the run, and ``eval`` adds ``split``, a sweep ``alphas``.
 
 A run directory is what ``train`` writes into --out-dir, and ``sweep`` into
 ``alpha_<alpha>/`` for each alpha: ``vocab.txt``, ``checkpoint.bin``,
@@ -31,7 +34,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +43,8 @@ from . import __version__
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor, grad_check
-from .corpus import (CorpusSplit, SyntheticSpec, Vocabulary, build_vocab, generate_synthetic,
-                     load_text, make_batch, split_hashes)
+from .corpus import (RESERVED_TOKENS, CorpusSplit, SyntheticSpec, Vocabulary, build_vocab,
+                     generate_synthetic, load_text, make_batch, split_hashes)
 from .errors import (
     ConfigError,
     DataError,
@@ -85,38 +88,37 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+def _read_config(args) -> dict:
+    """The --config file (none reads as empty), every section checked: ``train``
+    with --seed and the TRAIN_FLAGS given applied (eval's --seed is its own),
+    ``eval``, and ``synthetic`` and ``vocab_size`` when the file has them."""
+    raw = {}
+    if args.config is not None:
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {args.config} must hold a JSON object")
     known = {"train", "synthetic", "eval", "vocab_size"}
-    unknown = set(cfg) - known
+    unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}; expected {sorted(known)}")
-    for name in ("train", "synthetic", "eval"):
-        if not isinstance(cfg.get(name, {}), dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
-    if type(cfg.get("vocab_size", 0)) is not int:  # bool is an int subclass
-        raise ConfigError("config field 'vocab_size' must be an integer")
+    flags = () if args.command == "eval" else ("seed",) + TRAIN_FLAGS
+    overrides = {key: getattr(args, key) for key in flags if getattr(args, key, None) is not None}
+    cfg = {"train": read_config(TrainConfig, raw.get("train", {}), "train", **overrides),
+           "eval": read_config(EvalConfig, raw.get("eval", {}), "eval")}
+    if "synthetic" in raw:
+        cfg["synthetic"] = read_config(SyntheticSpec, raw["synthetic"], "synthetic")
+    if "vocab_size" in raw:
+        cap = raw["vocab_size"]
+        if type(cap) is not int or cap <= len(RESERVED_TOKENS):  # bool is an int subclass
+            raise ConfigError(f"vocab_size must be an integer >= {len(RESERVED_TOKENS) + 1}, "
+                              f"got {cap!r}")
+        cfg["vocab_size"] = cap
     return cfg
-
-
-def _train_config(cfg: dict, args) -> TrainConfig:
-    """The config's train section, overridden by --seed and the TRAIN_FLAGS given."""
-    section = dict(cfg.get("train", {}))
-    for key in ("seed",) + TRAIN_FLAGS:
-        if getattr(args, key, None) is not None:
-            section[key] = getattr(args, key)
-    return read_config(TrainConfig, section, "train")
 
 
 def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
@@ -134,7 +136,7 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
             sents[name] = load_text(path) if path.exists() else []
         if not sents["train"] and vocab is None:
             raise DataError(f"corpus directory {root} has no train.txt with a sentence in it")
-        cap = len(vocab) if vocab is not None else int(cfg.get("vocab_size", 10000))
+        cap = len(vocab) if vocab is not None else cfg.get("vocab_size", 10000)
         derived = build_vocab(sents["train"], cap) if sents["train"] else vocab
         split = CorpusSplit(
             train=[derived.encode(s) for s in sents["train"]],
@@ -148,8 +150,7 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
                               "a synthetic corpus sets its own vocabulary")
         if "synthetic" not in cfg:
             raise ConfigError("no corpus: pass --corpus DIR or a 'synthetic' config section")
-        split, derived = generate_synthetic(
-            read_config(SyntheticSpec, cfg["synthetic"], "synthetic"))
+        split, derived = generate_synthetic(cfg["synthetic"])
     if vocab is not None and derived.hash != vocab.hash:
         raise DataError("corpus vocabulary does not match the checkpoint vocabulary "
                         f"({derived.hash[:12]} vs {vocab.hash[:12]})")
@@ -157,20 +158,20 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
 
 
 def _eval_seed(args) -> int:
-    """--seed for the commands that have no train config to take it from: 0 when absent."""
+    """--seed for the commands that draw from it (eval, sample, interpolate): 0 when absent."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     return 0 if args.seed is None else args.seed
 
 
-def _manifest(args, config_echo: dict, split, vocab: Vocabulary, seed: int) -> dict:
+def _manifest(args, config: dict, split, vocab: Vocabulary, seed: int) -> dict:
     hashes = split_hashes(split) if split is not None else {}
     if vocab is not None:
         hashes["vocab"] = vocab.hash
     return {
         "command": args.command,
         "argv": list(getattr(args, "_argv", [])),
-        "config": config_echo,
+        "config": {key: asdict(v) if is_dataclass(v) else v for key, v in config.items()},
         "corpus_hashes": hashes,
         "seed": seed,
         "version": __version__,
@@ -181,18 +182,18 @@ def _manifest(args, config_echo: dict, split, vocab: Vocabulary, seed: int) -> d
 # commands
 
 
-def _train_and_save(args, split: CorpusSplit, tcfg: TrainConfig, ecfg: EvalConfig,
-                    vocab: Vocabulary, out: Path) -> TrainResult:
-    """Train, writing the run directory ``out``: ``vocab.txt``, ``checkpoint.bin``,
-    ``train_log.jsonl`` and ``manifest.json``.
+def _train_and_save(args, cfg: dict, split: CorpusSplit, vocab: Vocabulary,
+                    out: Path) -> TrainResult:
+    """Train by ``cfg`` (see ``_read_config``), writing the run directory ``out``:
+    ``vocab.txt``, ``checkpoint.bin``, ``train_log.jsonl`` and ``manifest.json``.
 
     A run that diverges or is interrupted still writes its last good
     checkpoint, its log closed by an "aborted" or "interrupted" record and a
     manifest flagged "diverged" or "interrupted", before the TrainingError
     propagates.
     """
-    config_echo = {"train": asdict(tcfg), "eval": asdict(ecfg), "vocab_size": len(vocab)}
-    manifest = _manifest(args, config_echo, split, vocab, tcfg.seed)
+    tcfg = cfg["train"]
+    manifest = _manifest(args, cfg, split, vocab, tcfg.seed)
     write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
     error = None
     try:
@@ -215,15 +216,13 @@ def _train_and_save(args, split: CorpusSplit, tcfg: TrainConfig, ecfg: EvalConfi
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    tcfg = _train_config(cfg, args)
-    ecfg = read_config(EvalConfig, cfg.get("eval", {}), "eval")
+    cfg = _read_config(args)
     split, vocab = _resolve_corpus(cfg, args.corpus)
     out = _out_dir(args.out_dir)
-    result = _train_and_save(args, split, tcfg, ecfg, vocab, out)
+    result = _train_and_save(args, cfg, split, vocab, out)
 
-    summary = f"trained {tcfg.epochs} epochs"
-    if tcfg.epochs:
+    summary = f"trained {cfg['train'].epochs} epochs"
+    if cfg["train"].epochs:
         final = result.log[-1]
         summary += f"; final total {final['total']:.4f} (kl {final['kl_raw']:.4f})"
     print(f"{summary}; artifacts in {out}")
@@ -231,29 +230,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _read_config(args)
     params, vocab, _ = load_checkpoint(args.checkpoint)
     split, vocab = _resolve_corpus(cfg, args.corpus, vocab=vocab)
     sentences = getattr(split, args.split)
     if not sentences:
         raise DataError(f"{args.split} split is empty")
 
-    ecfg = read_config(EvalConfig, cfg.get("eval", {}), "eval")
     out = _out_dir(args.out_dir) if args.out_dir else None
-    report = evaluate(sentences, params, ecfg, np.random.default_rng(_eval_seed(args)))
+    report = evaluate(sentences, params, cfg["eval"], np.random.default_rng(_eval_seed(args)))
 
     print(MetricsReport.table_header())
     print(report.table_row(Path(args.checkpoint).stem))
     if out is not None:
         write_file(out / "report.txt", report.to_text())
-        config_echo = {"eval": asdict(ecfg), "split": args.split}
         _write_json(out / "manifest.json",
-                    _manifest(args, config_echo, split, vocab, _eval_seed(args)))
+                    _manifest(args, {**cfg, "split": args.split}, split, vocab, _eval_seed(args)))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _read_config(args)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip() != ""]
     except ValueError as exc:
@@ -263,9 +260,8 @@ def cmd_sweep(args) -> int:
     labels = [f"{a:g}" for a in alphas]  # each run writes to alpha_<label>/
     if len(set(labels)) < len(labels):
         raise ConfigError(f"--alphas repeats a value (as run directories: {labels})")
-    base = _train_config(cfg, args)
-    runs = [replace(base, alpha=a).validate() for a in alphas]  # all before any run
-    ecfg = read_config(EvalConfig, cfg.get("eval", {}), "eval")
+    cells = [{**cfg, "train": replace(cfg["train"], alpha=a).validate()}  # all before any run
+             for a in alphas]
     split, vocab = _resolve_corpus(cfg, args.corpus)
     if not split.test:
         raise DataError("test split is empty: sweep evaluates every run on it")
@@ -274,10 +270,12 @@ def cmd_sweep(args) -> int:
 
     rows = [MetricsReport.table_header("alpha")]
     failed, error, interrupt = [], None, None
-    for tcfg, label, run_dir in zip(runs, labels, run_dirs):
+    for cell, label, run_dir in zip(cells, labels, run_dirs):
+        tcfg = cell["train"]
         try:
-            result = _train_and_save(args, split, tcfg, ecfg, vocab, run_dir)
-            report = evaluate(split.test, result.params, ecfg, np.random.default_rng(tcfg.seed))
+            result = _train_and_save(args, cell, split, vocab, run_dir)
+            report = evaluate(split.test, result.params, cfg["eval"],
+                              np.random.default_rng(tcfg.seed))
             write_file(run_dir / "report.txt", report.to_text())
             rows.append(report.table_row(label))
         except (TrainingInterrupted, KeyboardInterrupt) as exc:
@@ -290,8 +288,7 @@ def cmd_sweep(args) -> int:
         print(rows[-1])
 
     write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")
-    config_echo = {"train": asdict(base), "eval": asdict(ecfg), "alphas": alphas}
-    manifest = {**_manifest(args, config_echo, split, vocab, base.seed),
+    manifest = {**_manifest(args, {**cfg, "alphas": alphas}, split, vocab, cfg["train"].seed),
                 "failed_alphas": failed}
     _write_json(out / "manifest.json", {**manifest, "interrupted": True} if interrupt else manifest)
     print(f"\nsweep table written to {out / 'sweep_table.txt'}"

@@ -82,11 +82,13 @@ def check_types(config) -> None:
             raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
 
 
-def read_config(cls, section: dict, name: str):
-    """Build config dataclass ``cls`` from config-file section ``name``, the JSON
-    object ``section``, and validate it.  A key that is not a field of ``cls``, a
-    value of the wrong type or one out of range raises ConfigError."""
+def read_config(cls, section: dict, name: str, **overrides):
+    """Build config dataclass ``cls`` from ``section``, config-file section ``name``
+    with ``overrides`` (flag values) applied, and validate it.  A section that is not
+    an object, an unknown key, a wrong type or a value out of range raises ConfigError."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
     unknown = sorted(set(section) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown} in config section {name!r}")
-    return cls(**section).validate()
+    return cls(**{**section, **overrides}).validate()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -223,8 +223,7 @@ class MetricsReport:
 
     def to_text(self) -> str:
         lines = []
-        for key in sorted(("nll", "ppl", "iw_nll", "iw_ppl", "kl", "au", "mi", "mi_raw",
-                           "mi_clamped", "bleu", "n_sentences")):
+        for key in sorted(f.name for f in fields(self) if f.name != "config"):
             lines.append(f"{key}: {getattr(self, key)!r}")
         for key in sorted(self.config):
             lines.append(f"config.{key}: {self.config[key]!r}")
@@ -280,7 +279,7 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
                            mi_raw=float(mi_raw), mi_clamped=bool(mi_raw < 0),
                            bleu=float(bleu_score), n_sentences=len(sents),
                            config=asdict(config))
-    for key in ("nll", "ppl", "iw_nll", "iw_ppl", "kl", "mi", "mi_raw", "bleu"):
-        if not math.isfinite(getattr(report, key)):
-            raise NumericError(f"evaluation metric {key} is not finite: {getattr(report, key)}")
+    for key, value in asdict(report).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NumericError(f"evaluation metric {key} is not finite: {value}")
     return report

@@ -486,7 +486,7 @@ def load_checkpoint(path):
             raise DataError(f"checkpoint {path} vocabulary is not a list of strings")
         if not all(type(d) is int and d >= 1 for d in dims):
             raise DataError(f"checkpoint {path} has non-positive or non-integer dims {dims}")
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
+    except (struct.error, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: {exc!r}") from exc
     off += hlen
 

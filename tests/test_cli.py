@@ -390,6 +390,9 @@ def test_bad_config_exit_code(tmp_path):
     cfg2 = tmp_path / "broken.json"
     cfg2.write_text("{not json", encoding="utf-8")
     assert main(["train", "--config", str(cfg2), "--out-dir", str(tmp_path / "y")]) == EXIT_CODES["config"]
+    deep = tmp_path / "deep.json"  # valid JSON, nested beyond the decoder's recursion limit
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["train", "--config", str(deep), "--out-dir", str(tmp_path / "z")]) == EXIT_CODES["config"]
 
 
 BAD_CONFIG_VALUES = [
@@ -465,12 +468,23 @@ BAD_CONFIG_IDS = [
 CONFIG_SECTIONS = {"train": TrainConfig, "eval": EvalConfig, "synthetic": SyntheticSpec}
 
 
-@pytest.mark.parametrize("overrides", BAD_CONFIG_VALUES, ids=BAD_CONFIG_IDS)
-def test_bad_config_value_is_config_error(tmp_path, capsys, overrides):
+CONFIG_COMMANDS = ("train", "eval", "sweep")  # each reads and checks every section
+
+
+@pytest.mark.parametrize("command, overrides",
+                         [(c, o) for c in CONFIG_COMMANDS for o in BAD_CONFIG_VALUES],
+                         ids=[i if c == "train" else f"{c}: {i}"
+                              for c in CONFIG_COMMANDS for i in BAD_CONFIG_IDS])
+def test_bad_config_value_is_config_error(tmp_path, capsys, trained_checkpoint, command,
+                                          overrides):
     cfg = write_config(tmp_path, **overrides)
-    assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == \
+    out = tmp_path / "x"
+    flags = {"train": [], "eval": ["--checkpoint", str(trained_checkpoint)],
+             "sweep": ["--alphas", "0"]}[command]
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == \
         EXIT_CODES["config"]
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()  # refused before any output
 
 
 def test_every_config_range_check_has_a_case():
@@ -681,6 +695,21 @@ def test_eval_text_corpus_without_config_rebuilds_the_capped_vocabulary(tmp_path
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("cap, code", [(3, 2), (4, 2), (5, 0)])
+def test_vocab_size_must_leave_room_for_a_content_token(tmp_path, capsys, cap, code):
+    corpus_dir = tmp_path / "corpus"  # one content token is enough for these splits
+    corpus_dir.mkdir()
+    for name, text in (("train", "a\na a\n"), ("dev", "a a a\n"), ("test", "a b a a\n")):
+        (corpus_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {**FUZZ_BASE["train"], "warmup_steps": 1},
+                               "vocab_size": cap}), encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--corpus", str(corpus_dir),
+                 "--out-dir", str(tmp_path / "run")]) == code
+    if code == EXIT_CODES["config"]:
+        assert f"vocab_size must be an integer >= 5, got {cap}" in capsys.readouterr().err
+
+
 # (split files, expected exit code) of text corpora that are awkward but possible input
 TEXT_CORPORA = {
     "blank lines": ({"train": b"w1 w2\n\n \t \nw2 w3 w1\n\n", "dev": b"\nw3 w1\n",
@@ -869,6 +898,27 @@ def test_sweep_cell_is_a_run_directory(tmp_path, monkeypatch):
         assert (run / "vocab.txt").read_text().splitlines() == vocab.id_to_token
         assert main(["eval", "--config", str(cfg), "--checkpoint",
                      str(run / "checkpoint.bin")]) == 0
+
+
+def test_manifest_config_reruns_its_run(tmp_path):
+    # a manifest's config, written out as a config file, trains its run again byte for byte
+    cfg = write_config(tmp_path, train={"alpha": 0.1, "keep_prob": 0.7, "epochs": 2})
+    runs = {"train": (["train"], ""), "sweep cell": (["sweep", "--alphas", "1"], "alpha_1"),
+            "pretrained": (["train", "--pretrain-epochs", "1"], "")}
+    for name, (argv, cell) in runs.items():
+        out = tmp_path / name
+        assert main([argv[0], "--config", str(cfg), "--out-dir", str(out), *argv[1:]]) == 0, name
+        run = out / cell
+        rerun_cfg = tmp_path / f"{name}.json"
+        rerun_cfg.write_text(json.dumps(strict_json((run / "manifest.json").read_text())["config"]),
+                             encoding="utf-8")
+        again = tmp_path / f"{name} again"
+        assert main(["train", "--config", str(rerun_cfg), "--out-dir", str(again)]) == 0, name
+        for artifact in ("checkpoint.bin", "vocab.txt"):
+            assert (again / artifact).read_bytes() == (run / artifact).read_bytes(), (name, artifact)
+        untimed = [[{k: v for k, v in r.items() if k != "wall_time"} for r in read_log(d)]
+                   for d in (run, again)]
+        assert untimed[0] == untimed[1], name
 
 
 def test_sweep_every_alpha_failed_exits_with_last_failure(tmp_path, monkeypatch, capsys):

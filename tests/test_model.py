@@ -489,6 +489,7 @@ def _corrupted_forms(raw: bytes) -> dict:
         "truncated header": raw[:40],
         "header not json": with_header(b"{not json"),
         "header not an object": with_header(b"[1, 2]"),
+        "header nested too deep": with_header(b"[" * 100_000 + b"]" * 100_000),
         "missing header key": with_header(json.dumps(
             {k: v for k, v in header.items() if k != "vocab_hash"}).encode()),
         "missing config key": with_header(json.dumps(no_dim).encode()),
