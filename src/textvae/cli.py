@@ -7,11 +7,13 @@ config echo, corpus hashes, seed and library version.
 A config file holds one JSON object with at most four keys: the sections
 ``train`` (TrainConfig), ``eval`` (EvalConfig) and ``synthetic``
 (SyntheticSpec), each an object whose keys are that dataclass's fields, and
-``vocab_size``, the vocabulary cap of a --corpus directory.  ``train``, ``eval``
-and ``sweep`` check every section: an unknown key, a value of the wrong type
-or one out of range exits 2.  A manifest's ``config`` echoes the checked file
-(``train`` with the flags applied); for ``train`` and each sweep cell it is a
-config file that re-runs the run, and ``eval`` adds ``split``, a sweep ``alphas``.
+``vocab_size``, the vocabulary cap of a --corpus directory.  Only ``train``,
+``eval`` and ``sweep`` take --config, and they check every section: an unknown
+key, a value of the wrong type or one out of range exits 2.  A manifest's
+``config`` echoes the checked file (``train`` with the flags applied and, in a
+run directory, ``warmup_steps`` resolved); for ``train`` and each sweep cell it
+is a config file that re-runs the run, and ``eval`` adds ``split``, a sweep
+``alphas``.
 
 A run directory is what ``train`` writes into --out-dir, and ``sweep`` into
 ``alpha_<alpha>/`` for each alpha: ``vocab.txt``, ``checkpoint.bin``,
@@ -192,7 +194,8 @@ def _train_and_save(args, cfg: dict, split: CorpusSplit, vocab: Vocabulary,
     manifest flagged "diverged" or "interrupted", before the TrainingError
     propagates.
     """
-    tcfg = cfg["train"]
+    tcfg = cfg["train"].resolved(len(split.train))
+    cfg = {**cfg, "train": tcfg}
     manifest = _manifest(args, cfg, split, vocab, tcfg.seed)
     write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
     error = None
@@ -408,16 +411,7 @@ def _selfcheck_bleu() -> list[tuple[str, bool, str]]:
 
 
 def cmd_selfcheck(args) -> int:
-    cell = model.lstm_step
-    if args.corrupt_backward:  # negative control: h scaled, which the analytic BPTT misses
-        def scaled(*inputs):
-            h, c, gates = cell(*inputs)
-            return 1.5 * h, c, gates
-        model.lstm_step = scaled
-    try:
-        checks = _selfcheck_gradients() + _selfcheck_kl() + _selfcheck_bleu()
-    finally:
-        model.lstm_step = cell
+    checks = _selfcheck_gradients() + _selfcheck_kl() + _selfcheck_bleu()
     failed = 0
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + ("" if ok else f"  [{detail}]"))
@@ -438,11 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, checkpoint=False, corpus=True, out_required=False):
-        p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
                        help="overrides the config's train.seed; eval, sample and "
                             "interpolate draw from it (default 0)")
-        if corpus:
+        if corpus:  # train, eval and sweep: the commands that read a config
+            p.add_argument("--config", default=None, help="JSON config file")
             p.add_argument("--corpus", default=None,
                            help="directory with train.txt/dev.txt/test.txt")
         if checkpoint:
@@ -480,8 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("selfcheck", help="run the built-in verification suite")
-    p.add_argument("--corrupt-backward", action="store_true", dest="corrupt_backward",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_selfcheck)
     return parser
 

@@ -34,9 +34,16 @@ weight ``lstm.w`` is (4d, n_x + k + d): its row blocks are the gates
 [input; static input; hidden], where the static input (k rows: the latent
 for the decoder, none for the encoder) is the same at every position.  The
 bias ``lstm.b`` is (4d, 1) in the same row order; its forget-gate rows start
-at 1.  ``lstm_recurrence`` and ``decode_greedy`` both run ``lstm_step`` on
-column views of the stored weight; the recurrence's backward returns the
-whole (4d, n_x + k + d) weight gradient.
+at 1.
+
+LSTM cell: ``lstm_step``, which ``lstm_recurrence`` and ``decode_greedy`` run
+on column views of the stored weight, activates the first 3d gate rows by the
+sigmoid, computed as 0.5·tanh(v/2) + 0.5 so that one tanh covers all 4d rows,
+and the last d by tanh, and returns these activated (4d, B) gates beside h and
+c.  The recurrence's hand-written BPTT, the cell's only derivative, reads the
+gate order, takes s(1 − s) and 1 − g² from the activated gates and recomputes
+tanh(c) from each kept memory cell, so the cell and the BPTT change together.
+It returns the whole (4d, n_x + k + d) weight gradient.
 
 Sentence ends: the recurrence runs all T positions of every column, padding
 included, and never looks at where a sentence ends.  Callers handle the ends
@@ -67,7 +74,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import END, RESERVED_TOKENS, START, Vocabulary
 from .errors import DataError, DimensionError
-from .layers import linear, lstm_step
 
 CHECKPOINT_MAGIC = b"TEXTVAE1\n"
 
@@ -147,6 +153,30 @@ class VaeParams:
 
 # ---------------------------------------------------------------------------
 # recurrence
+
+def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
+              base: np.ndarray):
+    """One LSTM cell update over a column batch, in numpy: (h_next, c_next, gates).
+
+    ``w_x``/``w_h`` are the input and hidden column blocks of a stored gate
+    weight, ``base`` the bias plus any static input's term, and ``gates`` the
+    activated gates of the cell above.  ``x`` is (n_x, B), or (n_x, 1) for an
+    input that every column shares, whose one gate column all B columns add.
+    """
+    d = h.shape[0]
+    gates = w_h @ h
+    gates += w_x @ x
+    gates += base
+    sig = gates[: 3 * d]
+    sig *= 0.5
+    np.tanh(gates, out=gates)
+    sig *= 0.5
+    sig += 0.5
+    c_next = gates[d: 2 * d] * c
+    c_next += gates[:d] * gates[3 * d:]
+    h_next = gates[2 * d: 3 * d] * np.tanh(c_next)
+    return h_next, c_next, gates
+
 
 def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
                     static: Tensor | None = None, shared_input: bool = False) -> Tensor:
@@ -320,8 +350,8 @@ def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> Gau
     xs = ad.select_columns(params["enc.embed"], ids.T.reshape(-1))
     H = lstm_recurrence(xs, zeros, zeros, params, "enc.lstm")
     h = ad.select_columns(H, (lengths - 1) * B + np.arange(B))
-    mu = linear(h, params["enc.mu_w"], params["enc.mu_b"])
-    logvar = linear(h, params["enc.logvar_w"], params["enc.logvar_b"])
+    mu = ad.add_col(ad.matmul(params["enc.mu_w"], h), params["enc.mu_b"])
+    logvar = ad.add_col(ad.matmul(params["enc.logvar_w"], h), params["enc.logvar_b"])
     return GaussianPosterior(mu=mu, logvar=logvar)
 
 
@@ -381,8 +411,8 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
     xs = ad.select_columns(params["dec.embed"], in_ids.T.reshape(-1))
     if mask is not None:
         xs = ad.mul(xs, Tensor(np.broadcast_to(mask.T.reshape(1, -1), xs.shape)))
-    h0 = linear(z, params["dec.h0_w"], params["dec.h0_b"])
-    c0 = linear(z, params["dec.c0_w"], params["dec.c0_b"])
+    h0 = ad.add_col(ad.matmul(params["dec.h0_w"], z), params["dec.h0_b"])
+    c0 = ad.add_col(ad.matmul(params["dec.c0_w"], z), params["dec.c0_b"])
     H = lstm_recurrence(xs, h0, c0, params, "dec.lstm", static=z, shared_input=shared)
     target_cols = targets.T.reshape(-1)
     valid = (np.arange(n_steps)[:, None] < lengths[None, :] + 1).astype(np.float64)

@@ -5,10 +5,13 @@ seeded per epoch; everything else the training loop uses comes from one
 ``default_rng(config.seed)``, consumed in this order: the parameter init,
 then per training step the latent noise ``eps`` (not in pretraining, where
 z = mu) and then the word-dropout mask (only when alpha > 0 or
-keep_prob < 1), then after pretraining the decoder reset, then the steps of
-the standard loop.  The loop also sets the KL weight: beta = 0 in
-pretraining, else the linear warmup min(step / warmup_steps, 1).  The dev
-ELBO draws its noise from its own generator, seeded per epoch.
+keep_prob < 1; ``sample_masks`` draws the (B, T) mask in one call, which
+consumes the generator exactly like B draws of T, row by row), then after
+pretraining the decoder reset, then the steps of the standard loop.  The loop
+also sets the KL weight: beta = 0 in pretraining, else the linear warmup
+min(step / warmup_steps, 1), with ``warmup_steps`` from
+``TrainConfig.resolved``.  The dev ELBO draws its noise from its own
+generator, seeded per epoch.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 from .autodiff import tape
 from .corpus import CorpusSplit, batches
 from .errors import ConfigError, ContractError, TrainingError, TrainingInterrupted, check_types
-from .layers import sample_masks
 from .model import VaeParams
 from .objectives import elbo_step
 
@@ -40,7 +42,7 @@ class TrainConfig:
     lr: float = 1e-3
     batch_size: int = 16
     epochs: int = 30
-    # None resolves to 10 epochs' worth of batches at train() time
+    # None: 10 epochs' worth of batches, set by resolved() and recorded in each run's files
     warmup_steps: int | None = None
     free_bits: float = 0.0
     # split the free-bits budget evenly and clamp each latent coordinate
@@ -72,6 +74,19 @@ class TrainConfig:
             if not ok:
                 raise ConfigError(msg)
         return self
+
+    def resolved(self, n_train: int) -> "TrainConfig":
+        """This config with ``warmup_steps`` set: a set value is kept, and None
+        becomes 10 epochs of batches over ``n_train`` sentences, at least 1."""
+        if self.warmup_steps is not None:
+            return self
+        return replace(self, warmup_steps=max(1, 10 * -(-n_train // self.batch_size)))
+
+
+def sample_masks(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli(keep_prob) word-dropout masks as a float64 0/1 array; ``keep_prob``
+    lies in [0, 1], as ``TrainConfig.validate`` checks."""
+    return (rng.random(shape) < keep_prob).astype(np.float64)
 
 
 @dataclass
@@ -278,9 +293,7 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int) -> TrainRes
     rng = np.random.default_rng(config.seed)
     params = VaeParams.init(vocab_size, config.embed_dim, config.hidden_dim,
                             config.latent_dim, rng)
-    n_batches = (len(corpus.train) + config.batch_size - 1) // config.batch_size
-    if config.warmup_steps is None:
-        config = replace(config, warmup_steps=max(1, 10 * n_batches))
+    config = config.resolved(len(corpus.train))
 
     log: list[dict] = []
     if config.pretrain_epochs > 0:

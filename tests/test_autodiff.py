@@ -9,8 +9,7 @@ import textvae.autodiff as ad
 import textvae.model as model
 from textvae.autodiff import Tensor, grad_check, matmul, tape
 from textvae.errors import ContractError, DimensionError
-from textvae.layers import lstm_step
-from textvae.model import VaeParams, output_log_lik, sentence_sums
+from textvae.model import VaeParams, lstm_step, output_log_lik, sentence_sums
 
 
 def weighted_log_lik(H, W, b, targets, weights):

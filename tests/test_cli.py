@@ -264,7 +264,9 @@ def test_every_artifact_goes_through_write_file(tmp_path, monkeypatch):
     left = set()
     for command, flags in runs.items():
         out = tmp_path / command
-        assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == 0
+        if command in ("train", "eval", "sweep"):
+            flags = ["--config", str(cfg)] + flags
+        assert main([command, "--out-dir", str(out)] + flags) == 0
         left |= {f for f in out.rglob("*") if f.is_file()}
     assert {f.name for f in left} == {
         "checkpoint.bin", "train_log.jsonl", "vocab.txt", "manifest.json", "report.txt",
@@ -544,10 +546,22 @@ def test_bad_cli_input_is_config_error(tmp_path, capsys, trained_checkpoint, com
     out = tmp_path / "x"
     if command in ("sample", "interpolate"):
         flags = ["--checkpoint", str(trained_checkpoint)] + flags
-    assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == \
-        EXIT_CODES["config"]
+    else:
+        flags = ["--config", str(cfg)] + flags
+    assert main([command, "--out-dir", str(out)] + flags) == EXIT_CODES["config"]
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()  # refused before any run starts
+
+
+@pytest.mark.parametrize("command", ["sample", "interpolate"])
+def test_decoding_commands_take_no_config(tmp_path, capsys, trained_checkpoint, command):
+    # they read no config file, so they refuse the option instead of ignoring a broken one
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(broken), "--checkpoint", str(trained_checkpoint)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_unknown_config_field_named_in_error(tmp_path, capsys):
@@ -777,8 +791,9 @@ def test_out_dir_that_cannot_be_a_directory_is_config_error(tmp_path, capsys, tr
     out = taken if where == "a file" else taken / "run"
     flags = {"train": [], "sweep": ["--alphas", "0"]}.get(
         command, ["--checkpoint", str(trained_checkpoint)])
-    assert main([command, "--config", str(cfg), "--out-dir", str(out)] + flags) == \
-        EXIT_CODES["config"]
+    if command in ("train", "eval", "sweep"):
+        flags = ["--config", str(cfg)] + flags
+    assert main([command, "--out-dir", str(out)] + flags) == EXIT_CODES["config"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert taken.read_text(encoding="utf-8") == "a file\n"
@@ -901,17 +916,21 @@ def test_sweep_cell_is_a_run_directory(tmp_path, monkeypatch):
 
 
 def test_manifest_config_reruns_its_run(tmp_path):
-    # a manifest's config, written out as a config file, trains its run again byte for byte
-    cfg = write_config(tmp_path, train={"alpha": 0.1, "keep_prob": 0.7, "epochs": 2})
+    # a manifest's config, written out as a config file, trains its run again byte for byte;
+    # an unset warmup_steps is recorded resolved: 10 epochs of 5 batches of 16 of 80 sentences
+    cfg = write_config(tmp_path, train={"alpha": 0.1, "keep_prob": 0.7, "epochs": 2,
+                                        "warmup_steps": None})
     runs = {"train": (["train"], ""), "sweep cell": (["sweep", "--alphas", "1"], "alpha_1"),
             "pretrained": (["train", "--pretrain-epochs", "1"], "")}
     for name, (argv, cell) in runs.items():
         out = tmp_path / name
         assert main([argv[0], "--config", str(cfg), "--out-dir", str(out), *argv[1:]]) == 0, name
         run = out / cell
+        recorded = strict_json((run / "manifest.json").read_text())["config"]
+        assert recorded["train"]["warmup_steps"] == 50, name
+        assert load_checkpoint(run / "checkpoint.bin")[2]["warmup_steps"] == 50, name
         rerun_cfg = tmp_path / f"{name}.json"
-        rerun_cfg.write_text(json.dumps(strict_json((run / "manifest.json").read_text())["config"]),
-                             encoding="utf-8")
+        rerun_cfg.write_text(json.dumps(recorded), encoding="utf-8")
         again = tmp_path / f"{name} again"
         assert main(["train", "--config", str(rerun_cfg), "--out-dir", str(again)]) == 0, name
         for artifact in ("checkpoint.bin", "vocab.txt"):
@@ -1035,9 +1054,19 @@ def test_selfcheck_passes(capsys):
     assert "checks passed" in out
 
 
-def test_selfcheck_corrupted_backward_fails(capsys):
+def test_selfcheck_corrupted_backward_fails(capsys, monkeypatch):
+    # negative control: a cell that scales h, which the hand-written BPTT does not know;
     # exactly the checks whose gradients pass through the LSTM recurrence fail
-    assert main(["selfcheck", "--corrupt-backward"]) == 1
+    import textvae.model as model_mod
+
+    real = model_mod.lstm_step
+
+    def scaled(*inputs):
+        h, c, gates = real(*inputs)
+        return 1.5 * h, c, gates
+
+    monkeypatch.setattr(model_mod, "lstm_step", scaled)
+    assert main(["selfcheck"]) == 1
     out = capsys.readouterr().out
     failed = [line.split("  ")[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == ["gradients: lstm recurrence", "gradients: full objective"]

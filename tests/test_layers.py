@@ -7,9 +7,14 @@ import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check
 from textvae.corpus import make_batch
 from textvae.errors import DimensionError
-from textvae.layers import linear, lstm_step, sample_masks
-from textvae.model import VaeParams, decode_batch, encode_batch, lstm_recurrence
+from textvae.model import VaeParams, decode_batch, encode_batch, lstm_recurrence, lstm_step
 from textvae.objectives import fraternal_batch
+from textvae.training import sample_masks
+
+
+def linear(x, w, b):
+    """w @ x + b, b broadcast over columns: the affine head of the encoder and decoder."""
+    return ad.add_col(ad.matmul(w, x), b)
 
 
 def lstm_params(input_dim, hidden_dim, rng, zero=False):

@@ -3,10 +3,9 @@ import numpy as np
 import textvae.autodiff as ad
 from textvae.autodiff import Tensor, grad_check, tape
 from textvae.corpus import make_batch
-from textvae.layers import sample_masks
 from textvae.model import GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize
 from textvae.objectives import elbo_step, fraternal_batch, free_bits, kl_columns, kl_elementwise
-from textvae.training import TrainConfig
+from textvae.training import TrainConfig, sample_masks
 
 
 def tiny_params(seed=0):

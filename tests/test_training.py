@@ -9,9 +9,9 @@ import pytest
 from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
 from textvae.errors import ConfigError, ContractError, TrainingError, read_config
-from textvae.layers import sample_masks
 from textvae.model import VaeParams
-from textvae.training import CHUNK, AdamState, TrainConfig, adam_step, clip_gradients, train
+from textvae.training import (CHUNK, AdamState, TrainConfig, adam_step, clip_gradients,
+                               sample_masks, train)
 
 SMALL_SPEC = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                            n_train=120, n_dev=20, n_test=20, seed=42)
@@ -36,6 +36,21 @@ def test_config_validation():
     with pytest.raises(ConfigError):  # the CLI's --seed always replaces a config file's seed
         read_config(TrainConfig, {"seed": True}, "train")
     assert read_config(TrainConfig, {"lr": 0, "warmup_steps": None, "free_bits": 1}, "train").lr == 0
+
+
+@pytest.mark.parametrize("warmup, n_train, want", [
+    (7, 1000, 7),      # a set value is kept
+    (None, 80, 50),    # 10 epochs of 5 batches of 16
+    (None, 81, 60),    # a partial last batch counts
+    (None, 3, 10),     # fewer sentences than a batch: one batch an epoch
+    (None, 0, 1),      # never below 1
+])
+def test_resolved_sets_warmup_steps(warmup, n_train, want):
+    cfg = TrainConfig(warmup_steps=warmup, batch_size=16)
+    resolved = cfg.resolved(n_train)
+    assert resolved.warmup_steps == want
+    assert replace(resolved, warmup_steps=warmup) == cfg  # nothing else changes
+    assert resolved.resolved(n_train) == resolved
 
 
 def test_adam_zero_gradient_keeps_params():
