@@ -9,11 +9,12 @@ A config file holds one JSON object with at most four keys: the sections
 (SyntheticSpec), each an object whose keys are that dataclass's fields, and
 ``vocab_size``, the vocabulary cap of a --corpus directory.  Only ``train``,
 ``eval`` and ``sweep`` take --config, and they check every section: an unknown
-key, a value of the wrong type or one out of range exits 2.  A manifest's
-``config`` echoes the checked file (``train`` with the flags applied and, in a
-run directory, ``warmup_steps`` resolved); for ``train`` and each sweep cell it
-is a config file that re-runs the run, and ``eval`` adds ``split``, a sweep
-``alphas``.
+key, a value of the wrong type or one out of range exits 2, and so does a
+``synthetic`` section given with --corpus.  A manifest's ``config`` echoes the
+checked file (``train`` with the flags applied and, in a run directory and a
+sweep's manifest, ``warmup_steps`` resolved); for ``train`` and each sweep
+cell it is a config file that re-runs the run, and ``eval`` adds ``split``, a
+sweep ``alphas``.
 
 A run directory is what ``train`` writes into --out-dir, and ``sweep`` into
 ``alpha_<alpha>/`` for each alpha: ``vocab.txt``, ``checkpoint.bin``,
@@ -23,7 +24,8 @@ last record and a manifest flag say how it ended.  A sweep cell adds its
 test-split ``report.txt``; the sweep's --out-dir holds ``sweep_table.txt``
 and the sweep's manifest.
 
-Exit codes (``exit_code`` on the classes in ``errors``): 0 ok, 2 config,
+Exit codes (``exit_code`` on the classes in ``errors``): 0 ok, 2 config
+(also an allocation that a size setting asks for and memory cannot hold),
 3 data, 4 numeric (a divergence, a non-finite metric, a shape mismatch),
 5 internal, 130 interrupted.  A failed ``selfcheck`` exits 1, and a sweep in
 which every alpha failed exits with its last failure's code.
@@ -131,6 +133,8 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
     the checkpoint's own size, and a synthetic one generates it.
     """
     if corpus_dir is not None:
+        if "synthetic" in cfg:
+            raise ConfigError("a 'synthetic' config section and --corpus name two corpora")
         root = Path(corpus_dir)
         sents = {}
         for name in ("train", "dev", "test"):
@@ -291,8 +295,8 @@ def cmd_sweep(args) -> int:
         print(rows[-1])
 
     write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")
-    manifest = {**_manifest(args, {**cfg, "alphas": alphas}, split, vocab, cfg["train"].seed),
-                "failed_alphas": failed}
+    echo = {**cfg, "train": cfg["train"].resolved(len(split.train)), "alphas": alphas}
+    manifest = {**_manifest(args, echo, split, vocab, cfg["train"].seed), "failed_alphas": failed}
     _write_json(out / "manifest.json", {**manifest, "interrupted": True} if interrupt else manifest)
     print(f"\nsweep table written to {out / 'sweep_table.txt'}"
           + (f" ({len(failed)} run(s) failed)" if failed else ""))
@@ -375,7 +379,7 @@ def _selfcheck_gradients() -> list[tuple[str, bool, str]]:
     mask = np.array([[1.0, 0.0, 1.0, 1.0]])
 
     def f():
-        return elbo_step(make_batch([(4, 5, 4)]), cfg, params, eps, mask, 0.5).total
+        return elbo_step(make_batch([(4, 5, 4)]), cfg, params, eps, mask, 0.5)[0]
 
     rep = grad_check(f, dict(params.named_parameters()), tol=1e-4)
     results.append(("gradients: full objective", rep.passed, str(rep)))
@@ -491,6 +495,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_CODES["interrupted"]
+    except MemoryError as exc:  # every large allocation is sized by a user's setting
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CODES["config"]
     except Exception as exc:  # pragma: no cover - internal failure path
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CODES["internal"]

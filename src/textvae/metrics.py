@@ -79,8 +79,6 @@ def collect_posteriors(corpus, params: VaeParams):
 
 def active_units_from_means(mus: np.ndarray, threshold: float = 0.01):
     """Count latent dimensions whose posterior mean varies across the corpus."""
-    if mus.shape[0] < 2:
-        raise DataError("active units need at least 2 sentences")
     variances = mus.var(axis=0)
     return int(np.sum(variances > threshold)), variances
 
@@ -265,7 +263,7 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
         total_words += len(sent) + 1
     kl = kl_columns(GaussianPosterior(mu=Tensor(mus.T), logvar=Tensor(logvars.T))).data.mean()
 
-    au, _ = active_units_from_means(mus, config.au_threshold) if len(sents) >= 2 else (0, None)
+    au, _ = active_units_from_means(mus, config.au_threshold)
     mi, mi_raw = mutual_information_from_posteriors(mus, logvars, config.mi_samples, rng)
 
     z = mus + np.exp(0.5 * logvars) * rng.standard_normal(mus.shape)  # one draw per sentence

@@ -16,13 +16,12 @@ hidden states agree forces the decoder to route information through the
 latent variable rather than the words.  Zolna et al. (2018) penalize the
 pre-softmax logits instead.
 
-``elbo_step`` is a pure function of its inputs: the training loop draws the
-latent noise and the mask and sets beta (see ``training``).
+``elbo_step`` is a pure function of its inputs that returns the loss tensor
+and its terms as floats: the training loop draws the latent noise and the
+mask, sets beta and logs the terms (see ``training``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,37 +78,18 @@ def fraternal_batch(z: Tensor, batch: Batch, mask: np.ndarray, params: VaeParams
     return mean_ll, penalty
 
 
-@dataclass
-class LossBreakdown:
-    """One optimization step's loss terms (batch means, minimization form)."""
-
-    reconstruction: Tensor
-    kl_raw: Tensor
-    kl_effective: Tensor
-    beta: float
-    fraternal_penalty: Tensor
-    total: Tensor
-
-    def scalars(self) -> dict:
-        return {
-            "reconstruction": self.reconstruction.item(),
-            "kl_raw": self.kl_raw.item(),
-            "kl_effective": self.kl_effective.item(),
-            "beta": self.beta,
-            "fraternal_penalty": self.fraternal_penalty.item(),
-            "total": self.total.item(),
-        }
-
-
 def elbo_step(batch: Batch, config, params: VaeParams, eps: np.ndarray | None,
-              mask: np.ndarray | None, beta: float) -> LossBreakdown:
+              mask: np.ndarray | None, beta: float) -> tuple[Tensor, dict]:
     """One surrogate-objective evaluation over a padded batch.
 
     ``config`` is a ``training.TrainConfig``, whose fields are read directly.
     ``eps`` is the (k, B) latent noise, or None for z = mu (the pretraining
     autoencoder mode); ``mask`` is the (B, L+1) word-dropout mask of the
     first decoder pass, or None for no dropout, and must be given when
-    alpha > 0; ``beta`` weighs the KL term.
+    alpha > 0; ``beta`` weighs the KL term.  Returns the scalar loss tensor
+    and its terms as floats (batch means, minimization form):
+    ``reconstruction``, ``kl_raw``, ``kl_effective`` and ``fraternal_penalty``
+    (0 at alpha = 0).
     """
     post = encode_batch(batch.ids, batch.lengths, params)
     z = post.mu if eps is None else reparameterize(post, eps)
@@ -119,7 +99,6 @@ def elbo_step(batch: Batch, config, params: VaeParams, eps: np.ndarray | None,
         penalty = ad.reduce_mean(penalty_cols)
     else:
         mean_ll, _, _ = decode_batch(z, batch.ids, batch.lengths, params, mask=mask)
-        penalty = Tensor(0.0)
 
     reconstruction = ad.scale(ad.reduce_mean(mean_ll), -1.0)
     kl = kl_elementwise(post)
@@ -132,6 +111,7 @@ def elbo_step(batch: Batch, config, params: VaeParams, eps: np.ndarray | None,
     total = ad.add(reconstruction, ad.scale(kl_effective, beta))
     if config.alpha > 0:
         total = ad.add(total, ad.scale(penalty, config.alpha))
-    return LossBreakdown(reconstruction=reconstruction, kl_raw=kl_raw,
-                         kl_effective=kl_effective, beta=beta,
-                         fraternal_penalty=penalty, total=total)
+    terms = {"reconstruction": reconstruction.item(), "kl_raw": kl_raw.item(),
+             "kl_effective": kl_effective.item(),
+             "fraternal_penalty": penalty.item() if config.alpha > 0 else 0.0}
+    return total, terms

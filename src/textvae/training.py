@@ -167,17 +167,16 @@ class TrainResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the caller's finite check decides
-def _dev_elbo(sentences, config: TrainConfig, params: VaeParams, seed,
-              batch_size: int) -> float:
+def _dev_elbo(sentences, config: TrainConfig, params: VaeParams, seed) -> float:
     """Single-sample negative ELBO of ``sentences`` (beta=1, no dropout), finite or
     not."""
     rng = np.random.default_rng(seed)
     eval_cfg = replace(config, alpha=0.0, free_bits=0.0)
     total, count = 0.0, 0
-    for batch in batches(sentences, batch_size, seed=None):
+    for batch in batches(sentences, config.batch_size, seed=None):
         eps = rng.standard_normal((config.latent_dim, batch.size))
-        lb = elbo_step(batch, eval_cfg, params, eps, None, 1.0)
-        total += lb.total.item() * batch.size
+        loss, _ = elbo_step(batch, eval_cfg, params, eps, None, 1.0)
+        total += loss.item() * batch.size
         count += batch.size
     return total / count
 
@@ -186,36 +185,37 @@ def _step(batch, config: TrainConfig, params: VaeParams, state: AdamState, eps, 
           beta: float) -> tuple[dict, float]:
     """One optimizer step: tape the loss, walk the tape, check the loss, clip, update.
 
-    Returns the step's loss scalars and its gradient norm before clipping.
-    The tape, the loss and the gradients are locals of this call, so none of
-    them outlives the step.
+    Returns ``elbo_step``'s terms plus ``total``, the differentiated loss,
+    and the gradient norm before clipping.  The tape, the loss and the
+    gradients are locals of this call, so none of them outlives the step.
     """
     # an overflow shows as a non-finite loss or gradient, which the checks below refuse
     with np.errstate(over="ignore", invalid="ignore"), tape() as t:
-        lb = elbo_step(batch, config, params, eps, mask, beta)
-        adjoints = t.backward(lb.total)
-    scalars = lb.scalars()
-    if not np.isfinite(scalars["total"]):
-        raise TrainingError(f"loss {scalars['total']}")
+        loss, terms = elbo_step(batch, config, params, eps, mask, beta)
+        adjoints = t.backward(loss)
+    total = loss.item()
+    if not np.isfinite(total):
+        raise TrainingError(f"loss {total}")
     named = params.named_parameters()
     grads = {n: adjoints[p] for n, p in named}
     norm = clip_gradients(grads, config.clip_norm)
     adam_step(named, grads, state, config.lr)
-    return scalars, norm
+    return {**terms, "total": total}, norm
 
 
 def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: VaeParams,
                rng: np.random.Generator, log: list[dict]) -> VaeParams:
     """Run ``config.epochs`` epochs of one phase, appending a record per epoch to ``log``.
 
-    Each step draws its noise from ``rng`` in the order the module docstring
-    gives.  ``phase="pretrain"`` is the deterministic-autoencoder variant:
-    z = mu and beta = 0.  Returns the best-validation parameters.  A step whose
-    loss or gradients are not finite, or an epoch whose ELBO on the dev split
-    (the train split when there is none) is not finite, raises TrainingError
-    carrying those parameters and ``log``, which then ends with the failed
-    epoch's record; a KeyboardInterrupt becomes TrainingInterrupted, carrying
-    the same.
+    A record holds the sentence-weighted means of the steps' terms, ``total``
+    and ``beta``.  Each step draws its noise from ``rng`` in the order the
+    module docstring gives.  ``phase="pretrain"`` is the deterministic-
+    autoencoder variant: z = mu and beta = 0.  Returns the best-validation
+    parameters.  A step whose loss or gradients are not finite, or an epoch
+    whose ELBO on the dev split (the train split when there is none) is not
+    finite, raises TrainingError carrying those parameters and ``log``, which
+    then ends with the failed epoch's record; a KeyboardInterrupt becomes
+    TrainingInterrupted, carrying the same.
     """
     pretrain = phase == "pretrain"
     draw_mask = config.alpha > 0 or config.keep_prob < 1.0
@@ -227,8 +227,7 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
 
     try:
         for epoch in range(config.epochs):
-            sums = {k: 0.0 for k in ("reconstruction", "kl_raw", "kl_effective",
-                                     "beta", "fraternal_penalty", "total")}
+            sums = {}
             seen = 0
             norms = []
             for batch in batches(corpus.train, config.batch_size, seed=config.seed, epoch=epoch):
@@ -237,13 +236,13 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
                         if draw_mask else None)
                 beta = 0.0 if pretrain else min(step / config.warmup_steps, 1.0)
                 try:
-                    scalars, norm = _step(batch, config, params, state, eps, mask, beta)
+                    terms, norm = _step(batch, config, params, state, eps, mask, beta)
                 except TrainingError as exc:
                     raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
                                         f"{exc}", params=best, log=log) from exc
                 norms.append(norm)
-                for k in sums:
-                    sums[k] += scalars[k] * batch.size
+                for k, v in {**terms, "beta": beta}.items():
+                    sums[k] = sums.get(k, 0.0) + v * batch.size
                 seen += batch.size
                 step += 1
 
@@ -254,7 +253,7 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
             # without a dev split the train split's ELBO still refuses diverged
             # parameters, and the epoch is selected on its training total
             elbo = _dev_elbo(corpus.dev or corpus.train, config, params,
-                             seed=[config.seed, 1000 + epoch], batch_size=config.batch_size)
+                             seed=[config.seed, 1000 + epoch])
             finite = np.isfinite(elbo)
             record["val_elbo"] = elbo if corpus.dev and finite else None  # the log has no NaN
             record["wall_time"] = time.perf_counter() - t0

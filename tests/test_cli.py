@@ -63,8 +63,7 @@ def test_train_writes_artifacts(tmp_path):
     assert "vocab" in manifest["corpus_hashes"]
     assert_strict_json_artifacts(out)
     records = read_log(out)
-    assert {"epoch", "reconstruction", "kl_raw", "kl_effective", "beta",
-            "fraternal_penalty", "total", "grad_norm", "wall_time"} <= set(records[-1])
+    assert [set(r) for r in records] == [LOG_SCHEMA["train"]]
     assert records[-1]["grad_norm"] > 0
 
 
@@ -105,8 +104,21 @@ def strict_json(text):
     return json.loads(text, parse_constant=pytest.fail)
 
 
+# the exact keys of each kind of train_log.jsonl record, by its "phase"
+EPOCH_KEYS = {"reconstruction", "kl_raw", "kl_effective", "fraternal_penalty", "total", "beta",
+              "grad_norm", "epoch", "phase", "val_elbo", "wall_time"}
+LOG_SCHEMA = {"pretrain": EPOCH_KEYS, "train": EPOCH_KEYS, "reset": {"phase", "epoch", "note"},
+              "aborted": {"phase", "error"}, "interrupted": {"phase"}}
+
+
 def read_log(run_dir):
-    return [strict_json(l) for l in (run_dir / "train_log.jsonl").read_text().splitlines()]
+    """The records of ``run_dir``'s train_log.jsonl, each checked against the schema of its
+    kind; only the last record may say how a run ended."""
+    records = [strict_json(l) for l in (run_dir / "train_log.jsonl").read_text().splitlines()]
+    for i, record in enumerate(records):
+        assert set(record) == LOG_SCHEMA[record["phase"]], record
+        assert record["phase"] not in ("aborted", "interrupted") or i == len(records) - 1
+    return records
 
 
 def assert_strict_json_artifacts(out):
@@ -360,6 +372,25 @@ def test_eval_without_seed_draws_from_seed_zero(tmp_path):
 
 ERROR_EXIT_CODES = {ConfigError: 2, DataError: 3, DimensionError: 4, NumericError: 4,
                     TrainingError: 4, ContractError: 5, TrainingInterrupted: 130}
+
+
+@pytest.mark.parametrize("command, target", [("train", "train"), ("sample", "decode_greedy")])
+def test_out_of_memory_is_config_error(tmp_path, monkeypatch, capsys, trained_checkpoint,
+                                       command, target):
+    # every large allocation is sized by a setting the user chose; the allocation is only
+    # simulated, as a real one could succeed and exhaust the machine's memory
+    import textvae.cli as cli_mod
+
+    message = "Unable to allocate 7.45 TiB for an array"
+
+    def allocating(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_mod, target, allocating)
+    argv = {"train": ["--config", str(write_config(tmp_path))],
+            "sample": ["--checkpoint", str(trained_checkpoint)]}[command]
+    assert main([command, *argv, "--out-dir", str(tmp_path / "out")]) == EXIT_CODES["config"]
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 def test_every_error_class_has_an_exit_code_case():
@@ -687,6 +718,22 @@ def test_text_corpus_train_and_eval(tmp_path):
     assert_strict_json_artifacts(eval_out)
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+def test_synthetic_section_with_corpus_is_config_error(tmp_path, capsys, trained_checkpoint,
+                                                       command):
+    # a run reads one corpus: the manifest would echo a synthetic section it never used
+    corpus_dir, cfg = write_text_corpus(tmp_path)
+    raw = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**raw, "synthetic": {"n_train": 20}}), encoding="utf-8")
+    out = tmp_path / "out"
+    extra = {"train": [], "eval": ["--checkpoint", str(trained_checkpoint)],
+             "sweep": ["--alphas", "0"]}[command]
+    assert main([command, "--config", str(cfg), "--corpus", str(corpus_dir),
+                 "--out-dir", str(out), *extra]) == EXIT_CODES["config"]
+    assert "'synthetic' config section and --corpus" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_text_corpus_without_config_rebuilds_the_capped_vocabulary(tmp_path):
     # a checkpoint trained under a vocab_size cap carries its own cap: eval needs no config
     corpus_dir = tmp_path / "corpus"
@@ -928,6 +975,9 @@ def test_manifest_config_reruns_its_run(tmp_path):
         run = out / cell
         recorded = strict_json((run / "manifest.json").read_text())["config"]
         assert recorded["train"]["warmup_steps"] == 50, name
+        if cell:  # the sweep's own manifest echoes the cells' config, at its own alpha
+            swept = strict_json((out / "manifest.json").read_text())["config"]["train"]
+            assert {**swept, "alpha": 1.0} == recorded["train"]
         assert load_checkpoint(run / "checkpoint.bin")[2]["warmup_steps"] == 50, name
         rerun_cfg = tmp_path / f"{name}.json"
         rerun_cfg.write_text(json.dumps(recorded), encoding="utf-8")

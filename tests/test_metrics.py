@@ -212,9 +212,11 @@ def test_active_units_variance_properties():
     assert np.max(np.abs(scaled - 9.0 * base)) < 1e-8
 
 
-def test_active_units_needs_two_sentences():
-    with pytest.raises(DataError):
-        active_units_from_means(np.zeros((1, 4)))
+def test_one_sentence_has_no_active_unit():
+    # one posterior mean varies in no dimension: its variance is 0, even at threshold 0
+    for threshold in (0.01, 0.0):
+        count, variances = active_units_from_means(np.array([[0.3, -5.0, 2.0, 0.0]]), threshold)
+        assert count == 0 and np.array_equal(variances, np.zeros(4))
 
 
 def test_active_units_on_model_corpus():

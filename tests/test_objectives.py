@@ -103,9 +103,9 @@ def test_elbo_per_dim_free_bits_config():
     p = tiny_params(18)
     cfg = _config(free_bits=1.0, free_bits_per_dim=True)
     eps = np.random.default_rng(0).standard_normal((2, 1))
-    lb = elbo_step(make_batch([(4, 5)]), cfg, p, eps, None, 1.0)
-    assert lb.kl_effective.item() >= 1.0 - 1e-12
-    assert lb.kl_effective.item() >= lb.kl_raw.item() - 1e-12
+    _, terms = elbo_step(make_batch([(4, 5)]), cfg, p, eps, None, 1.0)
+    assert terms["kl_effective"] >= 1.0 - 1e-12
+    assert terms["kl_effective"] >= terms["kl_raw"] - 1e-12
 
 
 def test_fraternal_zero_decoder_zero_penalty():
@@ -158,23 +158,21 @@ def test_elbo_autoencoder_limit():
     p = tiny_params(6)
     batch = make_batch([(4, 5, 4)])
     eps = np.random.default_rng(7).standard_normal((2, 1))
-    lb = elbo_step(batch, _config(), p, eps, None, 0.0)
-    assert lb.beta == 0.0
+    total, terms = elbo_step(batch, _config(), p, eps, None, 0.0)
     post = encode_batch(batch.ids, batch.lengths, p)
     ll, _, _ = decode_batch(reparameterize(post, eps), batch.ids, batch.lengths, p)
-    assert abs(lb.total.item() + ll.item()) < 1e-12
-    assert abs(lb.total.item() - lb.reconstruction.item()) < 1e-15
-    assert lb.fraternal_penalty.item() == 0.0
+    assert abs(total.item() + ll.item()) < 1e-12
+    assert abs(total.item() - terms["reconstruction"]) < 1e-15
+    assert terms["fraternal_penalty"] == 0.0
 
 
 def test_elbo_standard_negative_elbo():
     p = tiny_params(8)
     batch = make_batch([(5, 4)])
     eps = np.random.default_rng(9).standard_normal((2, 1))
-    lb = elbo_step(batch, _config(), p, eps, None, 1.0)
-    assert lb.beta == 1.0
-    assert abs(lb.total.item() - (lb.reconstruction.item() + lb.kl_raw.item())) < 1e-12
-    assert abs(lb.kl_effective.item() - lb.kl_raw.item()) < 1e-15
+    total, terms = elbo_step(batch, _config(), p, eps, None, 1.0)
+    assert abs(total.item() - (terms["reconstruction"] + terms["kl_raw"])) < 1e-12
+    assert abs(terms["kl_effective"] - terms["kl_raw"]) < 1e-15
 
 
 def test_elbo_total_formula_with_all_terms():
@@ -183,14 +181,14 @@ def test_elbo_total_formula_with_all_terms():
     rng = np.random.default_rng(11)
     eps = rng.standard_normal((2, 2))
     mask = sample_masks((2, 4), 0.7, rng)
-    lb = elbo_step(make_batch([(4, 5, 4), (5, 5)]), cfg, p, eps, mask, 0.5)
-    expected = (lb.reconstruction.item() + lb.beta * lb.kl_effective.item()
-                + cfg.alpha * lb.fraternal_penalty.item())
-    assert abs(lb.total.item() - expected) < 1e-12
-    assert lb.kl_raw.item() >= 0.0
-    assert lb.fraternal_penalty.item() >= 0.0
-    assert lb.kl_effective.item() >= lb.kl_raw.item()
-    assert lb.reconstruction.item() <= lb.total.item()
+    total, terms = elbo_step(make_batch([(4, 5, 4), (5, 5)]), cfg, p, eps, mask, 0.5)
+    expected = (terms["reconstruction"] + 0.5 * terms["kl_effective"]
+                + cfg.alpha * terms["fraternal_penalty"])
+    assert abs(total.item() - expected) < 1e-12
+    assert terms["kl_raw"] >= 0.0
+    assert terms["fraternal_penalty"] >= 0.0
+    assert terms["kl_effective"] >= terms["kl_raw"]
+    assert terms["reconstruction"] <= total.item()
 
 
 def test_elbo_full_config_gradient_check():
@@ -203,7 +201,7 @@ def test_elbo_full_config_gradient_check():
     mask = np.array([[1.0, 0.0, 1.0, 1.0]])
 
     def f():
-        return elbo_step(batch, cfg, p, eps, mask, 0.5).total
+        return elbo_step(batch, cfg, p, eps, mask, 0.5)[0]
 
     report = grad_check(f, dict(p.named_parameters()), tol=1e-4)
     assert report.passed, str(report)
@@ -215,9 +213,9 @@ def test_elbo_deterministic_with_frozen_noise():
     eps = np.random.default_rng(15).standard_normal((2, 1))
     mask = np.array([[1.0, 1.0, 0.0]])
     batch = make_batch([(4, 5)])
-    a = elbo_step(batch, cfg, p, eps, mask, 0.5).total.item()
-    b = elbo_step(batch, cfg, p, eps.copy(), mask.copy(), 0.5).total.item()
-    assert a == b
+    a_total, a_terms = elbo_step(batch, cfg, p, eps, mask, 0.5)
+    b_total, b_terms = elbo_step(batch, cfg, p, eps.copy(), mask.copy(), 0.5)
+    assert a_total.item() == b_total.item() and a_terms == b_terms
 
 
 def test_elbo_batched_matches_single_sentences():
@@ -225,10 +223,10 @@ def test_elbo_batched_matches_single_sentences():
     p = tiny_params(16)
     cfg = _config(keep_prob=1.0, alpha=0.0)
     sents = [(4, 5), (5, 4, 4, 5, 5), (4,), (5, 5, 4), (4, 4), (5,), (4, 5, 5, 5), (5, 4)]
-    batched = elbo_step(make_batch(sents), cfg, p, None, None, 1.0)
+    total, terms = elbo_step(make_batch(sents), cfg, p, None, None, 1.0)
     singles = [elbo_step(make_batch([s]), cfg, p, None, None, 1.0) for s in sents]
-    assert abs(batched.total.item() - np.mean([s.total.item() for s in singles])) < 1e-10
-    assert abs(batched.kl_raw.item() - np.mean([s.kl_raw.item() for s in singles])) < 1e-10
+    assert abs(total.item() - np.mean([t.item() for t, _ in singles])) < 1e-10
+    assert abs(terms["kl_raw"] - np.mean([ts["kl_raw"] for _, ts in singles])) < 1e-10
 
 
 def test_elbo_batched_fraternal_matches_single_sentences():
@@ -237,14 +235,15 @@ def test_elbo_batched_fraternal_matches_single_sentences():
     sents = [(4, 5, 4), (5,), (4, 4, 5, 5)]
     rng = np.random.default_rng(1)
     mask = np.stack([(rng.random(5) < 0.6).astype(float) for _ in sents])
-    batched = elbo_step(make_batch(sents), cfg, p, None, mask, 1.0)
+    total, terms = elbo_step(make_batch(sents), cfg, p, None, mask, 1.0)
     totals, penalties = [], []
     for j, s in enumerate(sents):
-        lb = elbo_step(make_batch([s]), cfg, p, None, mask[j: j + 1, : len(s) + 1], 1.0)
-        totals.append(lb.total.item())
-        penalties.append(lb.fraternal_penalty.item())
-    assert abs(batched.fraternal_penalty.item() - np.mean(penalties)) < 1e-10
-    assert abs(batched.total.item() - np.mean(totals)) < 1e-10
+        one, one_terms = elbo_step(make_batch([s]), cfg, p, None, mask[j: j + 1, : len(s) + 1],
+                                   1.0)
+        totals.append(one.item())
+        penalties.append(one_terms["fraternal_penalty"])
+    assert abs(terms["fraternal_penalty"] - np.mean(penalties)) < 1e-10
+    assert abs(total.item() - np.mean(totals)) < 1e-10
 
 
 def test_tape_size_does_not_grow_with_sentence_length():
@@ -271,9 +270,9 @@ def test_free_bits_reuses_the_elementwise_kl():
     eps = np.random.default_rng(4).standard_normal((4, 2))
     cfg = _config(latent_dim=4, embed_dim=8, hidden_dim=8, free_bits=2.0)
     with tape() as t:
-        lb = elbo_step(batch, cfg, p, eps, None, 0.5)
+        _, terms = elbo_step(batch, cfg, p, eps, None, 0.5)
         assert len(t) == 34
     post = encode_batch(batch.ids, batch.lengths, p)
     floor = ad.reduce_mean(ad.maximum_scalar(kl_columns(post), 2.0))
-    assert lb.kl_effective.item() == floor.item()
-    assert lb.kl_raw.item() == ad.reduce_mean(kl_columns(post)).item()
+    assert terms["kl_effective"] == floor.item()
+    assert terms["kl_raw"] == ad.reduce_mean(kl_columns(post)).item()
