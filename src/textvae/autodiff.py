@@ -8,6 +8,8 @@ loss depends on, as a dict keyed by tensor.  A tape is walked once: the walk
 pops each entry as it reaches it, so an op's saved state is released as soon
 as its input adjoints are out, and a second walk raises ContractError.
 Tensors carry no gradient state.
+Every op takes Tensor operands; ``add``, ``sub`` and ``mul`` need two of the
+same shape and raise DimensionError on any other pair.
 An op defined elsewhere (``model.lstm_recurrence``, ``model.output_log_lik``)
 asks ``recording`` for the tape, keeps backward state only when there is one,
 and records itself with ``Tape.record``.
@@ -18,7 +20,6 @@ reachable in single precision.
 
 from __future__ import annotations
 
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -126,71 +127,47 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (numbers.Number, np.ndarray, list, tuple)):
-        return Tensor(x)
-    raise TypeError(f"cannot treat {type(x).__name__} as a Tensor")
-
-
 # ---------------------------------------------------------------------------
 # elementwise operations
 
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str):
-    """Same shape, or one side scalar (broadcast).  Returns (a_scalar, b_scalar)."""
-    if a.shape == b.shape:
-        return False, False
-    if a.shape == ():
-        return True, False
-    if b.shape == ():
-        return False, True
-    raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match")
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match")
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_sc, b_sc = _binary_shapes(a, b, "add")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "add")
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        ga = g.sum() if a_sc else g
-        gb = g.sum() if b_sc else g
-        return (ga if a.requires_grad else None, gb if b.requires_grad else None)
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
     return _record(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_sc, b_sc = _binary_shapes(a, b, "sub")
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
 
     def backward(g):
-        ga = g.sum() if a_sc else g
-        gb = -(g.sum() if b_sc else g)
-        return (ga if a.requires_grad else None, gb if b.requires_grad else None)
+        return (g if a.requires_grad else None, -g if b.requires_grad else None)
 
     return _record(out, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    a_sc, b_sc = _binary_shapes(a, b, "mul")
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
     ad, bd = a.data, b.data
 
     def backward(g):
-        ga = (g * bd).sum() if a_sc else g * bd
-        gb = (g * ad).sum() if b_sc else g * ad
-        return (ga if a.requires_grad else None, gb if b.requires_grad else None)
+        return (g * bd if a.requires_grad else None, g * ad if b.requires_grad else None)
 
     return _record(out, (a, b), backward)
 
 
-def scale(x, c: float) -> Tensor:
-    x = _as_tensor(x)
+def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(x.data * c)
 
@@ -200,8 +177,7 @@ def scale(x, c: float) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
+def exp(x: Tensor) -> Tensor:
     y = np.exp(x.data)
     out = Tensor(y)
 
@@ -215,8 +191,7 @@ def exp(x) -> Tensor:
 # linear algebra and structural operations
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -231,9 +206,8 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def add_col(mat, col) -> Tensor:
+def add_col(mat: Tensor, col: Tensor) -> Tensor:
     """Add a (m,1) column vector to every column of a (m,n) matrix."""
-    mat, col = _as_tensor(mat), _as_tensor(col)
     if mat.data.ndim != 2 or col.shape != (mat.shape[0], 1):
         raise DimensionError(f"add_col: matrix {mat.shape} with column {col.shape}")
     out = Tensor(mat.data + col.data)
@@ -245,9 +219,8 @@ def add_col(mat, col) -> Tensor:
     return _record(out, (mat, col), backward)
 
 
-def select_columns(x, idx) -> Tensor:
+def select_columns(x: Tensor, idx) -> Tensor:
     """Gather columns of a (m,n) matrix; repeated indices accumulate gradient."""
-    x = _as_tensor(x)
     ids = np.asarray(idx, dtype=np.int64)
     if x.data.ndim != 2 or ids.ndim != 1:
         raise DimensionError(f"select_columns: matrix {x.shape}, index shape {ids.shape}")
@@ -265,9 +238,8 @@ def select_columns(x, idx) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def column_sums(x) -> Tensor:
+def column_sums(x: Tensor) -> Tensor:
     """Sum each column of a (m,n) matrix, producing a (1,n) row."""
-    x = _as_tensor(x)
     if x.data.ndim != 2:
         raise DimensionError(f"column_sums needs a matrix, got shape {x.shape}")
     shp = x.shape
@@ -279,9 +251,8 @@ def column_sums(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def maximum_scalar(x, c: float) -> Tensor:
+def maximum_scalar(x: Tensor, c: float) -> Tensor:
     """Elementwise max(x, c); gradient follows x where x >= c, else zero."""
-    x = _as_tensor(x)
     c = float(c)
     xd = x.data
     out = Tensor(np.maximum(xd, c))
@@ -296,8 +267,7 @@ def maximum_scalar(x, c: float) -> Tensor:
 # reductions
 
 
-def reduce_mean(x) -> Tensor:
-    x = _as_tensor(x)
+def reduce_mean(x: Tensor) -> Tensor:
     shp = x.shape
     n = x.data.size
     out = Tensor(x.data.mean())
@@ -342,10 +312,7 @@ def grad_check(f, params, tol: float = 1e-4) -> GradCheckReport:
     Tensor; ``params`` is a dict or iterable of (name, Tensor).  Every
     parameter entry is perturbed by ±_FD_STEP.
     """
-    if isinstance(params, dict):
-        named = list(params.items())
-    else:
-        named = [p if isinstance(p, tuple) else (f"p{i}", p) for i, p in enumerate(params)]
+    named = list(params.items() if isinstance(params, dict) else params)
 
     with tape():
         first = f()

@@ -288,10 +288,11 @@ def cmd_sweep(args) -> int:
         except (TrainingInterrupted, KeyboardInterrupt) as exc:
             interrupt = exc  # stop here; the table keeps the runs so far
             break
-        except TextVaeError as exc:
+        except (TextVaeError, MemoryError) as exc:  # this cell failed; later cells still run
             failed.append(tcfg.alpha)
             error = exc
-            rows.append(f"{tcfg.alpha:<24g} FAILED: {exc}")
+            why = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+            rows.append(f"{tcfg.alpha:<24g} FAILED: {why}")
         print(rows[-1])
 
     write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")

@@ -214,7 +214,6 @@ class MetricsReport:
     au: int
     mi: float
     mi_raw: float
-    mi_clamped: bool
     bleu: float
     n_sentences: int
     config: dict
@@ -273,8 +272,7 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
                            ppl=float(np.exp(total_nll / total_words)),
                            iw_nll=float(total_iw / len(sents)),
                            iw_ppl=float(np.exp(total_iw / total_words)),
-                           kl=float(kl), au=int(au), mi=float(mi),
-                           mi_raw=float(mi_raw), mi_clamped=bool(mi_raw < 0),
+                           kl=float(kl), au=int(au), mi=float(mi), mi_raw=float(mi_raw),
                            bleu=float(bleu_score), n_sentences=len(sents),
                            config=asdict(config))
     for key, value in asdict(report).items():

@@ -357,13 +357,11 @@ def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> Gau
 
 def reparameterize(post: GaussianPosterior, eps: np.ndarray) -> Tensor:
     """z = mu + exp(logvar/2) * eps; gradient reaches mu and logvar, never eps."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if eps.ndim == 1:
-        eps = eps[:, None]
+    eps = Tensor(eps)
     if eps.shape != post.mu.shape:
         raise DimensionError(f"eps shape {eps.shape} does not match mu shape {post.mu.shape}")
     sigma = ad.exp(ad.scale(post.logvar, 0.5))
-    return ad.add(post.mu, ad.mul(sigma, Tensor(eps)))
+    return ad.add(post.mu, ad.mul(sigma, eps))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ def kl_elementwise(post: GaussianPosterior) -> Tensor:
     """KL(q(z|x) || N(0, I)) per coordinate, as a (k, B) matrix over a batched posterior."""
     mu, logvar = post.mu, post.logvar
     # 0.5 * (mu^2 + exp(logvar) - 1 - logvar)
-    inner = ad.sub(ad.sub(ad.add(ad.mul(mu, mu), ad.exp(logvar)), 1.0), logvar)
+    one = Tensor(np.ones(mu.shape))
+    inner = ad.sub(ad.sub(ad.add(ad.mul(mu, mu), ad.exp(logvar)), one), logvar)
     return ad.scale(inner, 0.5)
 
 

@@ -145,12 +145,12 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     A non-finite gradient raises TrainingError naming its parameter, and a
     norm that overflows, of finite gradients, raises one too; either way no
     gradient has been scaled."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in parameter {name!r}")
     with np.errstate(over="ignore"):
         total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
-    if not np.isfinite(total):
+    if not np.isfinite(total):  # a NaN or inf entry makes it so: name that parameter
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient in parameter {name!r}")
         raise TrainingError(f"gradient norm overflows: {total}")
     if max_norm > 0 and total > max_norm:
         factor = max_norm / total

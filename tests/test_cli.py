@@ -1002,6 +1002,37 @@ def test_sweep_every_alpha_failed_exits_with_last_failure(tmp_path, monkeypatch,
     assert_finite_checkpoint(out / "alpha_0.1" / "checkpoint.bin")
 
 
+def test_sweep_cell_out_of_memory_fails_that_cell_only(tmp_path, monkeypatch, capsys):
+    import textvae.cli as cli_mod
+
+    real = cli_mod.train
+
+    def train_or_oom(split, config, vocab_size):
+        if config.alpha == 0.5:  # no real allocation: the error alone
+            raise MemoryError("Unable to allocate 9.00 TiB")
+        return real(split, config, vocab_size)
+
+    monkeypatch.setattr(cli_mod, "train", train_or_oom)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out),
+                 "--alphas", "0,0.5,1"]) == 0
+    table = (out / "sweep_table.txt").read_text().splitlines()
+    assert len(table) == 4 and "FAILED" not in table[1] + table[3]
+    assert table[2].startswith("0.5 ") and "FAILED: out of memory: Unable to allocate" in table[2]
+    assert json.loads((out / "manifest.json").read_text())["failed_alphas"] == [0.5]
+    assert (out / "alpha_1" / "report.txt").exists()
+
+    # every cell out of memory: the table and manifest are still written, and the
+    # sweep exits as the command line does on memory errors
+    out = tmp_path / "all failed"
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out),
+                 "--alphas", "0.5"]) == ConfigError.exit_code == 2
+    assert "out of memory" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["failed_alphas"] == [0.5]
+    assert "FAILED: out of memory" in (out / "sweep_table.txt").read_text()
+
+
 def test_sweep_interrupted_keeps_the_finished_rows(tmp_path, monkeypatch):
     def interrupt(params):
         raise KeyboardInterrupt

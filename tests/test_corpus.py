@@ -16,6 +16,7 @@ from textvae.corpus import (
     generate_synthetic,
     load_text,
     make_batch,
+    split_hashes,
 )
 from textvae.cli import main
 from textvae.errors import ConfigError, DataError
@@ -108,6 +109,17 @@ def test_synthetic_deterministic():
     b, vb = generate_synthetic(spec)
     assert a.train == b.train and a.dev == b.dev and a.test == b.test
     assert va.hash == vb.hash
+
+
+def test_default_synthetic_corpus_is_pinned():
+    # the corpus the benchmark and the default config train on, token for token
+    split, vocab = generate_synthetic(SyntheticSpec())
+    assert (len(vocab), len(split.train), len(split.dev), len(split.test)) == (204, 2000, 200, 200)
+    assert split_hashes(split) == {
+        "train": "61fa25e942dab24ff0485cb9817abad73bfb1cb652afc61057ccb65c8fa3cf82",
+        "dev": "3954d4700a479269b1a9e13cf2ef7dea43b44964de75f1d4331a880b6b8d3efa",
+        "test": "3e2e71cae57b00a943ee2bf3f631f8e30c68bdbcdc72ea9d929da932c29ec508"}
+    assert vocab.hash == "618be1b9ac5a8df2c1fc94163f24924562d585c15bff6deb40dc458f00fd2d39"
 
 
 def test_synthetic_both_classes_present():

@@ -510,8 +510,7 @@ def test_evaluate_encodes_the_split_in_batches(monkeypatch):
 
 def test_report_table_row_shape():
     report = MetricsReport(nll=33.4, ppl=28.25, iw_nll=35.6, iw_ppl=31.5, kl=4.25, au=2,
-                           mi=1.14, mi_raw=1.14, mi_clamped=False, bleu=0.0143,
-                           n_sentences=10, config={})
+                           mi=1.14, mi_raw=1.14, bleu=0.0143, n_sentences=10, config={})
     row = report.table_row("standard")
     header = MetricsReport.table_header()
     assert "33.40" in row and "35.60" in row and "4.25" in row and "1.43" in row

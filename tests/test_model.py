@@ -128,19 +128,21 @@ def test_encode_batch_gradient_over_ragged_batch():
 def test_reparameterize_trivials():
     p = tiny_params(5)
     post = encode([4, 5], p)
-    z0 = reparameterize(post, np.zeros(2))
+    z0 = reparameterize(post, np.zeros((2, 1)))
     assert np.array_equal(z0.data, post.mu.data)
 
     post.mu.data[...] = 0.0
     post.logvar.data[...] = 0.0
-    eps = np.array([0.3, -1.2])
+    eps = np.array([[0.3], [-1.2]])
     z = reparameterize(post, eps)
-    assert np.max(np.abs(z.data[:, 0] - eps)) < 1e-15
+    assert np.max(np.abs(z.data - eps)) < 1e-15
+    with pytest.raises(DimensionError):  # eps is a (k, B) matrix, never a bare vector
+        reparameterize(post, eps[:, 0])
 
 
 def test_reparameterize_grad_dz_dmu_is_identity():
     p = tiny_params(6)
-    eps = np.random.default_rng(0).standard_normal(2)
+    eps = np.random.default_rng(0).standard_normal((2, 1))
 
     def f():
         post = encode([4, 5, 5], p)
@@ -393,7 +395,7 @@ def test_decode_greedy_runs_columns_in_blocks(monkeypatch):
 def test_full_pipeline_gradient_check():
     # encoder -> reparameterize -> decoder, frozen noise, tol 1e-4
     p = tiny_params(14)
-    eps = np.random.default_rng(6).standard_normal(2)
+    eps = np.random.default_rng(6).standard_normal((2, 1))
     x = [4, 5, 4]
 
     def f():

@@ -73,6 +73,9 @@ def test_clip_rejects_nonfinite_gradient():
     with pytest.raises(TrainingError) as exc:
         clip_gradients({"p": np.array([[np.nan]])}, 0.0)
     assert "non-finite gradient in parameter 'p'" in str(exc.value)
+    # an inf entry is named even where another parameter's finite squares overflow
+    with pytest.raises(TrainingError, match="non-finite gradient in parameter 'b'"):
+        clip_gradients({"a": np.full((2, 2), 1e200), "b": np.array([[1.0, -np.inf]])}, 1.0)
 
 
 def test_clip_nonfinite_gradient_updates_nothing():
