@@ -18,11 +18,12 @@ sweep ``alphas``.
 
 A run directory is what ``train`` writes into --out-dir, and ``sweep`` into
 ``alpha_<alpha>/`` for each alpha: ``vocab.txt``, ``checkpoint.bin``,
-``train_log.jsonl`` and ``manifest.json``.  A run that diverges or is
-interrupted writes all four too, from its last good parameters; the log's
-last record and a manifest flag say how it ended.  A sweep cell adds its
-test-split ``report.txt``; the sweep's --out-dir holds ``sweep_table.txt``
-and the sweep's manifest.
+``train_log.jsonl`` and ``manifest.json``, written once training returns.
+A run that diverges or is interrupted writes all four too, from its last good
+parameters; the log's last record and a manifest flag say how it ended.  A run
+that fails any other way (out of memory, say) leaves its directory empty.  A
+sweep cell adds its test-split ``report.txt``; the sweep's --out-dir holds
+``sweep_table.txt`` and the sweep's manifest.
 
 Exit codes (``exit_code`` on the classes in ``errors``): 0 ok, 2 config
 (also an allocation that a size setting asks for and memory cannot hold),
@@ -191,7 +192,8 @@ def _manifest(args, config: dict, split, vocab: Vocabulary, seed: int) -> dict:
 def _train_and_save(args, cfg: dict, split: CorpusSplit, vocab: Vocabulary,
                     out: Path) -> TrainResult:
     """Train by ``cfg`` (see ``_read_config``), writing the run directory ``out``:
-    ``vocab.txt``, ``checkpoint.bin``, ``train_log.jsonl`` and ``manifest.json``.
+    ``vocab.txt``, ``checkpoint.bin``, ``train_log.jsonl`` and ``manifest.json``,
+    none of them before training returns.
 
     A run that diverges or is interrupted still writes its last good
     checkpoint, its log closed by an "aborted" or "interrupted" record and a
@@ -201,7 +203,6 @@ def _train_and_save(args, cfg: dict, split: CorpusSplit, vocab: Vocabulary,
     tcfg = cfg["train"].resolved(len(split.train))
     cfg = {**cfg, "train": tcfg}
     manifest = _manifest(args, cfg, split, vocab, tcfg.seed)
-    write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
     error = None
     try:
         result = train(split, tcfg, len(vocab))
@@ -212,6 +213,7 @@ def _train_and_save(args, cfg: dict, split: CorpusSplit, vocab: Vocabulary,
         log = exc.log + [{"phase": "interrupted"} if ending == "interrupted"
                          else {"phase": "aborted", "error": str(exc)}]
         manifest[ending] = True
+    write_file(out / "vocab.txt", "\n".join(vocab.id_to_token) + "\n")
     save_checkpoint(out / "checkpoint.bin", params, vocab, config=asdict(tcfg))
     write_file(out / "train_log.jsonl",
                "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in log))
@@ -267,8 +269,8 @@ def cmd_sweep(args) -> int:
     labels = [f"{a:g}" for a in alphas]  # each run writes to alpha_<label>/
     if len(set(labels)) < len(labels):
         raise ConfigError(f"--alphas repeats a value (as run directories: {labels})")
-    cells = [{**cfg, "train": replace(cfg["train"], alpha=a).validate()}  # all before any run
-             for a in alphas]
+    # each cell's config is checked as it is made, all before any run
+    cells = [{**cfg, "train": replace(cfg["train"], alpha=a)} for a in alphas]
     split, vocab = _resolve_corpus(cfg, args.corpus)
     if not split.test:
         raise DataError("test split is empty: sweep evaluates every run on it")

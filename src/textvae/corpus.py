@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_types
+from .errors import Config, ConfigError, DataError
 
 PAD, UNK, START, END = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -107,7 +107,7 @@ def split_hashes(split: CorpusSplit) -> dict[str, str]:
 
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(Config):
     """Template grammar: per-template slot pools with disjoint word sets.
 
     Every word names its (template, slot) cell, so sentence identity carries
@@ -123,20 +123,17 @@ class SyntheticSpec:
     n_test: int = 200
     seed: int = 12345
 
-    def validate(self) -> "SyntheticSpec":
-        check_types(self)
-        for name, low in (("n_templates", 2), ("words_per_slot", 1), ("n_train", 1),
-                          ("n_dev", 0), ("n_test", 0), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+    LOWER = {"n_templates": 2, "words_per_slot": 1, "n_train": 1, "n_dev": 0, "n_test": 0,
+             "seed": 0}
+
+    def __post_init__(self):
+        super().__post_init__()
         if not 1 <= self.length_range[0] <= self.length_range[1]:
             raise ConfigError(f"length_range must satisfy 1 <= lo <= hi, got {self.length_range!r}")
-        return self
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[CorpusSplit, Vocabulary]:
     """Deterministic template-grammar corpus with globally deduplicated sentences."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.length_range
     lengths = rng.integers(lo, hi + 1, size=spec.n_templates)

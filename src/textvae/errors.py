@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
 Each class declares its CLI exit code as ``exit_code``, and only there;
-cli.EXIT_CODES is built from them.  The config dataclasses' type checks live
-here too, in one table, because this is the one module every module that
-defines a config already imports.
+cli.EXIT_CODES is built from them.  The config dataclasses' base class
+lives here too, with the one table of field types, because this is the one
+module every module that defines a config already imports.
 """
 
 import math
@@ -71,24 +71,36 @@ FIELD_TYPES = {
 }
 
 
-def check_types(config) -> None:
-    """Raise ConfigError naming the first field of dataclass ``config`` whose value
-    does not have its annotated type (see FIELD_TYPES)."""
-    hints = typing.get_type_hints(type(config))
-    for f in fields(config):
-        kind, ok = FIELD_TYPES[hints[f.name]]
-        value = getattr(config, f.name)
-        if not ok(value):
-            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+class Config:
+    """Base of the config dataclasses: a config is checked when it is made, so one
+    that exists is valid, also when made in code or by ``dataclasses.replace``.
+
+    Each field's value must have its annotated type (see FIELD_TYPES) and be at
+    least its entry in the subclass's ``LOWER``, if any (None passes a bound).
+    A subclass adds any other check to its own ``__post_init__``.  The first
+    field that fails raises ConfigError "<field> must be ...".
+    """
+
+    LOWER = {}  # field name -> smallest value allowed
+
+    def __post_init__(self):
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            kind, ok = FIELD_TYPES[hints[f.name]]
+            value, low = getattr(self, f.name), self.LOWER.get(f.name)
+            if not ok(value):
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+            if low is not None and value is not None and value < low:
+                raise ConfigError(f"{f.name} must be >= {low}, got {value!r}")
 
 
 def read_config(cls, section: dict, name: str, **overrides):
     """Build config dataclass ``cls`` from ``section``, config-file section ``name``
-    with ``overrides`` (flag values) applied, and validate it.  A section that is not
-    an object, an unknown key, a wrong type or a value out of range raises ConfigError."""
+    with ``overrides`` (flag values) applied.  A section that is not an object, an
+    unknown key, or a value that ``cls`` refuses raises ConfigError."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
     unknown = sorted(set(section) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown field(s) {unknown} in config section {name!r}")
-    return cls(**{**section, **overrides}).validate()
+    return cls(**{**section, **overrides})

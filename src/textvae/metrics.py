@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .corpus import batches, make_batch
-from .errors import ConfigError, DataError, NumericError, check_types
+from .errors import Config, DataError, NumericError
 from .model import BLOCK, GaussianPosterior, VaeParams, decode_batch, decode_greedy, encode_batch
 from .objectives import kl_columns
 
@@ -180,20 +180,13 @@ def corpus_bleu(pairs) -> float:
 
 
 @dataclass
-class EvalConfig:
+class EvalConfig(Config):
     n_samples: int = 100       # posterior draws for NLL/PPL
     mi_samples: int = 10       # posterior draws per sentence for MI
     au_threshold: float = 0.01
     max_gen_len: int = 30
 
-    def validate(self) -> "EvalConfig":
-        check_types(self)
-        for name in ("n_samples", "mi_samples", "max_gen_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.au_threshold < 0:
-            raise ConfigError(f"au_threshold must be >= 0, got {self.au_threshold!r}")
-        return self
+    LOWER = {"n_samples": 1, "mi_samples": 1, "au_threshold": 0, "max_gen_len": 1}
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import tape
 from .corpus import CorpusSplit, batches
-from .errors import ConfigError, ContractError, TrainingError, TrainingInterrupted, check_types
+from .errors import Config, ConfigError, ContractError, TrainingError, TrainingInterrupted
 from .model import VaeParams
 from .objectives import elbo_step
 
@@ -33,7 +33,7 @@ CHUNK = 16384
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Config):
     """Every knob of the optimization; seed fully determines a run."""
 
     latent_dim: int = 32
@@ -53,27 +53,14 @@ class TrainConfig:
     clip_norm: float = 0.0
     seed: int = 0
 
-    def validate(self) -> "TrainConfig":
-        check_types(self)
-        checks = [
-            (self.latent_dim >= 1, "latent_dim must be >= 1"),
-            (self.embed_dim >= 1, "embed_dim must be >= 1"),
-            (self.hidden_dim >= 1, "hidden_dim must be >= 1"),
-            (self.lr >= 0, "lr must be >= 0"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.epochs >= 0, "epochs must be >= 0"),
-            (self.warmup_steps is None or self.warmup_steps >= 1, "warmup_steps must be >= 1"),
-            (self.free_bits >= 0, "free_bits must be >= 0"),
-            (self.alpha >= 0, "alpha must be >= 0"),
-            (0 <= self.keep_prob <= 1, "keep_prob must lie in [0, 1]"),
-            (self.pretrain_epochs >= 0, "pretrain_epochs must be >= 0"),
-            (self.clip_norm >= 0, "clip_norm must be >= 0"),
-            (self.seed >= 0, "seed must be >= 0"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise ConfigError(msg)
-        return self
+    LOWER = {"latent_dim": 1, "embed_dim": 1, "hidden_dim": 1, "lr": 0, "batch_size": 1,
+             "epochs": 0, "warmup_steps": 1, "free_bits": 0, "alpha": 0, "keep_prob": 0,
+             "pretrain_epochs": 0, "clip_norm": 0, "seed": 0}
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.keep_prob > 1:
+            raise ConfigError(f"keep_prob must be <= 1, got {self.keep_prob!r}")
 
     def resolved(self, n_train: int) -> "TrainConfig":
         """This config with ``warmup_steps`` set: a set value is kept, and None
@@ -85,7 +72,7 @@ class TrainConfig:
 
 def sample_masks(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Bernoulli(keep_prob) word-dropout masks as a float64 0/1 array; ``keep_prob``
-    lies in [0, 1], as ``TrainConfig.validate`` checks."""
+    lies in [0, 1], as every ``TrainConfig`` holds."""
     return (rng.random(shape) < keep_prob).astype(np.float64)
 
 
@@ -286,7 +273,6 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int) -> TrainRes
     raises TrainingError carrying the best parameters of that phase so far and
     the whole log; an interrupt raises TrainingInterrupted with the same.
     """
-    config.validate()
     if not corpus.train:
         raise ConfigError("training corpus is empty")
     rng = np.random.default_rng(config.seed)

@@ -2,7 +2,7 @@ import json
 import math
 import tempfile
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +14,7 @@ from textvae.autodiff import Tape
 from textvae.cli import EXIT_CODES, TRAIN_FLAGS, main
 from textvae.corpus import SyntheticSpec
 from textvae.errors import (FIELD_TYPES, ConfigError, ContractError, DataError, DimensionError,
-                            NumericError, TextVaeError, TrainingError, TrainingInterrupted,
-                            check_types)
+                            NumericError, TextVaeError, TrainingError, TrainingInterrupted)
 from textvae.metrics import EvalConfig
 from textvae.model import VaeParams, decode_greedy, load_checkpoint
 from textvae.training import TrainConfig
@@ -521,24 +520,32 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, trained_checkpoint, 
 
 
 def test_every_config_range_check_has_a_case():
-    # a range case sets one field to a value of the right type that validate refuses;
+    # a range case sets one field to a value of the right type that its config refuses;
     # every field but a bool has a range check, and each needs a case that reaches it
+    kinds = tuple(f" must be {kind}, got " for kind, _ in FIELD_TYPES.values())
     covered = set()
     for overrides in BAD_CONFIG_VALUES:
         for section, values in overrides.items():
             if section not in CONFIG_SECTIONS or not isinstance(values, dict):
                 continue
-            config = CONFIG_SECTIONS[section](**values)
-            try:
-                check_types(config)
-            except ConfigError:
-                continue
-            with pytest.raises(ConfigError):
-                config.validate()
-            covered |= {(section, name) for name in values}
+            with pytest.raises(ConfigError) as exc:
+                CONFIG_SECTIONS[section](**values)
+            if not any(kind in str(exc.value) for kind in kinds):
+                covered |= {(section, name) for name in values}
     hints = {section: typing.get_type_hints(cls) for section, cls in CONFIG_SECTIONS.items()}
     assert covered == {(section, name) for section, fields_ in hints.items()
                        for name, hint in fields_.items() if hint is not bool}
+
+
+@pytest.mark.parametrize("cls, name, value", [(TrainConfig, "keep_prob", 1.5),
+                                              (EvalConfig, "mi_samples", 0),
+                                              (SyntheticSpec, "n_templates", 2.5)])
+def test_config_made_in_code_is_checked(cls, name, value):
+    # a config is checked when it is made, in code as from a file, and by replace
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        cls(**{name: value})
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        replace(cls(), **{name: value})
 
 
 @pytest.mark.parametrize("command, flags, overrides", [
@@ -1022,6 +1029,7 @@ def test_sweep_cell_out_of_memory_fails_that_cell_only(tmp_path, monkeypatch, ca
     assert table[2].startswith("0.5 ") and "FAILED: out of memory: Unable to allocate" in table[2]
     assert json.loads((out / "manifest.json").read_text())["failed_alphas"] == [0.5]
     assert (out / "alpha_1" / "report.txt").exists()
+    assert list((out / "alpha_0.5").iterdir()) == []  # a failed cell writes no file
 
     # every cell out of memory: the table and manifest are still written, and the
     # sweep exits as the command line does on memory errors

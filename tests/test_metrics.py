@@ -243,6 +243,14 @@ def test_mi_zero_when_collapsed():
     assert abs(raw) < 1e-12
 
 
+def test_mi_keeps_a_small_estimate_above_the_snap():
+    # nearly collapsed posteriors: only an estimate within 1e-9 of zero is snapped
+    rng = np.random.default_rng(2)
+    mus = 0.01 * rng.standard_normal((20, 2))
+    clamped, raw = mutual_information_from_posteriors(mus, np.zeros((20, 2)), 10, rng)
+    assert 1e-9 < raw < 1e-3 and clamped == raw
+
+
 def test_mi_two_separated_posteriors_is_ln2():
     k = 4
     mus = np.zeros((2, k))

@@ -136,6 +136,10 @@ def test_reparameterize_trivials():
     eps = np.array([[0.3], [-1.2]])
     z = reparameterize(post, eps)
     assert np.max(np.abs(z.data - eps)) < 1e-15
+    post.mu.data[...] = [[0.5], [-1.0]]
+    post.logvar.data[...] = np.log(4.0)  # sigma 2
+    z = reparameterize(post, eps)
+    assert np.max(np.abs(z.data - (post.mu.data + 2.0 * eps))) < 1e-15
     with pytest.raises(DimensionError):  # eps is a (k, B) matrix, never a bare vector
         reparameterize(post, eps[:, 0])
 

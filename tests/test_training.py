@@ -26,11 +26,11 @@ def small_config(**kw):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(keep_prob=1.5).validate()
+        TrainConfig(keep_prob=1.5)
     with pytest.raises(ConfigError):
-        TrainConfig(alpha=-0.1).validate()
+        TrainConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(free_bits=-1).validate()
+        TrainConfig(free_bits=-1)
     with pytest.raises(ConfigError):
         read_config(TrainConfig, {"no_such_knob": 1}, "train")
     with pytest.raises(ConfigError):  # the CLI's --seed always replaces a config file's seed
@@ -388,16 +388,25 @@ def spy_steps(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("alpha, keep_prob", [(0.5, 0.7), (0.0, 0.7), (0.5, 1.0), (0.0, 1.0)])
-def test_step_draws_eps_then_mask_after_init(monkeypatch, alpha, keep_prob):
-    # replay the run's generator: init, then per step eps, then the mask, if any
+@pytest.mark.parametrize("alpha, keep_prob, pretrain_epochs",
+                         [(0.5, 0.7, 0), (0.0, 0.7, 0), (0.5, 1.0, 0), (0.0, 1.0, 0),
+                          (0.5, 0.7, 1)],
+                         ids=["0.5-0.7", "0.0-0.7", "0.5-1.0", "0.0-1.0", "pretrain 0.5-0.7"])
+def test_step_draws_eps_then_mask_after_init(monkeypatch, alpha, keep_prob, pretrain_epochs):
+    # replay the run's generator: init, then per step eps, then the mask, if any;
+    # pretraining draws neither (z = mu, no word dropout), then the decoder reset draws
     split, vocab = generate_synthetic(SMALL_SPEC)
-    cfg = small_config(epochs=1, alpha=alpha, keep_prob=keep_prob)
+    cfg = small_config(epochs=1, alpha=alpha, keep_prob=keep_prob,
+                       pretrain_epochs=pretrain_epochs)
     calls = spy_steps(monkeypatch)
     train(split, cfg, len(vocab))
     rng = np.random.default_rng(cfg.seed)
-    VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
+    params = VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
     n_train_steps = -(-len(split.train) // cfg.batch_size)
+    if pretrain_epochs:
+        assert all(eps is None and mask is None for _, _, eps, mask, _ in calls[:n_train_steps])
+        calls = calls[n_train_steps + -(-len(split.dev) // cfg.batch_size):]  # and its dev ELBO
+        params.reset_decoder(rng)
     for batch, _, eps, mask, _ in calls[:2]:
         assert np.array_equal(eps, rng.standard_normal((cfg.latent_dim, batch.size)))
         if alpha == 0 and keep_prob == 1:
@@ -407,6 +416,37 @@ def test_step_draws_eps_then_mask_after_init(monkeypatch, alpha, keep_prob):
             assert np.array_equal(mask, sample_masks((batch.size, n_steps), keep_prob, rng))
     assert len(calls) > n_train_steps  # the dev ELBO ran too, on its own generator
     assert all(mask is None for _, _, _, mask, _ in calls[n_train_steps:])
+
+
+def test_best_checkpoint_is_the_epoch_of_lowest_dev_elbo(monkeypatch):
+    # the dev ELBO is scripted so that its best epoch is not the epoch of lowest training total
+    import textvae.training as training_mod
+
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    scripted, at_epoch_end = [3.0, 1.0, 2.0], []
+
+    def dev_elbo(sentences, config, params, seed):
+        at_epoch_end.append(params.clone())
+        return scripted[len(at_epoch_end) - 1]
+
+    monkeypatch.setattr(training_mod, "_dev_elbo", dev_elbo)
+    result = train(split, small_config(epochs=3), len(vocab))
+    assert [r["val_elbo"] for r in result.log] == scripted
+    totals = [r["total"] for r in result.log]
+    assert min(range(3), key=totals.__getitem__) != 1
+    for (n, t), (_, want) in zip(result.params.named_parameters(),
+                                 at_epoch_end[1].named_parameters()):
+        assert np.array_equal(t.data, want.data), n
+
+
+def test_val_elbo_ignores_free_bits():
+    # lr 0 keeps the initial parameters, so the two runs' dev ELBOs differ only if the
+    # free-bits surrogate, which their training totals show, leaks into the ELBO
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    [plain], [floored] = (train(split, small_config(lr=0.0, epochs=1, free_bits=fb),
+                                len(vocab)).log for fb in (0.0, 50.0))
+    assert plain["total"] != floored["total"]
+    assert plain["val_elbo"] == floored["val_elbo"]
 
 
 def test_logged_beta_is_the_warmup_mean_of_each_epoch():
