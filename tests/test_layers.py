@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import textvae.autodiff as ad
+import textvae.model
 from textvae.autodiff import Tensor, grad_check
 from textvae.corpus import make_batch
 from textvae.errors import DimensionError
-from textvae.model import VaeParams, decode_batch, encode_batch, lstm_recurrence, lstm_step
+from textvae.model import (VaeParams, block_rows, blocked_matmul, decode_batch, encode_batch,
+                           lstm_recurrence, lstm_step, position_sums)
 from textvae.objectives import fraternal_batch
 from textvae.training import sample_masks
 
@@ -245,6 +247,56 @@ def test_lstm_recurrence_gradient_matches_finite_differences(d, n_x, n_s, B, T, 
         repeated = Tensor(np.repeat(xs.data, B, axis=1))
         H = lstm_recurrence(repeated, h0, c0, p, "lstm", static=static)
         assert np.allclose(taped.data, H.data, rtol=0, atol=1e-12)
+
+
+# the cell's (4d, d) @ (d, B) product and the BPTT's (d, 4d) @ (4d, B) one at d = 128
+SIZING = {(512, 128, 16): 256, (512, 128, 32): 128, (512, 128, 64): 64, (512, 128, 100): 64,
+          (128, 512, 16): 64, (128, 512, 32): 32, (128, 512, 64): 128, (128, 512, 100): 128}
+
+
+def test_block_rows_follows_the_small_gemm_rule():
+    # at B = 64 and 100 the BPTT's blocks would have 16 rows, under the floor of 32
+    for (m, k, n), rows in SIZING.items():
+        assert block_rows(m, k, n) == rows, (m, k, n)
+    assert block_rows(20, 128, 16) == 20  # a 256-row block would hold every row
+
+
+def test_block_rows_off_when_the_limit_is_zero(monkeypatch):
+    monkeypatch.setattr(textvae.model, "SMALL_GEMM", 0)
+    assert all(block_rows(m, k, n) == m for m, k, n in SIZING)
+
+
+@pytest.mark.parametrize("m,k,n", [(512, 128, 16), (512, 128, 100), (128, 512, 16),
+                                   (300, 128, 16), (130, 512, 16), (96, 512, 32)])
+def test_blocked_matmul_equals_the_plain_product(m, k, n):
+    # row and column views of a wider stored weight, as the cell and the BPTT pass them;
+    # 300 = 256 + 44, 130 = 2·64 + 2 and 96 = 3·32 rows leave the last block short or full
+    rng = np.random.default_rng(m + k + n)
+    b = rng.standard_normal((k, n))
+    for a in (rng.standard_normal((m, k + 9))[:, 9:], rng.standard_normal((k + 9, m))[9:].T):
+        assert block_rows(m, k, n) < m
+        expected = a @ b
+        got = blocked_matmul(a, b)
+        assert got.shape == (m, n)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("m,k,n", [(512, 128, 1), (128, 512, 64), (20, 128, 16)])
+def test_blocked_matmul_is_the_plain_product_when_it_declines(m, k, n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((k, m)).T, rng.standard_normal((k, n))
+    assert block_rows(m, k, n) == m
+    assert blocked_matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(T=st.integers(1, 40), B=st.integers(1, 40), rows=st.sampled_from((1, 5, 64, 512)),
+       seed=st.integers(0, 2 ** 16))
+@example(T=13, B=1, rows=512, seed=0)  # one column: numpy sums the row pairwise
+def test_position_sums_bitwise_equal_the_reshape_sum(T, B, rows, seed):
+    a = np.random.default_rng(seed).standard_normal((rows, T * B))
+    got = position_sums(a, B)
+    assert got.tobytes() == a.reshape(rows, T, B).sum(axis=1).tobytes()
 
 
 def test_linear_identity_and_bias():

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 import textvae.autodiff as ad
+import textvae.model
 from textvae.autodiff import Tensor, grad_check, tape
-from textvae.corpus import make_batch
+from textvae.corpus import SyntheticSpec, generate_synthetic, make_batch
 from textvae.model import GaussianPosterior, VaeParams, decode_batch, encode_batch, reparameterize
 from textvae.objectives import elbo_step, fraternal_batch, free_bits, kl_columns, kl_elementwise
 from textvae.training import TrainConfig, sample_masks
@@ -276,3 +278,31 @@ def test_free_bits_reuses_the_elementwise_kl():
     floor = ad.reduce_mean(ad.maximum_scalar(kl_columns(post), 2.0))
     assert terms["kl_effective"] == floor.item()
     assert terms["kl_raw"] == ad.reduce_mean(kl_columns(post)).item()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_blocked_products_keep_a_default_dims_step(alpha, monkeypatch):
+    # the cell's w_h @ h and the BPTT's w_h.T @ dp run in row blocks at B = 16; switching
+    # the blocks off must leave the loss's bits and each gradient up to last-bit rounding
+    split, vocab = generate_synthetic(SyntheticSpec(n_train=16, n_dev=0, n_test=0))
+    cfg = TrainConfig(alpha=alpha)
+    batch = make_batch(split.train)
+    B, L = batch.ids.shape
+    rng = np.random.default_rng(7)
+    params = VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
+    eps = rng.standard_normal((cfg.latent_dim, B))
+    mask = sample_masks((B, L + 1), cfg.keep_prob, rng)
+
+    def step():
+        with tape() as t:
+            loss, _ = elbo_step(batch, cfg, params, eps, mask, 0.5)
+            adjoints = t.backward(loss)
+        return loss.item(), {n: adjoints[p] for n, p in params.named_parameters()}
+
+    blocked_loss, blocked = step()
+    monkeypatch.setattr(textvae.model, "SMALL_GEMM", 0)
+    plain_loss, plain = step()
+    assert B == cfg.batch_size == 16
+    assert blocked_loss == plain_loss
+    for name, g in plain.items():
+        assert np.max(np.abs(blocked[name] - g)) <= 1e-12 * np.max(np.abs(g)), name

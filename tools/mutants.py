@@ -98,6 +98,16 @@ MUTANTS = [
     Mutant("sentence_sums: weights dropped from the adjoint", "model.py",
            "return ((g * weights).reshape(1, -1),)",
            "return (np.broadcast_to(g, weights.shape).reshape(1, -1),)"),
+    # the row-blocked products and the position sums of the recurrence
+    Mutant("blocked matmul: last block skipped", "model.py",
+           "for i in range(0, m, r):", "for i in range(0, m - r, r):"),
+    Mutant("block rows: the 32-row floor inverted", "model.py",
+           "return r if 32 <= r < m else m", "return r if 32 > r < m else m"),
+    Mutant("block rows: blocks twice the limit", "model.py",
+           "r = 1 << (fits.bit_length() - 1) if fits else 0",
+           "r = 1 << fits.bit_length() if fits else 0"),
+    Mutant("position sums: one column loops too", "model.py",
+           "if B == 1:  # one contiguous row", "if B == 0:  # one contiguous row"),
     # one per ELBO term
     Mutant("reconstruction: twins summed, not averaged", "objectives.py",
            "mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)", "mean_ll = ad.add(ll_a, ll_b)"),
