@@ -51,8 +51,10 @@ numpy's bundled OpenBLAS run a double product of at most ``SMALL_GEMM`` = 10⁶
 multiply-adds in an unpacked small-matrix kernel and pack larger ones first.
 At d = 128 and B = 16 each product holds 1,048,576, just over the limit, so
 it runs as row blocks that fit it (256 and 64 rows), about 1.5–2× faster.
-Another BLAS gets the same results, up to last-bit rounding, for a few extra
-calls.
+The rule looks only at shapes, so it blocks on every CPU and BLAS: results
+agree up to last-bit rounding, but the speed of the blocks was measured only
+on SkylakeX with OpenBLAS 0.3.31 at d = 128, where the 32-row floor was set;
+on another core, BLAS or hidden size they may be slower than one product.
 
 Sentence ends: the recurrence runs all T positions of every column, padding
 included, and never looks at where a sentence ends.  Callers handle the ends
@@ -187,10 +189,9 @@ def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def position_sums(a: np.ndarray, B: int) -> np.ndarray:
-    """(rows, B) sums over the positions of a position-major (rows, T·B) array,
-    bitwise equal to ``a.reshape(rows, T, B).sum(axis=1)``."""
-    if B == 1:  # one contiguous row per sum, which numpy adds pairwise
-        return a.sum(axis=1, keepdims=True)
+    """(rows, B) sums over the positions of a position-major (rows, T·B) array:
+    ``a.reshape(rows, T, B).sum(axis=1)`` added in position order, so bitwise
+    equal to it for B ≥ 2 (at B = 1 numpy adds the row pairwise instead)."""
     out = a[:, :B].copy()
     for t in range(B, a.shape[1], B):
         out += a[:, t: t + B]

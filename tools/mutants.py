@@ -106,8 +106,8 @@ MUTANTS = [
     Mutant("block rows: blocks twice the limit", "model.py",
            "r = 1 << (fits.bit_length() - 1) if fits else 0",
            "r = 1 << fits.bit_length() if fits else 0"),
-    Mutant("position sums: one column loops too", "model.py",
-           "if B == 1:  # one contiguous row", "if B == 0:  # one contiguous row"),
+    Mutant("position sums: the second position skipped", "model.py",
+           "for t in range(B, a.shape[1], B):", "for t in range(2 * B, a.shape[1], B):"),
     # one per ELBO term
     Mutant("reconstruction: twins summed, not averaged", "objectives.py",
            "mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)", "mean_ll = ad.add(ll_a, ll_b)"),
