@@ -7,6 +7,9 @@ the record once in reverse and returns ``∂loss/∂t`` for every leaf ``t`` the
 loss depends on, as a dict keyed by tensor.  A tape is walked once: the walk
 pops each entry as it reaches it, so an op's saved state is released as soon
 as its input adjoints are out, and a second walk raises ContractError.
+An input's first adjoint contribution is stored without a copy when the rule
+made it fresh, and copied when it is ``g`` or a view (``Tape.backward`` gives
+the rule), so a backward rule never keeps or reuses an array that it returns.
 Tensors carry no gradient state.
 Every op takes Tensor operands; ``add``, ``sub`` and ``mul`` need two of the
 same shape and raise DimensionError on any other pair.
@@ -74,7 +77,14 @@ class Tape:
         self._entries.append((out, inputs, backward_fn))
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Return ``{leaf: ∂loss/∂leaf}`` for every leaf the loss depends on."""
+        """Return ``{leaf: ∂loss/∂leaf}`` for every leaf the loss depends on.
+
+        Later contributions are added in place to an input's first one, which
+        is stored without a copy when it is a float64 ndarray that owns its
+        data, is not the output adjoint ``g`` and was not stored already from
+        the same entry; any other (``g``, a ``broadcast_to`` view, a reshape)
+        is copied.  So a backward rule never keeps or reuses what it returns.
+        """
         if loss.shape != ():
             raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
         if self._walked:
@@ -88,11 +98,17 @@ class Tape:
             g = adjoints.pop(out, None)
             if g is None:
                 continue  # not an ancestor of the loss
+            kept = []  # contributions of this entry stored without a copy
             for inp, contrib in zip(inputs, backward_fn(g)):
                 if contrib is None or not inp.requires_grad:
                     continue
                 if inp in adjoints:
                     adjoints[inp] += contrib
+                elif (type(contrib) is np.ndarray and contrib.dtype == np.float64
+                      and contrib.flags.owndata and contrib is not g
+                      and all(contrib is not k for k in kept)):
+                    adjoints[inp] = contrib
+                    kept.append(contrib)
                 else:
                     adjoints[inp] = np.array(contrib, dtype=np.float64, copy=True)
         return adjoints

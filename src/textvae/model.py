@@ -237,7 +237,12 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     writing each hidden state into one preallocated (d, T·B) array.  The
     backward is an analytic BPTT loop; the per-position gates and memory
     cells it needs are kept only while a tape records the op, and it pops
-    each position's as it consumes them.
+    each position's as it consumes them.  It writes position t's (4d, B)
+    gate adjoints into the contiguous ``slab[t]`` of one (T, 4d, B) array
+    with in-place ops, and the closing products read the slab relaid out
+    once as the position-major (4d, T·B) ``d_pre``.  Every product keeps the
+    association of the plain expression, e.g. ``dc + (dh_t·o)·(1 − tanh(c_t)²)``,
+    so the gradients are bitwise those of a loop of fresh temporaries.
     """
     d, B = h0.shape
     n_x, n_cols = xs.shape
@@ -275,24 +280,37 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
         return out
 
     def backward(g):
-        d_pre = np.empty((4 * d, TB))
+        slab = np.empty((T, 4 * d, B))
         dh = np.zeros((d, B))
         dc = np.zeros((d, B))
+        u, s3 = np.empty((d, B)), np.empty((3 * d, B))
         for t in reversed(range(T)):
-            cols = slice(t * B, (t + 1) * B)
             gates = gates_seq.pop()
             i, f, o, gg = gates[:d], gates[d: 2 * d], gates[2 * d: 3 * d], gates[3 * d:]
-            dh_t = g[:, cols] + dh
-            tc = np.tanh(cs.pop())
-            dc_t = dc + dh_t * o * (1.0 - tc * tc)
-            dp = d_pre[:, cols]
-            dp[:d] = dc_t * gg
-            dp[d: 2 * d] = dc_t * cs[-1]
-            dp[2 * d: 3 * d] = dh_t * tc
-            dp[:3 * d] *= gates[:3 * d] * (1.0 - gates[:3 * d])
-            dp[3 * d:] = dc_t * i * (1.0 - gg * gg)
+            dp = slab[t]
+            dh += g[:, t * B: (t + 1) * B]  # dh_t
+            tc = np.tanh(cs.pop(), out=u)
+            np.multiply(dh, tc, out=dp[2 * d: 3 * d])
+            np.multiply(tc, tc, out=tc)
+            np.subtract(1.0, tc, out=tc)
+            np.multiply(dh, o, out=dp[:d])
+            dp[:d] *= tc
+            dc += dp[:d]  # dc_t = dc + dh_t * o * (1 - tanh(c_t)²)
+            np.multiply(dc, gg, out=dp[:d])
+            np.multiply(dc, cs[-1], out=dp[d: 2 * d])
+            np.subtract(1.0, gates[:3 * d], out=s3)
+            s3 *= gates[:3 * d]
+            dp[:3 * d] *= s3
+            np.multiply(dc, i, out=dp[3 * d:])
+            np.multiply(gg, gg, out=gg)
+            np.subtract(1.0, gg, out=gg)
+            dp[3 * d:] *= gg
             dh = blocked_matmul(w_h.T, dp)
-            dc = dc_t * f
+            dc *= f
+        # a C-ordered copy (at B = 1 a reshape alone is an F-ordered view, which the products
+        # round differently); the slab and its view dp go before the closing products allocate
+        d_pre = np.ascontiguousarray(slab.transpose(1, 0, 2)).reshape(4 * d, TB)
+        del slab, dp
         d_pre_sum = position_sums(d_pre, B)  # the static input and the bias
         # a shared input's adjoint sums its columns first, as the static input's sums positions
         d_pre_x = d_pre.reshape(4 * d, T, B).sum(axis=2) if shared_input else d_pre

@@ -90,10 +90,14 @@ def adam_step(params, grads, state: AdamState, lr: float,
     """Bias-corrected Adam update, in place on the parameter tensors.
 
     The gradients must be finite (``clip_gradients`` checks them), and the
-    parameters C-contiguous.  Each tensor is walked in flat slices of
-    ``CHUNK`` elements through two chunk-sized scratch buffers shared by the
-    whole call, in the operation order of the textbook expression
-    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so it rounds the same way.
+    parameters C-contiguous.  The update is Adam's efficient form (Kingma &
+    Ba 2015, arXiv:1412.6980, §2): ``p -= alpha_t * m / (sqrt(v) + eps_hat)``
+    with ``alpha_t = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
+    ``eps_hat = eps * sqrt(1 - beta2**t)``, equal in exact arithmetic to
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)`` but two divides per element
+    fewer.  Each tensor is walked in flat slices of ``CHUNK`` elements through
+    two chunk-sized scratch buffers shared by the whole call, in the
+    operation order of that expression, so it rounds the same way.
     """
     params = list(params)
     for name, p in params:
@@ -101,6 +105,9 @@ def adam_step(params, grads, state: AdamState, lr: float,
             raise ContractError(f"adam_step: parameter {name!r} is not C-contiguous")
     state.t += 1
     t = state.t
+    root_c2 = np.sqrt(1 - beta2 ** t)
+    alpha_t = lr * root_c2 / (1 - beta1 ** t)
+    eps_hat = eps * root_c2
     scratch_a, scratch_b = np.empty(CHUNK), np.empty(CHUNK)
     for name, p in params:
         if name not in state.m:
@@ -116,11 +123,9 @@ def adam_step(params, grads, state: AdamState, lr: float,
             np.multiply(1 - beta2, g, out=a)
             a *= g
             v += a
-            np.divide(v, 1 - beta2 ** t, out=a)  # v_hat
-            np.sqrt(a, out=a)
-            a += eps
-            np.divide(m, 1 - beta1 ** t, out=b)  # m_hat
-            b *= lr
+            np.sqrt(v, out=a)
+            a += eps_hat
+            np.multiply(alpha_t, m, out=b)
             b /= a
             pc -= b
     return state
@@ -133,7 +138,7 @@ def clip_gradients(grads: dict, max_norm: float) -> float:
     norm that overflows, of finite gradients, raises one too; either way no
     gradient has been scaled."""
     with np.errstate(over="ignore"):
-        total = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+        total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if not np.isfinite(total):  # a NaN or inf entry makes it so: name that parameter
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):

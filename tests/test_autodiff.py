@@ -200,6 +200,57 @@ def test_backward_walks_a_tape_once():
     assert np.allclose(grads[x], 2.0 * x.data / 3.0, rtol=1e-15, atol=0.0)
 
 
+def test_backward_keeps_a_fresh_contribution_once():
+    # a rule returning one fresh array for two inputs: the first input keeps it without a
+    # copy, the second gets its own, so a later contribution to one leaves the other alone
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    returned = []
+
+    def twice(g):
+        returned.append(g * 2.0)
+        return (returned[0], returned[0])
+
+    with tape() as t:
+        later = ad.scale(a, 1.0)  # recorded first, so walked after the shared rule
+        shared = Tensor(a.data + b.data)
+        t.record(shared, (a, b), twice)
+        grads = t.backward(ad.reduce_mean(ad.add(shared, later)))
+    third = np.full(3, 1.0 / 3.0)
+    assert grads[a] is returned[0] and grads[b] is not grads[a]
+    assert np.array_equal(grads[b], third * 2.0)
+    assert np.array_equal(grads[a], third * 2.0 + third)
+
+
+def test_backward_copies_g_and_views():
+    # g, a broadcast_to view (read-only) and a reshape of a temporary are copied, never stored
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    r = Tensor(np.ones((2, 3)), requires_grad=True)
+    seen = {}
+
+    def passthrough(g):
+        seen["g"] = g
+        return (g,)
+
+    def reshaped(g):
+        seen["flat"] = (g * 1.0).reshape(-1)
+        return (seen["flat"].reshape(2, 3),)
+
+    with tape() as t:
+        y = Tensor(x.data.copy())
+        t.record(y, (x,), passthrough)
+        z = Tensor(r.data.copy())
+        t.record(z, (r,), reshaped)
+        total = ad.add(ad.add(y, z), w)
+        grads = t.backward(ad.reduce_mean(ad.column_sums(total)))
+    for leaf, alias in ((x, seen["g"]), (r, seen["flat"])):
+        assert grads[leaf].flags.owndata and not np.shares_memory(grads[leaf], alias)
+    assert grads[w].flags.owndata and grads[w].flags.writeable  # column_sums' view, copied
+    for leaf in (x, w, r):
+        assert np.array_equal(grads[leaf], np.full((2, 3), 1.0 / 3.0))
+
+
 def test_forward_is_reproducible():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(-2, 2, (3, 3)))

@@ -249,6 +249,86 @@ def test_lstm_recurrence_gradient_matches_finite_differences(d, n_x, n_s, B, T, 
         assert np.allclose(taped.data, H.data, rtol=0, atol=1e-12)
 
 
+def fresh_temporaries_bptt(xs, h0, c0, w, b, static, shared, g):
+    """(d_xs, d_h0, d_c0, d_w, d_b, d_static) of the recurrence by a BPTT loop that makes
+    fresh temporaries and writes each position's gate adjoints into a strided column
+    block of one (4d, T·B) array: the loop the slab replaced, as the reference."""
+    d, B = h0.shape
+    n_x = xs.shape[0]
+    n_s = 0 if static is None else static.shape[0]
+    step = 1 if shared else B
+    T = xs.shape[1] // step
+    TB = T * B
+    w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
+    sd = np.zeros((0, B)) if static is None else static
+    base = w_s @ sd + b
+    h, c = h0, c0
+    H = np.empty((d, TB))
+    cs, gates_seq = [c], []
+    for t in range(T):
+        h, c, gates = lstm_step(xs[:, t * step: (t + 1) * step], h, c, w_x, w_h, base)
+        H[:, t * B: (t + 1) * B] = h
+        cs.append(c)
+        gates_seq.append(gates)
+    d_pre = np.empty((4 * d, TB))
+    dh = np.zeros((d, B))
+    dc = np.zeros((d, B))
+    for t in reversed(range(T)):
+        cols = slice(t * B, (t + 1) * B)
+        gates = gates_seq.pop()
+        i, f, o, gg = gates[:d], gates[d: 2 * d], gates[2 * d: 3 * d], gates[3 * d:]
+        dh_t = g[:, cols] + dh
+        tc = np.tanh(cs.pop())
+        dc_t = dc + dh_t * o * (1.0 - tc * tc)
+        dp = d_pre[:, cols]
+        dp[:d] = dc_t * gg
+        dp[d: 2 * d] = dc_t * cs[-1]
+        dp[2 * d: 3 * d] = dh_t * tc
+        dp[:3 * d] *= gates[:3 * d] * (1.0 - gates[:3 * d])
+        dp[3 * d:] = dc_t * i * (1.0 - gg * gg)
+        dh = blocked_matmul(w_h.T, dp)
+        dc = dc_t * f
+    d_pre_sum = position_sums(d_pre, B)
+    d_pre_x = d_pre.reshape(4 * d, T, B).sum(axis=2) if shared else d_pre
+    h_prev = np.concatenate([h0, H[:, : TB - B]], axis=1)
+    d_w = np.empty(w.shape)
+    np.matmul(d_pre_x, xs.T, out=d_w[:, :n_x])
+    np.matmul(d_pre_sum, sd.T, out=d_w[:, n_x: n_x + n_s])
+    np.matmul(d_pre, h_prev.T, out=d_w[:, n_x + n_s:])
+    return (w_x.T @ d_pre_x, dh, dc, d_w, d_pre_sum.sum(axis=1, keepdims=True),
+            w_s.T @ d_pre_sum)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), n_x=st.integers(1, 3), n_s=st.integers(0, 2), B=st.integers(1, 5),
+       T=st.integers(1, 6), shared=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(d=128, n_x=64, n_s=32, B=16, T=13, shared=False, seed=0).via("the decoder's dims")
+@example(d=128, n_x=64, n_s=0, B=1, T=13, shared=True, seed=1).via("one shared column")
+def test_lstm_slab_bptt_bitwise_equals_fresh_temporaries(d, n_x, n_s, B, T, shared, seed):
+    # the slab's in-place products keep each expression's association, so every input
+    # gradient is the reference loop's to the bit
+    rng = np.random.default_rng(seed)
+    p = lstm_params(n_x + n_s, d, rng)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+
+    xs, h0, c0 = leaf(n_x, T if shared else T * B), leaf(d, B), leaf(d, B)
+    static = leaf(n_s, B) if n_s else None
+    upstream = rng.standard_normal((d, T * B))
+    with ad.tape() as t:
+        H = lstm_recurrence(xs, h0, c0, p, "lstm", static=static, shared_input=shared)
+        loss = Tensor(0.0)
+        t.record(loss, (H,), lambda g: (upstream.copy(),))
+        grads = t.backward(loss)
+    want = fresh_temporaries_bptt(xs.data, h0.data, c0.data, p["lstm.w"].data,
+                                  p["lstm.b"].data, None if static is None else static.data,
+                                  shared, upstream)
+    leaves = (xs, h0, c0, p["lstm.w"], p["lstm.b"]) + (() if static is None else (static,))
+    for k, (leaf_t, expected) in enumerate(zip(leaves, want)):
+        assert grads[leaf_t].tobytes() == expected.tobytes(), k
+
+
 # the cell's (4d, d) @ (d, B) product and the BPTT's (d, 4d) @ (4d, B) one at d = 128
 SIZING = {(512, 128, 16): 256, (512, 128, 32): 128, (512, 128, 64): 64, (512, 128, 100): 64,
           (128, 512, 16): 64, (128, 512, 32): 32, (128, 512, 64): 128, (128, 512, 100): 128}

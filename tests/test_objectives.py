@@ -280,6 +280,46 @@ def test_free_bits_reuses_the_elementwise_kl():
     assert terms["kl_raw"] == ad.reduce_mean(kl_columns(post)).item()
 
 
+def copying_walk(t, loss):
+    """``Tape.backward`` with every first contribution copied, as a reference for the
+    walk that keeps fresh ones."""
+    adjoints = {loss: np.ones(())}
+    while t._entries:
+        out, inputs, backward_fn = t._entries.pop()
+        g = adjoints.pop(out, None)
+        if g is None:
+            continue
+        for inp, contrib in zip(inputs, backward_fn(g)):
+            if contrib is None or not inp.requires_grad:
+                continue
+            if inp in adjoints:
+                adjoints[inp] += contrib
+            else:
+                adjoints[inp] = np.array(contrib, dtype=np.float64, copy=True)
+    return adjoints
+
+
+@pytest.mark.parametrize("knobs", [dict(alpha=0.0), dict(alpha=1.0), dict(free_bits=4.0)])
+def test_kept_adjoints_equal_a_copying_walk_at_default_dims(knobs):
+    split, vocab = generate_synthetic(SyntheticSpec(n_train=16, n_dev=0, n_test=0))
+    cfg = TrainConfig(**knobs)
+    batch = make_batch(split.train)
+    B, L = batch.ids.shape
+    rng = np.random.default_rng(11)
+    params = VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
+    eps = rng.standard_normal((cfg.latent_dim, B))
+    mask = sample_masks((B, L + 1), cfg.keep_prob, rng)
+    grads = []
+    for walk in (lambda t, loss: t.backward(loss), copying_walk):
+        with tape() as t:
+            loss, _ = elbo_step(batch, cfg, params, eps, mask, 0.5)
+            adjoints = walk(t, loss)
+        grads.append({n: adjoints[p] for n, p in params.named_parameters()})
+    kept, copied = grads
+    for name, g in copied.items():
+        assert kept[name].tobytes() == g.tobytes(), name
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_blocked_products_keep_a_default_dims_step(alpha, monkeypatch):
     # the cell's w_h @ h and the BPTT's w_h.T @ dp run in row blocks at B = 16; switching

@@ -126,12 +126,19 @@ def test_adam_bitwise_equals_textbook_expression():
         grads = {n: rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 3)
                  for (n, _), s in zip(named, shapes)}
         adam_step(named, grads, state, lr, beta1, beta2, eps)
+        # the efficient form of Kingma & Ba (2015, §2) is the bitwise oracle; the
+        # bias-corrected form it rewrites must agree with it to 1e-12 relative
+        alpha_t = lr * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
+        eps_hat = eps * np.sqrt(1 - beta2 ** t)
         for n, g in grads.items():
             m[n] = beta1 * m[n] + (1 - beta1) * g
             v[n] = beta2 * v[n] + (1 - beta2) * g * g
+            update = alpha_t * m[n] / (np.sqrt(v[n]) + eps_hat)
             m_hat = m[n] / (1 - beta1 ** t)
             v_hat = v[n] / (1 - beta2 ** t)
-            want[n] = want[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            bias_corrected = lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.all(np.abs(update - bias_corrected) <= 1e-12 * np.abs(bias_corrected)), (t, n)
+            want[n] = want[n] - update
         for n, p in named:
             assert np.array_equal(p.data, want[n]), (t, n)
             assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
@@ -139,9 +146,12 @@ def test_adam_bitwise_equals_textbook_expression():
 
 def whole_tensor_adam_step(params, grads, state, lr, beta1, beta2, eps):
     """The unchunked update: two scratch buffers the size of the largest tensor,
-    each tensor updated in one pass, in the textbook operation order."""
+    each tensor updated in one pass, in the operation order of Adam's efficient
+    form."""
     state.t += 1
     t = state.t
+    alpha_t = lr * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
+    eps_hat = eps * np.sqrt(1 - beta2 ** t)
     size = max(p.data.size for _, p in params)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params:
@@ -158,11 +168,9 @@ def whole_tensor_adam_step(params, grads, state, lr, beta1, beta2, eps):
         np.multiply(1 - beta2, g, out=a)
         a *= g
         v += a
-        np.divide(v, 1 - beta2 ** t, out=a)
-        np.sqrt(a, out=a)
-        a += eps
-        np.divide(m, 1 - beta1 ** t, out=b)
-        b *= lr
+        np.sqrt(v, out=a)
+        a += eps_hat
+        np.multiply(alpha_t, m, out=b)
         b /= a
         p.data -= b
 
@@ -299,8 +307,10 @@ def test_non_finite_epoch_elbo_is_a_divergence(n_dev, failure):
 def test_clip_gradients_norm_bits_and_overflow():
     rng = np.random.default_rng(3)
     grads = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((5, 1))}
-    want = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    want = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     assert clip_gradients(grads, 0.0) == want
+    squares = np.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
+    assert abs(want - squares) <= 1e-14 * squares
     # every entry finite, but the sum of squares is not: a divergence, not an inf norm
     huge = {"a": np.full((2, 2), 1e200), "b": np.ones((1, 1))}
     before = {n: g.copy() for n, g in huge.items()}

@@ -93,7 +93,7 @@ MUTANTS = [
            "return (np.broadcast_to(g / n, shp),)", "return (np.broadcast_to(g, shp),)"),
     # one per backward rule in model
     Mutant("lstm: cell adjoint skips the forget gate", "model.py",
-           "dc = dc_t * f", "dc = dc_t"),
+           "dc *= f", "dc *= 1.0"),
     Mutant("output layer: adjoint sign flipped", "model.py", "p *= -g", "p *= g"),
     Mutant("sentence_sums: weights dropped from the adjoint", "model.py",
            "return ((g * weights).reshape(1, -1),)",
@@ -108,6 +108,15 @@ MUTANTS = [
            "r = 1 << fits.bit_length() if fits else 0"),
     Mutant("position sums: the second position skipped", "model.py",
            "for t in range(B, a.shape[1], B):", "for t in range(2 * B, a.shape[1], B):"),
+    # the BPTT slab, the tape's kept adjoints and Adam's efficient form
+    Mutant("BPTT slab relaid out without its transpose", "model.py",
+           "np.ascontiguousarray(slab.transpose(1, 0, 2))", "np.ascontiguousarray(slab)"),
+    Mutant("tape stores one contribution for two inputs", "autodiff.py",
+           "and all(contrib is not k for k in kept)", ""),
+    Mutant("Adam: eps not rescaled", "training.py",
+           "eps_hat = eps * root_c2", "eps_hat = eps"),
+    Mutant("Adam: alpha_t misses sqrt(1 - beta2^t)", "training.py",
+           "alpha_t = lr * root_c2 / (1 - beta1 ** t)", "alpha_t = lr / (1 - beta1 ** t)"),
     # one per ELBO term
     Mutant("reconstruction: twins summed, not averaged", "objectives.py",
            "mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)", "mean_ll = ad.add(ll_a, ll_b)"),
