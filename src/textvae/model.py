@@ -23,10 +23,15 @@ Shared input: B columns that read the same sentence (one sentence decoded
 against B latent samples) take one (rows, T) input, one column per
 position, and ``lstm_recurrence`` is told so by ``shared_input=True``; the
 column count alone cannot tell T positions from T·B when T is a multiple
-of B.  Each position's input gate term is then computed once and added to
-all B columns, and everything the recurrence returns is (d, T·B) as usual.
-``decode_batch`` takes this path when it is given one row of ids against
-B > 1 latent columns.
+of B.  Each position's input gate column col_t = w_x @ x_t + b is then
+computed once, and it rides in the recurrent product: the cell multiplies
+[w_h | col_t], (4d, d + 1), by [h; 1], whose last row of ones stays put, so a
+position costs one product with K = d + 1 and one add of the static term
+w_s @ z, where a separate (4d, 1) column would cost one more full-width add.
+The fold runs with and without a tape, so both give the same bits; its sums
+round differently from the repeated-input recurrence, within 1e-12 relative.
+Everything the recurrence returns is (d, T·B) as usual.  ``decode_batch``
+takes this path when it is given one row of ids against B > 1 latent columns.
 
 LSTM layout: each LSTM ``{enc,dec}.lstm`` is stored as two tensors.  The
 weight ``lstm.w`` is (4d, n_x + k + d): its row blocks are the gates
@@ -40,10 +45,18 @@ LSTM cell: ``lstm_step``, which ``lstm_recurrence`` and ``decode_greedy`` run
 on column views of the stored weight, activates the first 3d gate rows by the
 sigmoid, computed as 0.5·tanh(v/2) + 0.5 so that one tanh covers all 4d rows,
 and the last d by tanh, and returns these activated (4d, B) gates beside h and
-c.  The recurrence's hand-written BPTT, the cell's only derivative, reads the
-gate order, takes s(1 − s) and 1 − g² from the activated gates and recomputes
-tanh(c) from each kept memory cell, so the cell and the BPTT change together.
-It returns the whole (4d, n_x + k + d) weight gradient.
+c.  It writes the gates, c = f·c + i·g and h = o·tanh(c), in that order of
+operations, into three buffers that its caller passes, and returns those
+buffers; c's buffer may be c itself and h's may be h.  A caller carries
+forward what the cell returns.  Under a tape, ``lstm_recurrence`` passes
+fresh gate and c arrays at each position and keeps them for its BPTT;
+without one it, like ``decode_greedy``, reuses one set for all positions.
+No tape keeps h (the recurrence copies each position's into its output), and
+no reused buffer is ever handed to a caller.  The recurrence's hand-written
+BPTT, the cell's only derivative, reads the gate order, takes s(1 − s) and
+1 − g² from the activated gates and recomputes tanh(c) from each kept memory
+cell, so the cell and the BPTT change together.  It returns the whole
+(4d, n_x + k + d) weight gradient.
 
 Row blocks: two per-position products, the cell's ``w_h @ h`` and the BPTT's
 ``w_h.T @ dp``, go through ``blocked_matmul``.  The SkylakeX kernels of
@@ -176,49 +189,50 @@ def block_rows(m: int, k: int, n: int) -> int:
     return r if 32 <= r < m else m
 
 
-def blocked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` computed in row blocks of ``block_rows`` rows of ``a``."""
+def blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` computed in row blocks of ``block_rows`` rows of ``a``, written
+    into ``out`` when one is given."""
     m, k = a.shape
     r = block_rows(m, k, b.shape[1])
-    if r == m:
-        return a @ b
-    out = np.empty((m, b.shape[1]))
+    if out is None:
+        if r == m:
+            return a @ b
+        out = np.empty((m, b.shape[1]))
     for i in range(0, m, r):
         np.matmul(a[i: i + r], b, out=out[i: i + r])
     return out
 
 
-def position_sums(a: np.ndarray, B: int) -> np.ndarray:
-    """(rows, B) sums over the positions of a position-major (rows, T·B) array:
-    ``a.reshape(rows, T, B).sum(axis=1)`` added in position order, so bitwise
-    equal to it for B ≥ 2 (at B = 1 numpy adds the row pairwise instead)."""
-    out = a[:, :B].copy()
-    for t in range(B, a.shape[1], B):
-        out += a[:, t: t + B]
-    return out
-
-
-def lstm_step(x: np.ndarray, h: np.ndarray, c: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
-              base: np.ndarray):
+def lstm_step(x: np.ndarray | None, h: np.ndarray, c: np.ndarray, w_x: np.ndarray | None,
+              w_h: np.ndarray, base: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """One LSTM cell update over a column batch, in numpy: (h_next, c_next, gates).
 
     ``w_x``/``w_h`` are the input and hidden column blocks of a stored gate
     weight, ``base`` the bias plus any static input's term, and ``gates`` the
-    activated gates of the cell above.  ``x`` is (n_x, B), or (n_x, 1) for an
-    input that every column shares, whose one gate column all B columns add.
+    activated gates of the cell above.  ``x`` is (n_x, B), or None when its
+    gate term rides in ``w_h @ h`` (a shared input's folded column; see the
+    module docstring).  The cell writes into ``out`` = (gates, c_next,
+    h_next), shaped (4d, B), (d, B) and like h, and returns these same
+    arrays; it writes only the first d rows of h_next.  ``c_next`` may be
+    ``c`` and ``h_next`` may be ``h``: each is read before it is written.
     """
-    d = h.shape[0]
-    gates = blocked_matmul(w_h, h)
-    gates += w_x @ x
+    gates, c_next, h_next = out
+    d = c.shape[0]
+    blocked_matmul(w_h, h, out=gates)
+    if x is not None:
+        gates += w_x @ x
     gates += base
     sig = gates[: 3 * d]
     sig *= 0.5
     np.tanh(gates, out=gates)
     sig *= 0.5
     sig += 0.5
-    c_next = gates[d: 2 * d] * c
-    c_next += gates[:d] * gates[3 * d:]
-    h_next = gates[2 * d: 3 * d] * np.tanh(c_next)
+    hn = h_next[:d]
+    np.multiply(gates[:d], gates[3 * d:], out=hn)  # i·g, in h_next's rows as scratch
+    np.multiply(gates[d: 2 * d], c, out=c_next)
+    c_next += hn  # f·c + i·g
+    np.tanh(c_next, out=hn)
+    hn *= gates[2 * d: 3 * d]
     return h_next, c_next, gates
 
 
@@ -234,15 +248,18 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     Returns the hidden states as one position-major (d, T·B) tensor.
 
     The cell runs in numpy through ``lstm_step``, one call per position,
-    writing each hidden state into one preallocated (d, T·B) array.  The
-    backward is an analytic BPTT loop; the per-position gates and memory
-    cells it needs are kept only while a tape records the op, and it pops
-    each position's as it consumes them.  It writes position t's (4d, B)
-    gate adjoints into the contiguous ``slab[t]`` of one (T, 4d, B) array
-    with in-place ops, and the closing products read the slab relaid out
-    once as the position-major (4d, T·B) ``d_pre``.  Every product keeps the
-    association of the plain expression, e.g. ``dc + (dh_t·o)·(1 − tanh(c_t)²)``,
-    so the gradients are bitwise those of a loop of fresh temporaries.
+    and each hidden state is copied into one preallocated (d, T·B) array.
+    With a shared input the cell reads the folded [w_h | col_t] @ [h; 1]
+    (see the module docstring).  The backward is an analytic BPTT loop; the
+    per-position gates and memory cells it needs are fresh arrays kept only
+    while a tape records the op, and it pops each position's as it consumes
+    them.  It writes position t's (4d, B) gate adjoints into the contiguous
+    ``slab[t]`` of one (T, 4d, B) array with in-place ops, sums the slab over
+    positions for the static input and the bias, and the closing products
+    read the slab relaid out once as the position-major (4d, T·B) ``d_pre``.
+    Every product keeps the association of the plain expression, e.g.
+    ``dc + (dh_t·o)·(1 − tanh(c_t)²)``, so the gradients are bitwise those
+    of a loop of fresh temporaries.
     """
     d, B = h0.shape
     n_x, n_cols = xs.shape
@@ -263,15 +280,29 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     w = weight.data
     w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
     sd = np.zeros((0, B)) if static is None else static.data
-    base = w_s @ sd + bias.data
-
     xd = xs.data
-    h, c = h0.data, c0.data
+    base, w_cell = w_s @ sd, w_h
+    if shared_input:  # position t's gate column w_x @ x_t + b rides as [w_h | col_t] @ [h; 1]
+        cols = w_x @ xd
+        cols += bias.data
+        w_cell = np.empty((4 * d, d + 1))
+        w_cell[:, :d] = w_h
+    else:
+        base += bias.data
+    h = np.ones((d + shared_input, B))  # a shared input's row of ones stays under h
+    h[:d] = h0.data
+    c = c0.data
+    state = (np.empty((4 * d, B)), np.empty((d, B)), h)  # the cell's buffers: gates, c, h
     H = np.empty((d, TB))
     cs, gates_seq = [c], []
     for t in range(T):
-        h, c, gates = lstm_step(xd[:, t * step: (t + 1) * step], h, c, w_x, w_h, base)
-        H[:, t * B: (t + 1) * B] = h
+        if tape is not None:  # fresh gates and c for the BPTT to keep
+            state = (np.empty((4 * d, B)), np.empty((d, B)), state[2])
+        if shared_input:
+            w_cell[:, d] = cols[:, t]
+        x = None if shared_input else xd[:, t * B: (t + 1) * B]
+        h, c, gates = lstm_step(x, h, c, w_x, w_cell, base, state)
+        H[:, t * B: (t + 1) * B] = h[:d]
         if tape is not None:
             cs.append(c)
             gates_seq.append(gates)
@@ -307,11 +338,11 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
             dp[3 * d:] *= gg
             dh = blocked_matmul(w_h.T, dp)
             dc *= f
+        d_pre_sum = slab.sum(axis=0)  # the static input and the bias: positions in order
         # a C-ordered copy (at B = 1 a reshape alone is an F-ordered view, which the products
         # round differently); the slab and its view dp go before the closing products allocate
         d_pre = np.ascontiguousarray(slab.transpose(1, 0, 2)).reshape(4 * d, TB)
         del slab, dp
-        d_pre_sum = position_sums(d_pre, B)  # the static input and the bias
         # a shared input's adjoint sums its columns first, as the static input's sums positions
         d_pre_x = d_pre.reshape(4 * d, T, B).sum(axis=2) if shared_input else d_pre
         h_prev = np.concatenate([h0.data, H[:, : TB - B]], axis=1)
@@ -497,11 +528,12 @@ def decode_greedy(z: np.ndarray, max_len: int, params: VaeParams) -> list[list[i
         zb = z[:, start: start + BLOCK]
         base = w_s @ zb + params["dec.lstm.b"].data
         h, c = (params[f"dec.{n}_w"].data @ zb + params[f"dec.{n}_b"].data for n in ("h0", "c0"))
+        state = (np.empty((4 * params.hidden_dim, zb.shape[1])), c, h)  # updated in place
         tokens = np.full(zb.shape[1], START)
         ended = np.zeros(zb.shape[1], dtype=bool)
         ids = np.full((zb.shape[1], max_len + 1), END)  # the extra last column ends every row
         for t in range(max_len):
-            h, c, _ = lstm_step(embed[:, tokens], h, c, w_x, w_h, base)
+            h, c, _ = lstm_step(embed[:, tokens], h, c, w_x, w_h, base, state)
             ids[:, t] = tokens = np.argmax(out_w @ h + out_b, axis=0)
             ended |= tokens == END
             if ended.all():

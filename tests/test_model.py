@@ -25,6 +25,8 @@ from textvae.model import (
     save_checkpoint,
     write_file,
 )
+from textvae.objectives import elbo_step
+from textvae.training import TrainConfig
 
 
 def tiny_params(seed=0, vocab_size=6, embed_dim=4, hidden_dim=4, latent_dim=2):
@@ -212,14 +214,18 @@ def test_decode_log_likelihood_matches_stepwise_oracle():
     assert abs(ll.item() - total) < 1e-10
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 40])
+@pytest.mark.parametrize("k", [1, 2, 7, 40, pytest.param(100, id="100-default-dims")])
 @pytest.mark.parametrize("masked", [False, True])
 def test_decode_shared_ids_equals_repeated_ids(k, masked):
-    # one row of ids against k latent columns is the k-row repeated batch, values and gradients
-    p = tiny_params(12, vocab_size=9, embed_dim=5, hidden_dim=6, latent_dim=3)
+    # one row of ids against k latent columns is the k-row repeated batch, values and gradients;
+    # k = 100 at the default dims runs the shared input's folded gate column in 64-row blocks
+    if k == 100:
+        p = tiny_params(12, vocab_size=204, embed_dim=64, hidden_dim=128, latent_dim=32)
+    else:
+        p = tiny_params(12, vocab_size=9, embed_dim=5, hidden_dim=6, latent_dim=3)
     rng = np.random.default_rng(k)
     x = (4, 7, 5, 8, 4)
-    z = Tensor(rng.standard_normal((3, k)), requires_grad=True)
+    z = Tensor(rng.standard_normal((p.latent_dim, k)), requires_grad=True)
     mask = (rng.random((1, len(x) + 1)) < 0.6).astype(np.float64) if masked else None
     one, rep = make_batch([x]), make_batch([x] * k)
 
@@ -237,6 +243,27 @@ def test_decode_shared_ids_equals_repeated_ids(k, masked):
             assert np.array_equal(a, b)
         else:
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own rows", "shared row"])
+def test_tapeless_decode_results_survive_later_calls(shared):
+    # the tape-less recurrence reuses its gate, cell and hidden buffers within a call; what
+    # a caller holds stays as it was through another tape-less decode of other inputs at the
+    # same shapes and a taped fraternal step
+    p = tiny_params(17, vocab_size=9, embed_dim=5, hidden_dim=8, latent_dim=3)
+    rng = np.random.default_rng(17)
+    rows = 1 if shared else 3
+    first, other = make_batch([(4, 7, 5, 8)] * rows), make_batch([(6, 5, 8, 7)] * rows)
+    ll, H, _ = decode_batch(Tensor(rng.standard_normal((3, 3))), first.ids, first.lengths, p)
+    held = ll.data.copy(), H.data.copy()
+    decode_batch(Tensor(rng.standard_normal((3, 3))), other.ids, other.lengths, p)
+    batch = make_batch([(4, 7, 5, 8), (5, 6), (8, 8, 7)])
+    mask = (rng.random((3, 5)) < 0.7).astype(np.float64)
+    cfg = TrainConfig(latent_dim=3, embed_dim=5, hidden_dim=8, alpha=1.0)
+    with ad.tape() as t:
+        t.backward(elbo_step(batch, cfg, p, rng.standard_normal((3, 3)), mask, 1.0)[0])
+    assert ll.data.tobytes() == held[0].tobytes()
+    assert H.data.tobytes() == held[1].tobytes()
 
 
 def _old_output_chain(H, params, ids, lengths, B):

@@ -106,8 +106,8 @@ MUTANTS = [
     Mutant("block rows: blocks twice the limit", "model.py",
            "r = 1 << (fits.bit_length() - 1) if fits else 0",
            "r = 1 << fits.bit_length() if fits else 0"),
-    Mutant("position sums: the second position skipped", "model.py",
-           "for t in range(B, a.shape[1], B):", "for t in range(2 * B, a.shape[1], B):"),
+    Mutant("slab sum: the first position skipped", "model.py",
+           "d_pre_sum = slab.sum(axis=0)", "d_pre_sum = slab[1:].sum(axis=0)"),
     # the BPTT slab, the tape's kept adjoints and Adam's efficient form
     Mutant("BPTT slab relaid out without its transpose", "model.py",
            "np.ascontiguousarray(slab.transpose(1, 0, 2))", "np.ascontiguousarray(slab)"),
@@ -117,6 +117,18 @@ MUTANTS = [
            "eps_hat = eps * root_c2", "eps_hat = eps"),
     Mutant("Adam: alpha_t misses sqrt(1 - beta2^t)", "training.py",
            "alpha_t = lr * root_c2 / (1 - beta1 ** t)", "alpha_t = lr / (1 - beta1 ** t)"),
+    # the in-place cell, its reused buffers and a shared input's folded gate column
+    Mutant("cell: c += i·g before c *= f", "model.py",
+           "np.multiply(gates[d: 2 * d], c, out=c_next)\n    c_next += hn",
+           "np.add(c, hn, out=c_next)\n    c_next *= gates[d: 2 * d]"),
+    Mutant("tape-less output buffer reused across calls", "model.py",
+           "H = np.empty((d, TB))\n    cs, gates_seq",
+           "H = np.empty((d, TB)) if tape else lstm_recurrence.__dict__.setdefault(\n"
+           "        (d, TB), np.empty((d, TB)))\n    cs, gates_seq"),
+    Mutant("shared gate column not refreshed per position", "model.py",
+           "w_cell[:, d] = cols[:, t]", "w_cell[:, d] = cols[:, 0]"),
+    Mutant("shared input: the row of ones left out", "model.py",
+           "h = np.ones((d + shared_input, B))", "h = np.zeros((d + shared_input, B))"),
     # one per ELBO term
     Mutant("reconstruction: twins summed, not averaged", "objectives.py",
            "mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)", "mean_ll = ad.add(ll_a, ll_b)"),
