@@ -12,10 +12,24 @@ also sets the KL weight: beta = 0 in pretraining, else the linear warmup
 min(step / warmup_steps, 1), with ``warmup_steps`` from
 ``TrainConfig.resolved``.  The dev ELBO draws its noise from its own
 generator, seeded per epoch.
+
+``train`` first keeps freed memory in the process heap (``keep_freed_heap``).
+By default glibc serves an array of 128 KiB or more from its own ``mmap``
+and gives the heap's free top back to the OS once it exceeds 128 KiB (both
+thresholds grow only when a larger mmapped array is freed), so each step
+faulted its tape back in, one fresh 4 KiB page at a time.  At the default
+dims and train-fraternal sizes, with one BLAS thread, a warm step took up to
+about 790 minor faults at alpha = 0 and 670-1030 at alpha = 1 (about 3-4 MB),
+54-80% of them in the LSTM backward and the rest in the taped forward, other
+backward rules and Adam's moment buffers; a fresh page costs about 1.8 us on
+a KVM guest.  With the thresholds raised, a warm ``train`` call of 32 steps
+takes 0-32 faults in all, and peak RSS moves by under 2%.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +44,30 @@ from .objectives import elbo_step
 
 # elements per Adam slice; the update's two scratch buffers hold one slice each
 CHUNK = 16384
+
+# glibc's mallopt parameters (malloc.h) and its own 64-bit ceiling on the mmap
+# threshold; glibc's dynamic rule keeps the trim threshold at twice the mmap one
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+
+
+@functools.cache
+def keep_freed_heap() -> None:
+    """Raise glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB.
+
+    Freed arrays then stay in the heap and the next step reuses their pages.
+    Both are needed: with either one alone, a warm 4-step ``train`` at the
+    default dims still took 1300-4300 faults, against 0-3 with both.  This
+    changes process-wide allocator state, once per process and permanently,
+    and only under glibc; where the C library cannot be loaded or has no
+    ``mallopt`` it does nothing.  It changes no arithmetic.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
 @dataclass
@@ -277,9 +315,16 @@ def train(corpus: CorpusSplit, config: TrainConfig, vocab_size: int) -> TrainRes
     order.  A step or an epoch-end ELBO that is not finite, in either phase,
     raises TrainingError carrying the best parameters of that phase so far and
     the whole log; an interrupt raises TrainingInterrupted with the same.
+
+    Before the first step it calls ``keep_freed_heap``, which, under glibc,
+    keeps a step's freed memory in the process heap for the next step: a
+    warm alpha = 1 step at the default dims went from 670-1030 fresh page
+    faults to about 0, and a 32-step ``train`` call from 0.69-0.76 s to
+    0.65-0.72 s.  The setting is process-wide and permanent.
     """
     if not corpus.train:
         raise ConfigError("training corpus is empty")
+    keep_freed_heap()
     rng = np.random.default_rng(config.seed)
     params = VaeParams.init(vocab_size, config.embed_dim, config.hidden_dim,
                             config.latent_dim, rng)

@@ -1,3 +1,6 @@
+import ctypes
+import platform
+import sys
 import tracemalloc
 import weakref
 from contextlib import contextmanager
@@ -9,9 +12,9 @@ import pytest
 from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
 from textvae.errors import ConfigError, ContractError, TrainingError, read_config
-from textvae.model import VaeParams
+from textvae.model import VaeParams, save_checkpoint
 from textvae.training import (CHUNK, AdamState, TrainConfig, adam_step, clip_gradients,
-                               sample_masks, train)
+                               keep_freed_heap, sample_masks, train)
 
 SMALL_SPEC = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                            n_train=120, n_dev=20, n_test=20, seed=42)
@@ -533,3 +536,53 @@ def test_no_step_state_outlives_its_step(monkeypatch):
           len(vocab))
     assert len(ended) == 3 * 8 * 18  # 3 epochs of 8 steps: a tape, a loss, 16 gradients
     assert survivors[1:] and not any(survivors), survivors
+
+
+GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not GLIBC, reason="the mmap and trim thresholds are glibc's; "
+                                      "another C library keeps its own heap policy")
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_warm_training_takes_no_fresh_page_faults(alpha):
+    # freed arrays stay in the heap, so a warm train() reuses its pages instead of
+    # faulting fresh ones in: without the thresholds a call took 2300-5500 faults,
+    # with one of them 1300-4300; without either, alpha 0 can pass after earlier
+    # frees in the process have raised glibc's own dynamic thresholds
+    import resource
+
+    split, vocab = generate_synthetic(SyntheticSpec(n_train=64, n_dev=16, n_test=0))
+    cfg = TrainConfig(alpha=alpha, keep_prob=0.7, epochs=1, seed=0)  # default dims, 4 steps
+    for _ in range(2):
+        train(split, cfg, len(vocab))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(split, cfg, len(vocab))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100, faults
+
+
+def no_library(name):
+    raise OSError("cannot open shared object file")
+
+
+@pytest.mark.parametrize("loader", [lambda name: object(), no_library],
+                         ids=["no mallopt", "no library"])
+def test_train_without_mallopt_writes_the_same_checkpoint(monkeypatch, tmp_path, loader):
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    cfg = small_config(alpha=1.0, keep_prob=0.7)
+    save_checkpoint(tmp_path / "normal.bin", train(split, cfg, len(vocab)).params, vocab)
+    calls = []
+
+    def loading(name):
+        calls.append(name)
+        return loader(name)
+
+    monkeypatch.setattr(ctypes, "CDLL", loading)
+    keep_freed_heap.cache_clear()
+    try:
+        params = train(split, cfg, len(vocab)).params
+    finally:
+        keep_freed_heap.cache_clear()
+    assert calls == [None]
+    save_checkpoint(tmp_path / "checkpoint.bin", params, vocab)
+    assert (tmp_path / "checkpoint.bin").read_bytes() == (tmp_path / "normal.bin").read_bytes()

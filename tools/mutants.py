@@ -142,6 +142,11 @@ MUTANTS = [
            "total = ad.add(reconstruction, ad.scale(kl_raw, beta))"),
     Mutant("fraternal penalty: not divided by the hidden dim", "objectives.py",
            "valid / (valid.sum(axis=0) * H_a.shape[0])", "valid / valid.sum(axis=0)"),
+    # the allocator thresholds that keep a step's freed memory in the heap
+    Mutant("trim threshold not set", "training.py",
+           "    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)\n", ""),
+    Mutant("mmap threshold not set", "training.py",
+           "    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)\n", ""),
 ]
 
 
