@@ -12,7 +12,8 @@ made it fresh, and copied when it is ``g`` or a view (``Tape.backward`` gives
 the rule), so a backward rule never keeps or reuses an array that it returns.
 Tensors carry no gradient state.
 Every op takes Tensor operands; ``add``, ``sub`` and ``mul`` need two of the
-same shape and raise DimensionError on any other pair.
+same shape and raise DimensionError on any other pair.  Each linear layer is
+one op, ``affine`` (w @ x + b).
 An op defined elsewhere (``model.lstm_recurrence``, ``model.output_log_lik``)
 asks ``recording`` for the tape, keeps backward state only when there is one,
 and records itself with ``Tape.record``.
@@ -207,32 +208,22 @@ def exp(x: Tensor) -> Tensor:
 # linear algebra and structural operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    out = Tensor(ad @ bd)
+def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """``w @ x + b``: an (m, n) weight times an (n, B) input, plus an (m, 1) bias
+    added to every column."""
+    if (w.data.ndim != 2 or x.data.ndim != 2 or w.shape[1] != x.shape[0]
+            or b.shape != (w.shape[0], 1)):
+        raise DimensionError(f"affine: weight {w.shape}, input {x.shape} and bias {b.shape} "
+                             "do not fit (m, n) @ (n, B) + (m, 1)")
+    wd, xd = w.data, x.data
+    out = Tensor(wd @ xd + b.data)
 
     def backward(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+        return (g @ xd.T if w.requires_grad else None,
+                wd.T @ g if x.requires_grad else None,
+                g.sum(axis=1, keepdims=True) if b.requires_grad else None)
 
-    return _record(out, (a, b), backward)
-
-
-def add_col(mat: Tensor, col: Tensor) -> Tensor:
-    """Add a (m,1) column vector to every column of a (m,n) matrix."""
-    if mat.data.ndim != 2 or col.shape != (mat.shape[0], 1):
-        raise DimensionError(f"add_col: matrix {mat.shape} with column {col.shape}")
-    out = Tensor(mat.data + col.data)
-
-    def backward(g):
-        return (g if mat.requires_grad else None,
-                g.sum(axis=1, keepdims=True) if col.requires_grad else None)
-
-    return _record(out, (mat, col), backward)
+    return _record(out, (w, x, b), backward)
 
 
 def select_columns(x: Tensor, idx) -> Tensor:

@@ -185,6 +185,19 @@ def _manifest(args, config: dict, split, vocab: Vocabulary, seed: int) -> dict:
     }
 
 
+def table_line(label: str, report: MetricsReport | str | None = None) -> str:
+    """A line of the metric table of ``eval`` and ``sweep``: the header (no ``report``),
+    a FAILED row (a failure's text) or a report's row, BLEU as a percentage."""
+    if report is None:
+        cells = f"{'NLL':>8} {'PPL':>8} {'IW-NLL':>8} {'KL':>6} {'AU':>4} {'MI':>6} {'BLEU':>6}"
+    elif isinstance(report, str):
+        cells = f"FAILED: {report}"
+    else:
+        cells = (f"{report.nll:>8.2f} {report.ppl:>8.2f} {report.iw_nll:>8.2f} {report.kl:>6.2f} "
+                 f"{report.au:>4d} {report.mi:>6.2f} {100.0 * report.bleu:>6.2f}")
+    return f"{label:<24} {cells}"
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -249,8 +262,8 @@ def cmd_eval(args) -> int:
     out = _out_dir(args.out_dir) if args.out_dir else None
     report = evaluate(sentences, params, cfg["eval"], np.random.default_rng(_eval_seed(args)))
 
-    print(MetricsReport.table_header())
-    print(report.table_row(Path(args.checkpoint).stem))
+    print(table_line("configuration"))
+    print(table_line(Path(args.checkpoint).stem, report))
     if out is not None:
         write_file(out / "report.txt", report.to_text())
         _write_json(out / "manifest.json",
@@ -277,7 +290,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args.out_dir)
     run_dirs = [_out_dir(out / f"alpha_{label}") for label in labels]  # all before any run
 
-    rows = [MetricsReport.table_header("alpha")]
+    rows = [table_line("alpha")]
     failed, error, interrupt = [], None, None
     for cell, label, run_dir in zip(cells, labels, run_dirs):
         tcfg = cell["train"]
@@ -286,15 +299,15 @@ def cmd_sweep(args) -> int:
             report = evaluate(split.test, result.params, cfg["eval"],
                               np.random.default_rng(tcfg.seed))
             write_file(run_dir / "report.txt", report.to_text())
-            rows.append(report.table_row(label))
+            rows.append(table_line(label, report))
         except (TrainingInterrupted, KeyboardInterrupt) as exc:
             interrupt = exc  # stop here; the table keeps the runs so far
             break
         except (TextVaeError, MemoryError) as exc:  # this cell failed; later cells still run
             failed.append(tcfg.alpha)
             error = exc
-            why = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
-            rows.append(f"{tcfg.alpha:<24g} FAILED: {why}")
+            why = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+            rows.append(table_line(label, why))
         print(rows[-1])
 
     write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")

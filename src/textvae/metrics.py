@@ -219,16 +219,6 @@ class MetricsReport:
             lines.append(f"config.{key}: {self.config[key]!r}")
         return "\n".join(lines) + "\n"
 
-    def table_row(self, label: str = "") -> str:
-        # BLEU shown as a percentage in table output
-        return (f"{label:<24} {self.nll:>8.2f} {self.ppl:>8.2f} {self.iw_nll:>8.2f} "
-                f"{self.kl:>6.2f} {self.au:>4d} {self.mi:>6.2f} {100.0 * self.bleu:>6.2f}")
-
-    @staticmethod
-    def table_header(label: str = "configuration") -> str:
-        return (f"{label:<24} {'NLL':>8} {'PPL':>8} {'IW-NLL':>8} {'KL':>6} {'AU':>4} "
-                f"{'MI':>6} {'BLEU':>6}")
-
 
 # an overflow shows as a metric that is not finite, which the check at the end refuses
 @np.errstate(over="ignore", invalid="ignore")

@@ -119,8 +119,8 @@ class GaussianPosterior:
 class VaeParams:
     """Model dimensions plus every trainable tensor in one ordered store.
 
-    The store's order is the checkpoint order; ``init`` fills it in the
-    order the tensors are drawn from the generator.
+    ``layout`` gives the store's order, which is the checkpoint order and the
+    order in which ``init`` draws the tensors from the generator.
     """
 
     vocab_size: int
@@ -129,31 +129,36 @@ class VaeParams:
     latent_dim: int
     tensors: dict[str, Tensor]
 
-    @classmethod
-    def init(cls, vocab_size: int, embed_dim: int, hidden_dim: int, latent_dim: int,
-             rng: np.random.Generator) -> "VaeParams":
-        tensors: dict[str, Tensor] = {}
-
-        def draw(name, bound, shape):
-            tensors[name] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-        def column(name, rows, fill=0.0):
-            tensors[name] = Tensor(np.full((rows, 1), fill), requires_grad=True)
-
+    @staticmethod
+    def layout(vocab_size: int, embed_dim: int, hidden_dim: int,
+               latent_dim: int) -> list[tuple[str, tuple[int, int], float | None]]:
+        """(name, shape, init bound) of every tensor, in store order; a weight is
+        drawn from U(-bound, bound) and a bias (bound None) starts at zero."""
         heads = {"enc": (("mu", latent_dim, hidden_dim), ("logvar", latent_dim, hidden_dim)),
                  "dec": (("h0", hidden_dim, latent_dim), ("c0", hidden_dim, latent_dim),
                          ("out", vocab_size, hidden_dim))}
+        layout = []
         for side, lstm_in in (("enc", embed_dim), ("dec", embed_dim + latent_dim)):
-            draw(f"{side}.embed", 0.1, (embed_dim, vocab_size))
-            draw(f"{side}.lstm.w", 1.0 / np.sqrt(hidden_dim),
-                 (4 * hidden_dim, lstm_in + hidden_dim))
-            column(f"{side}.lstm.b", 4 * hidden_dim)
+            layout += [(f"{side}.embed", (embed_dim, vocab_size), 0.1),
+                       (f"{side}.lstm.w", (4 * hidden_dim, lstm_in + hidden_dim),
+                        1.0 / np.sqrt(hidden_dim)),
+                       (f"{side}.lstm.b", (4 * hidden_dim, 1), None)]
+            for head, rows, cols in heads[side]:
+                layout += [(f"{side}.{head}_w", (rows, cols), 1.0 / np.sqrt(cols)),
+                           (f"{side}.{head}_b", (rows, 1), None)]
+        return layout
+
+    @classmethod
+    def init(cls, vocab_size: int, embed_dim: int, hidden_dim: int, latent_dim: int,
+             rng: np.random.Generator) -> "VaeParams":
+        dims = (vocab_size, embed_dim, hidden_dim, latent_dim)
+        tensors = {name: Tensor(np.zeros(shape) if bound is None
+                                else rng.uniform(-bound, bound, shape), requires_grad=True)
+                   for name, shape, bound in cls.layout(*dims)}
+        for side in ("enc", "dec"):
             # forget-gate bias starts at 1 so early training keeps memory open
             tensors[f"{side}.lstm.b"].data[hidden_dim: 2 * hidden_dim] = 1.0
-            for head, rows, cols in heads[side]:
-                draw(f"{side}.{head}_w", 1.0 / np.sqrt(cols), (rows, cols))
-                column(f"{side}.{head}_b", rows)
-        return cls(vocab_size, embed_dim, hidden_dim, latent_dim, tensors)
+        return cls(*dims, tensors)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -443,8 +448,8 @@ def encode_batch(ids: np.ndarray, lengths: np.ndarray, params: VaeParams) -> Gau
     xs = ad.select_columns(params["enc.embed"], ids.T.reshape(-1))
     H = lstm_recurrence(xs, zeros, zeros, params, "enc.lstm")
     h = ad.select_columns(H, (lengths - 1) * B + np.arange(B))
-    mu = ad.add_col(ad.matmul(params["enc.mu_w"], h), params["enc.mu_b"])
-    logvar = ad.add_col(ad.matmul(params["enc.logvar_w"], h), params["enc.logvar_b"])
+    mu = ad.affine(params["enc.mu_w"], h, params["enc.mu_b"])
+    logvar = ad.affine(params["enc.logvar_w"], h, params["enc.logvar_b"])
     return GaussianPosterior(mu=mu, logvar=logvar)
 
 
@@ -502,8 +507,8 @@ def decode_batch(z: Tensor, ids: np.ndarray, lengths: np.ndarray, params: VaePar
     xs = ad.select_columns(params["dec.embed"], in_ids.T.reshape(-1))
     if mask is not None:
         xs = ad.mul(xs, Tensor(np.broadcast_to(mask.T.reshape(1, -1), xs.shape)))
-    h0 = ad.add_col(ad.matmul(params["dec.h0_w"], z), params["dec.h0_b"])
-    c0 = ad.add_col(ad.matmul(params["dec.c0_w"], z), params["dec.c0_b"])
+    h0 = ad.affine(params["dec.h0_w"], z, params["dec.h0_b"])
+    c0 = ad.affine(params["dec.c0_w"], z, params["dec.c0_b"])
     H = lstm_recurrence(xs, h0, c0, params, "dec.lstm", static=z, shared_input=shared)
     target_cols = targets.T.reshape(-1)
     valid = (np.arange(n_steps)[:, None] < lengths[None, :] + 1).astype(np.float64)
@@ -606,8 +611,9 @@ def load_checkpoint(path):
         specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
         if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
             raise DataError(f"checkpoint {path} vocabulary is not a list of strings")
-        if not all(type(d) is int and d >= 1 for d in dims):
-            raise DataError(f"checkpoint {path} has non-positive or non-integer dims {dims}")
+        if not all(type(d) is int and d >= 1 for d in dims) or dims[0] != len(tokens):
+            raise DataError(f"checkpoint {path} has dims {dims}, which must be positive "
+                            f"integers with vocab_size {len(tokens)}, its vocabulary's size")
     except (struct.error, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DataError(f"checkpoint {path} has a malformed header: {exc!r}") from exc
     off += hlen
@@ -618,19 +624,18 @@ def load_checkpoint(path):
     if vocab.hash != vocab_hash:
         raise DataError(f"checkpoint {path} vocabulary hash mismatch")
 
-    params = VaeParams.init(*dims, np.random.default_rng(0))
-    if [name for name, _ in specs] != list(params.tensors):
+    # the header must fit the layout and the file's length before anything is allocated
+    layout = [(name, shape) for name, shape, _ in VaeParams.layout(*dims)]
+    if [name for name, _ in specs] != [name for name, _ in layout]:
         raise DataError(f"checkpoint {path} does not list each model tensor once, in order")
-    for name, shape in specs:
-        expected = params[name].shape
+    for (name, shape), (_, expected) in zip(specs, layout):
         if shape != expected:
             raise DataError(f"checkpoint tensor {name!r} has shape {shape}, expected {expected}")
-        n_bytes = 8 * int(np.prod(shape)) if shape else 8
-        if off + n_bytes > len(raw):
-            raise DataError(f"checkpoint {path} is truncated in tensor {name!r}")
-        arr = np.frombuffer(raw[off: off + n_bytes], dtype="<f8").reshape(shape)
-        params[name].data = arr.astype(np.float64).copy()
-        off += n_bytes
-    if off != len(raw):
-        raise DataError(f"checkpoint {path} has trailing or missing data")
-    return params, vocab, cfg
+    sizes = [rows * cols for _, (rows, cols) in layout]
+    if len(raw) - off != 8 * sum(sizes):
+        raise DataError(f"checkpoint {path} holds {len(raw) - off} bytes of tensor data, "
+                        f"expected {8 * sum(sizes)}")
+    blobs = np.split(np.frombuffer(raw, dtype="<f8", offset=off), np.cumsum(sizes)[:-1])
+    tensors = {name: Tensor(blob.reshape(shape).astype(np.float64), requires_grad=True)
+               for (name, shape), blob in zip(layout, blobs)}
+    return VaeParams(*dims, tensors), vocab, cfg

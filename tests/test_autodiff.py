@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import textvae.autodiff as ad
 import textvae.model as model
-from textvae.autodiff import Tensor, grad_check, matmul, tape
+from textvae.autodiff import Tensor, grad_check, tape
 from textvae.errors import ContractError, DimensionError
 from textvae.model import VaeParams, lstm_step, output_log_lik, sentence_sums
 
@@ -32,30 +32,72 @@ def cross_entropy(logits, target):
     return ad.reduce_mean(cross_entropy_cols(logits, [target]))
 
 
-def test_matmul_identity():
+def zero_bias(rows):
+    return Tensor(np.zeros((rows, 1)))
+
+
+def test_affine_identity_and_bias():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(a, Tensor(np.eye(2)))
-    assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ad.affine(a, Tensor(np.eye(2)), zero_bias(2)).data, a.data)
+    assert np.array_equal(ad.affine(a, Tensor([[0.0], [1.0]]), zero_bias(2)).data, [[2.0], [4.0]])
+    # the bias is added to every column
+    out = ad.affine(Tensor(np.eye(2)), a, Tensor([[10.0], [-1.0]]))
+    assert np.array_equal(out.data, [[11.0, 12.0], [2.0, 3.0]])
+    out = ad.affine(Tensor(np.zeros((3, 2))), a, Tensor([[1.0], [2.0], [3.0]]))
+    assert np.array_equal(out.data, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
 
 
-def test_matmul_column_selection():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = matmul(a, Tensor([[0.0], [1.0]]))
-    assert np.array_equal(out.data, [[2.0], [4.0]])
+@pytest.mark.parametrize("w, x, b", [
+    ((2, 3), (2, 4), (2, 1)),   # the weight's columns do not meet the input's rows
+    ((2, 3), (3,), (2, 1)),     # the input is not a matrix
+    ((3,), (3, 4), (1, 1)),     # the weight is not a matrix
+    ((2, 3), (3, 4), (3, 1)),   # the bias has the wrong rows
+    ((2, 3), (3, 4), (2, 4)),   # the bias is not a column
+    ((2, 3), (3, 4), (2,)),     # the bias is a vector
+], ids=["inner", "input 1-D", "weight 1-D", "bias rows", "bias matrix", "bias 1-D"])
+def test_affine_shape_mismatch_names_all_three_shapes(w, x, b):
+    with pytest.raises(DimensionError) as exc:
+        ad.affine(*(Tensor(np.zeros(shape)) for shape in (w, x, b)))
+    for shape in (w, x, b):
+        assert str(shape) in str(exc.value)
 
 
-def test_matmul_gradient_matches_finite_differences():
+def test_affine_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    a = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
-    b = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
-    report = grad_check(lambda: ad.reduce_mean(matmul(a, b)), {"a": a, "b": b}, tol=1e-6)
+    w = Tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+    x = Tensor(rng.uniform(-2, 2, (4, 2)), requires_grad=True)
+    b = Tensor(rng.uniform(-2, 2, (3, 1)), requires_grad=True)
+
+    def f():  # squared, so every adjoint depends on the other operands
+        y = ad.affine(w, x, b)
+        return ad.reduce_mean(ad.mul(y, y))
+
+    report = grad_check(f, {"w": w, "x": x, "b": b}, tol=1e-6)
     assert report.passed, str(report)
 
 
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionError) as exc:
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    assert "(2, 3)" in str(exc.value)
+def test_affine_is_bitwise_the_plain_expression():
+    # at the decoder head's default shapes: (128, 32) @ (32, 16) + (128, 1)
+    rng = np.random.default_rng(14)
+    w = Tensor(rng.uniform(-1, 1, (128, 32)), requires_grad=True)
+    x = Tensor(rng.uniform(-1, 1, (32, 16)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, (128, 1)), requires_grad=True)
+    g = rng.uniform(-1, 1, (128, 16))
+    with tape() as t:
+        out = ad.affine(w, x, b)
+        loss = Tensor(0.0)
+        t.record(loss, (out,), lambda _: (g,))  # hands the op the adjoint g
+        grads = t.backward(loss)
+    wd, xd, bd = w.data, x.data, b.data
+    assert np.array_equal(out.data, wd @ xd + bd)
+    assert np.array_equal(grads[w], g @ xd.T)
+    assert np.array_equal(grads[x], wd.T @ g)
+    assert np.array_equal(grads[b], g.sum(axis=1, keepdims=True))
+    # an operand that needs no gradient gets none
+    const = Tensor(xd)
+    with tape() as t:
+        grads = t.backward(ad.reduce_mean(ad.affine(w, const, b)))
+    assert set(grads) == {w, b}
 
 
 def test_sigmoid_tanh_at_zero():
@@ -256,8 +298,8 @@ def test_forward_is_reproducible():
     rng = np.random.default_rng(4)
     x = Tensor(rng.uniform(-2, 2, (3, 3)))
     w = Tensor(rng.uniform(-2, 2, (3, 3)))
-    a = ad.exp(matmul(w, x)).data
-    b = ad.exp(matmul(w, x)).data
+    a = ad.exp(ad.affine(w, x, zero_bias(3))).data
+    b = ad.exp(ad.affine(w, x, zero_bias(3))).data
     assert np.array_equal(a, b)
 
 
@@ -269,7 +311,7 @@ def test_structural_ops_gradients():
 
     def f():
         sel = ad.select_columns(b, [0, 2, 2])
-        plus = ad.add_col(ad.select_columns(a, [0, 1]), c)
+        plus = ad.affine(Tensor(np.eye(2)), ad.select_columns(a, [0, 1]), c)
         return ad.add(ad.reduce_mean(ad.mul(sel, sel)), ad.reduce_mean(ad.column_sums(plus)))
 
     report = grad_check(f, {"a": a, "b": b, "c": c}, tol=1e-6)
@@ -291,7 +333,8 @@ def test_grad_check_exp_matmul_passes():
     rng = np.random.default_rng(7)
     w = Tensor(rng.uniform(-2, 2, (3, 3)), requires_grad=True)
     x = Tensor(rng.uniform(-2, 2, (3, 2)))
-    report = grad_check(lambda: ad.reduce_mean(ad.exp(matmul(w, x))), {"w": w}, tol=1e-5)
+    report = grad_check(lambda: ad.reduce_mean(ad.exp(ad.affine(w, x, zero_bias(3)))), {"w": w},
+                        tol=1e-5)
     assert report.passed
 
 
@@ -347,8 +390,8 @@ def test_gradient_flows_through_deep_chain_vs_fd():
     x = Tensor(rng.uniform(-1, 1, (3, 5)))
 
     def f():
-        h = ad.exp(matmul(w1, x))
-        y = ad.add_col(matmul(w2, h), b)
+        h = ad.exp(ad.affine(w1, x, zero_bias(4)))
+        y = ad.affine(w2, h, b)
         z = ad.exp(ad.scale(y, 0.1))
         e = ad.exp(y)
         return ad.add(ad.reduce_mean(ad.mul(e, e)), ad.reduce_mean(ad.mul(z, y)))
@@ -382,16 +425,10 @@ def unary_case(op):
     return case
 
 
-def matmul_case(data, rng):
-    m, k, n = data.draw(SIDE), data.draw(SIDE), data.draw(SIDE)
-    a, b = leaf(rng, (m, k)), leaf(rng, (k, n))
-    return (lambda: matmul(a, b)), {"a": a, "b": b}
-
-
-def add_col_case(data, rng):
-    m, n = data.draw(SIDE), data.draw(SIDE)
-    mat, col = leaf(rng, (m, n)), leaf(rng, (m, 1))
-    return (lambda: ad.add_col(mat, col)), {"mat": mat, "col": col}
+def affine_case(data, rng):
+    m, n, cols = data.draw(SIDE), data.draw(SIDE), data.draw(SIDE)
+    w, x, b = leaf(rng, (m, n)), leaf(rng, (n, cols)), leaf(rng, (m, 1))
+    return (lambda: ad.affine(w, x, b)), {"w": w, "x": x, "b": b}
 
 
 def select_columns_case(data, rng):
@@ -423,8 +460,7 @@ OP_CASES = {
     "mul": binary_case(ad.mul),
     "scale": scale_case,
     "exp": unary_case(ad.exp),
-    "matmul": matmul_case,
-    "add_col": add_col_case,
+    "affine": affine_case,
     "select_columns": select_columns_case,
     "column_sums": unary_case(ad.column_sums),
     "maximum_scalar": maximum_scalar_case,

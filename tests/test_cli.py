@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textvae.autodiff import Tape
-from textvae.cli import EXIT_CODES, TRAIN_FLAGS, main
+from textvae.cli import EXIT_CODES, TRAIN_FLAGS, main, table_line
 from textvae.corpus import SyntheticSpec
 from textvae.errors import (FIELD_TYPES, ConfigError, ContractError, DataError, DimensionError,
                             NumericError, TextVaeError, TrainingError, TrainingInterrupted)
-from textvae.metrics import EvalConfig
+from textvae.metrics import EvalConfig, MetricsReport
 from textvae.model import VaeParams, decode_greedy, load_checkpoint
 from textvae.training import TrainConfig
 
@@ -951,6 +951,14 @@ def test_sweep_diverged_alpha_keeps_last_good_and_continues(tmp_path, monkeypatc
     assert (out / "alpha_0" / "report.txt").exists()
     assert [r["epoch"] for r in read_log(out / "alpha_0")] == [0, 1]
 
+
+def test_report_table_row_shape():
+    report = MetricsReport(nll=33.4, ppl=28.25, iw_nll=35.6, iw_ppl=31.5, kl=4.25, au=2,
+                           mi=1.14, mi_raw=1.14, bleu=0.0143, n_sentences=10, config={})
+    row = table_line("standard", report)
+    header = table_line("configuration")
+    assert "33.40" in row and "35.60" in row and "4.25" in row and "1.43" in row
+    assert len(header.split()) == len(row.split())
 
 def test_sweep_cell_is_a_run_directory(tmp_path, monkeypatch):
     diverge_alpha_0_1(monkeypatch)

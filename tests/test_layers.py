@@ -14,11 +14,6 @@ from textvae.objectives import fraternal_batch
 from textvae.training import sample_masks
 
 
-def linear(x, w, b):
-    """w @ x + b, b broadcast over columns: the affine head of the encoder and decoder."""
-    return ad.add_col(ad.matmul(w, x), b)
-
-
 def lstm_params(input_dim, hidden_dim, rng, zero=False):
     """A store holding one cell's stacked weight and bias under the prefix ``lstm``."""
     def tensor(shape):
@@ -142,8 +137,8 @@ def test_lstm_single_step_equals_cell():
     w_x, w_h, b = cell_weights(p, "enc.lstm", 4)
     h, _, _ = cell(p["enc.embed"].data[:, [5]], zero, zero, w_x, w_h, b)
     h = Tensor(h)
-    assert np.array_equal(post.mu.data, linear(h, p["enc.mu_w"], p["enc.mu_b"]).data)
-    assert np.array_equal(post.logvar.data, linear(h, p["enc.logvar_w"], p["enc.logvar_b"]).data)
+    assert np.array_equal(post.mu.data, ad.affine(p["enc.mu_w"], h, p["enc.mu_b"]).data)
+    assert np.array_equal(post.logvar.data, ad.affine(p["enc.logvar_w"], h, p["enc.logvar_b"]).data)
 
 
 def test_lstm_cell_matches_gate_by_gate_oracle():
@@ -392,9 +387,9 @@ def test_linear_identity_and_bias():
     x = Tensor(np.array([[1.0], [2.0]]))
     eye = Tensor(np.eye(2))
     zero_b = Tensor(np.zeros((2, 1)))
-    assert np.array_equal(linear(x, eye, zero_b).data, x.data)
+    assert np.array_equal(ad.affine(eye, x, zero_b).data, x.data)
     b = Tensor(np.array([[5.0], [6.0]]))
-    assert np.array_equal(linear(x, Tensor(np.zeros((2, 2))), b).data, b.data)
+    assert np.array_equal(ad.affine(Tensor(np.zeros((2, 2))), x, b).data, b.data)
 
 
 def test_linear_gradcheck():
@@ -403,7 +398,7 @@ def test_linear_gradcheck():
     b = Tensor(rng.uniform(-1, 1, (3, 1)), requires_grad=True)
     x = Tensor(rng.uniform(-1, 1, (2, 4)))
     def f():
-        y = linear(x, w, b)
+        y = ad.affine(w, x, b)
         return ad.reduce_mean(ad.mul(y, y))
 
     report = grad_check(f, {"w": w, "b": b}, tol=1e-5)

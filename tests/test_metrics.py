@@ -10,7 +10,6 @@ from textvae.errors import DataError, NumericError
 from textvae.metrics import (
     BLEU_EPSILON,
     EvalConfig,
-    MetricsReport,
     active_units_from_means,
     collect_posteriors,
     corpus_bleu,
@@ -514,12 +513,3 @@ def test_evaluate_encodes_the_split_in_batches(monkeypatch):
     evaluate(corpus, tiny_params(16), EvalConfig(n_samples=3, mi_samples=1, max_gen_len=3),
              np.random.default_rng(0))
     assert rows == [64, 36]
-
-
-def test_report_table_row_shape():
-    report = MetricsReport(nll=33.4, ppl=28.25, iw_nll=35.6, iw_ppl=31.5, kl=4.25, au=2,
-                           mi=1.14, mi_raw=1.14, bleu=0.0143, n_sentences=10, config={})
-    row = report.table_row("standard")
-    header = MetricsReport.table_header()
-    assert "33.40" in row and "35.60" in row and "4.25" in row and "1.43" in row
-    assert len(header.split()) == len(row.split())

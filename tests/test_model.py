@@ -530,6 +530,9 @@ def _corrupted_forms(raw: bytes) -> dict:
         "non-string token": with_fields(vocab=header["vocab"][:-1] + [7]),
         "negative dim": with_fields(config=dict(header["config"], hidden_dim=-hidden)),
         "string dim": with_fields(config=dict(header["config"], hidden_dim=str(hidden))),
+        # tensors that fit vocab_size, but fewer tokens (under a matching hash) to decode
+        "vocabulary shorter than vocab_size": with_fields(
+            vocab=header["vocab"][:-1], vocab_hash=Vocabulary(header["vocab"][4:-1]).hash),
         # same shape, so only the name list shows that logvar_b would keep its init values
         "tensor listed twice": with_fields(tensors=[
             dict(spec, name="enc.mu_b") if spec["name"] == "enc.logvar_b" else spec
@@ -551,6 +554,31 @@ def test_checkpoint_rejects_corruption(tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(bad)
         assert main(["eval", "--checkpoint", str(bad)]) == EXIT_CODES["data"], form
+
+
+@pytest.mark.parametrize("dim, message", [("vocab_size", "its vocabulary's size"),
+                                          ("hidden_dim", "has shape")])
+def test_checkpoint_with_inflated_dims_is_refused_before_allocating(tmp_path, capsys, dim,
+                                                                    message):
+    # a real checkpoint whose header claims 10^9 words (or hidden units): building the
+    # store from the header would ask for 477 GiB or more, so the header is checked first
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tiny_params(19, embed_dim=64), Vocabulary(["aa", "bb"]))
+    raw = path.read_bytes()
+    off = len(CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack_from("<Q", raw, off)
+    header = json.loads(raw[off + 8: off + 8 + hlen])
+    header["config"][dim] = 10**9
+    blob = json.dumps(header).encode()
+    big = tmp_path / "big.ckpt"
+    big.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+                    + raw[off + 8 + hlen:])
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(big)
+    for command in ("eval", "sample"):
+        assert main([command, "--checkpoint", str(big)]) == EXIT_CODES["data"], command
+        err = capsys.readouterr().err
+        assert message in err and "out of memory" not in err, command
 
 
 @pytest.fixture(scope="module")

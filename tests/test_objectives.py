@@ -273,7 +273,7 @@ def test_free_bits_reuses_the_elementwise_kl():
     cfg = _config(latent_dim=4, embed_dim=8, hidden_dim=8, free_bits=2.0)
     with tape() as t:
         _, terms = elbo_step(batch, cfg, p, eps, None, 0.5)
-        assert len(t) == 34
+        assert len(t) == 30
     post = encode_batch(batch.ids, batch.lengths, p)
     floor = ad.reduce_mean(ad.maximum_scalar(kl_columns(post), 2.0))
     assert terms["kl_effective"] == floor.item()
@@ -319,6 +319,24 @@ def test_kept_adjoints_equal_a_copying_walk_at_default_dims(knobs):
     for name, g in copied.items():
         assert kept[name].tobytes() == g.tobytes(), name
 
+
+@pytest.mark.parametrize("knobs, entries", [
+    (dict(alpha=0.0), 28), (dict(alpha=1.0), 44), (dict(free_bits=4.0), 31),
+], ids=["alpha 0", "alpha 1", "free bits"])
+def test_default_dims_step_tape_length(knobs, entries):
+    # one entry per op: each of the four linear heads (enc.mu, enc.logvar, dec.h0, dec.c0)
+    # is one affine op, once per decoder pass
+    split, vocab = generate_synthetic(SyntheticSpec(n_train=16, n_dev=0, n_test=0))
+    cfg = TrainConfig(**knobs)
+    batch = make_batch(split.train)
+    B, L = batch.ids.shape
+    rng = np.random.default_rng(12)
+    params = VaeParams.init(len(vocab), cfg.embed_dim, cfg.hidden_dim, cfg.latent_dim, rng)
+    eps = rng.standard_normal((cfg.latent_dim, B))
+    mask = sample_masks((B, L + 1), cfg.keep_prob, rng)
+    with tape() as t:
+        elbo_step(batch, cfg, params, eps, mask, 0.5)
+        assert len(t) == entries
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_blocked_products_keep_a_default_dims_step(alpha, monkeypatch):

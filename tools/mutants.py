@@ -78,11 +78,11 @@ MUTANTS = [
            "return (g * bd if a.requires_grad", "return (g * ad if a.requires_grad"),
     Mutant("scale: constant dropped", "autodiff.py", "return (g * c,)", "return (g,)"),
     Mutant("exp: output adjoint dropped", "autodiff.py", "return (g * y,)", "return (y,)"),
-    Mutant("matmul: no adjoint for the left operand", "autodiff.py",
-           "return (g @ bd.T if a.requires_grad else None,", "return (None,"),
-    Mutant("add_col: column adjoint averaged", "autodiff.py",
-           "g.sum(axis=1, keepdims=True) if col.requires_grad",
-           "g.mean(axis=1, keepdims=True) if col.requires_grad"),
+    Mutant("affine: no adjoint for the weight", "autodiff.py",
+           "return (g @ xd.T if w.requires_grad else None,", "return (None,"),
+    Mutant("affine: bias adjoint averaged", "autodiff.py",
+           "g.sum(axis=1, keepdims=True) if b.requires_grad",
+           "g.mean(axis=1, keepdims=True) if b.requires_grad"),
     Mutant("select_columns: repeated indices overwrite", "autodiff.py",
            "np.add.at(full, (slice(None), ids), g)", "full[:, ids] = g"),
     Mutant("column_sums: adjoint divided by the rows", "autodiff.py",
