@@ -36,10 +36,18 @@ def zero_bias(rows):
     return Tensor(np.zeros((rows, 1)))
 
 
-def test_affine_identity_and_bias():
+def test_matmul_identity():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(ad.affine(a, Tensor(np.eye(2)), zero_bias(2)).data, a.data)
+
+
+def test_matmul_column_selection():
+    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(ad.affine(a, Tensor([[0.0], [1.0]]), zero_bias(2)).data, [[2.0], [4.0]])
+
+
+def test_affine_identity_and_bias():
+    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     # the bias is added to every column
     out = ad.affine(Tensor(np.eye(2)), a, Tensor([[10.0], [-1.0]]))
     assert np.array_equal(out.data, [[11.0, 12.0], [2.0, 3.0]])
@@ -431,6 +439,20 @@ def affine_case(data, rng):
     return (lambda: ad.affine(w, x, b)), {"w": w, "x": x, "b": b}
 
 
+def matmul_case(data, rng):
+    """affine's product alone: a constant zero bias, gradients for w and x only."""
+    m, k, n = data.draw(SIDE), data.draw(SIDE), data.draw(SIDE)
+    a, b = leaf(rng, (m, k)), leaf(rng, (k, n))
+    return (lambda: ad.affine(a, b, zero_bias(m))), {"a": a, "b": b}
+
+
+def add_col_case(data, rng):
+    """affine's bias alone: a constant identity weight, gradients for x and b only."""
+    m, n = data.draw(SIDE), data.draw(SIDE)
+    mat, col = leaf(rng, (m, n)), leaf(rng, (m, 1))
+    return (lambda: ad.affine(Tensor(np.eye(m)), mat, col)), {"mat": mat, "col": col}
+
+
 def select_columns_case(data, rng):
     m, n = data.draw(SIDE), data.draw(SIDE)
     idx = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
@@ -467,6 +489,9 @@ OP_CASES = {
     "reduce_mean": unary_case(ad.reduce_mean),
 }
 
+# the two halves of affine, each checked on its own as well as together
+AFFINE_PARTS = {"matmul": matmul_case, "add_col": add_col_case}
+
 
 def test_op_cases_cover_every_op():
     not_ops = {"tape", "recording", "grad_check"}
@@ -476,12 +501,12 @@ def test_op_cases_cover_every_op():
     assert ops == set(OP_CASES)
 
 
-@pytest.mark.parametrize("op", sorted(OP_CASES))
+@pytest.mark.parametrize("op", sorted(OP_CASES | AFFINE_PARTS))
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_op_gradient_matches_finite_differences(op, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    program, params = OP_CASES[op](data, rng)
+    program, params = (OP_CASES | AFFINE_PARTS)[op](data, rng)
     # a random weighting makes the upstream adjoint differ entry by entry
     weights = Tensor(rng.uniform(-1.0, 1.0, program().shape))
     report = grad_check(lambda: ad.reduce_mean(ad.mul(program(), weights)), params)
