@@ -19,51 +19,54 @@ return, the decoder logits and the per-position cross entropy all follow it;
 per-position (T, B) arrays such as ``valid`` flatten row by row to the same
 order.  One sentence's H (B = 1) is simply its positions in order.
 
-Shared input: B columns that read the same sentence (one sentence decoded
-against B latent samples) take one (rows, T) input, one column per
-position, and ``lstm_recurrence`` is told so by ``shared_input=True``; the
-column count alone cannot tell T positions from T·B when T is a multiple
-of B.  Each position's input gate column col_t = w_x @ x_t + b is then
-computed once, and it rides in the recurrent product: the cell multiplies
-[w_h | col_t], (4d, d + 1), by [h; 1], whose last row of ones stays put, so a
-position costs one product with K = d + 1 and one add of the static term
-w_s @ z, where a separate (4d, 1) column would cost one more full-width add.
-The fold runs with and without a tape, so both give the same bits; its sums
-round differently from the repeated-input recurrence, within 1e-12 relative.
-Everything the recurrence returns is (d, T·B) as usual.  ``decode_batch``
-takes this path when it is given one row of ids against B > 1 latent columns.
-
 LSTM layout: each LSTM ``{enc,dec}.lstm`` is stored as two tensors.  The
 weight ``lstm.w`` is (4d, n_x + k + d): its row blocks are the gates
-[i; f; o; g] (input, forget, output, candidate) and its column blocks act on
-[input; static input; hidden], where the static input (k rows: the latent
-for the decoder, none for the encoder) is the same at every position.  The
-bias ``lstm.b`` is (4d, 1) in the same row order; its forget-gate rows start
-at 1.
+[i; f; o; g] (input, forget, output, candidate) and its column blocks w_x,
+w_s and w_h act on [input; static input; hidden], where the static input (k
+rows: the latent for the decoder, none for the encoder) is the same at every
+position.  The bias ``lstm.b`` is (4d, 1) in the same row order; its
+forget-gate rows start at 1.
 
-LSTM cell: ``lstm_step``, which ``lstm_recurrence`` and ``decode_greedy`` run
-on column views of the stored weight, activates the first 3d gate rows by the
-sigmoid, computed as 0.5·tanh(v/2) + 0.5 so that one tanh covers all 4d rows,
-and the last d by tanh, and returns these activated (4d, B) gates beside h and
-c.  It writes the gates, c = f·c + i·g and h = o·tanh(c), in that order of
+Inputs: every input rides in the recurrent product.  ``lstm_step``, the one
+cell form, takes a position's pre-activations as [w_h | W_in] @ [h; in_t] +
+base, with base the static term w_s @ z plus the bias, computed once.  The
+caller holds the operand [h; in_t]: the cell writes its first d rows, and the
+caller fills the rest before each position.  A repeated input, one (n_x, B)
+block per position, has W_in = w_x and in_t = x_t; ``decode_greedy`` gathers
+each position's embeddings straight into those rows.  A shared input is B
+columns that read the same sentence (one sentence decoded against B latent
+samples): one (rows, T) input, one column per position, flagged by
+``shared_input=True``, since the column count alone cannot tell T positions
+from T·B when T is a multiple of B.  Its gate columns col_t = w_x @ x_t + b
+are computed once and carry the bias: W_in = col_t and in_t is a row of ones
+that stays put, so a position's product has K = d + 1.  Its sums round
+differently from the repeated form, within 1e-12 relative, and the
+recurrence returns (d, T·B) as usual; ``decode_batch`` takes it for one row
+of ids against B > 1 latent columns.  Both forms give the same bits with and
+without a tape.  The cell activates the first 3d gate rows by the sigmoid,
+computed as 0.5·tanh(v/2) + 0.5 so that one tanh covers all 4d rows, and the
+last d by tanh, and returns these activated (4d, B) gates beside h and c.  It
+writes the gates, c = f·c + i·g and h = o·tanh(c), in that order of
 operations, into three buffers that its caller passes, and returns those
-buffers; c's buffer may be c itself and h's may be h.  A caller carries
-forward what the cell returns.  Under a tape, ``lstm_recurrence`` passes
-fresh gate and c arrays at each position and keeps them for its BPTT;
-without one it, like ``decode_greedy``, reuses one set for all positions.
-No tape keeps h (the recurrence copies each position's into its output), and
-no reused buffer is ever handed to a caller.  The recurrence's hand-written
+buffers; c's buffer may be c itself and h's may be the operand.  A caller
+carries forward what the cell returns.  Under a tape, ``lstm_recurrence``
+passes fresh gate and c arrays at each position and keeps them for its BPTT;
+without one it, like ``decode_greedy``, reuses one set for all positions.  No
+tape keeps h (the recurrence copies each position's into its output), and no
+reused buffer is ever handed to a caller.  The recurrence's hand-written
 BPTT, the cell's only derivative, reads the gate order, takes s(1 − s) and
 1 − g² from the activated gates and recomputes tanh(c) from each kept memory
 cell, so the cell and the BPTT change together.  It returns the whole
 (4d, n_x + k + d) weight gradient.
 
-Row blocks: two per-position products, the cell's ``w_h @ h`` and the BPTT's
-``w_h.T @ dp``, go through ``blocked_matmul``.  The SkylakeX kernels of
-numpy's bundled OpenBLAS run a double product of at most ``SMALL_GEMM`` = 10⁶
-multiply-adds in an unpacked small-matrix kernel and pack larger ones first.
-At d = 128 and B = 16 each product holds 1,048,576, just over the limit, so
-it runs as row blocks that fit it (256 and 64 rows), about 1.5–2× faster.
+Row blocks: two per-position products, the cell's [w_h | W_in] @ [h; in_t]
+and the BPTT's ``w_h.T @ dp``, go through ``blocked_matmul``.  The SkylakeX
+kernels of numpy's bundled OpenBLAS run a double product of at most
+``SMALL_GEMM`` = 10⁶ multiply-adds in an unpacked small-matrix kernel and
+pack larger ones first.  At d = 128, n_x = 64 and B = 16 the cell's product
+holds 1,572,864 (1,056,768 for a shared input) and the BPTT's 1,048,576,
+over the limit, so they run as row blocks that fit it (256 and 64 rows),
+about 1.5× faster at B = 16.
 The rule looks only at shapes, so it blocks on every CPU and BLAS: results
 agree up to last-bit rounding, but the speed of the blocks was measured only
 on SkylakeX with OpenBLAS 0.3.31 at d = 128, where the 32-row floor was set;
@@ -208,24 +211,21 @@ def blocked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) 
     return out
 
 
-def lstm_step(x: np.ndarray | None, h: np.ndarray, c: np.ndarray, w_x: np.ndarray | None,
-              w_h: np.ndarray, base: np.ndarray, out: tuple[np.ndarray, np.ndarray, np.ndarray]):
+def lstm_step(h: np.ndarray, c: np.ndarray, w: np.ndarray, base: np.ndarray,
+              out: tuple[np.ndarray, np.ndarray, np.ndarray]):
     """One LSTM cell update over a column batch, in numpy: (h_next, c_next, gates).
 
-    ``w_x``/``w_h`` are the input and hidden column blocks of a stored gate
-    weight, ``base`` the bias plus any static input's term, and ``gates`` the
-    activated gates of the cell above.  ``x`` is (n_x, B), or None when its
-    gate term rides in ``w_h @ h`` (a shared input's folded column; see the
-    module docstring).  The cell writes into ``out`` = (gates, c_next,
-    h_next), shaped (4d, B), (d, B) and like h, and returns these same
-    arrays; it writes only the first d rows of h_next.  ``c_next`` may be
-    ``c`` and ``h_next`` may be ``h``: each is read before it is written.
+    The pre-activations are ``w @ h + base``: ``h`` is the (d + r, B) operand
+    whose first d rows are the hidden state and whose lower r rows the caller
+    filled (see the module docstring), and ``gates`` the activated gates of
+    the cell above.  The cell writes into ``out`` = (gates, c_next, h_next),
+    shaped (4d, B), (d, B) and like h, and returns these same arrays; it
+    writes only the first d rows of h_next.  ``c_next`` may be ``c`` and
+    ``h_next`` may be ``h``: each is read before it is written.
     """
     gates, c_next, h_next = out
     d = c.shape[0]
-    blocked_matmul(w_h, h, out=gates)
-    if x is not None:
-        gates += w_x @ x
+    blocked_matmul(w, h, out=gates)
     gates += base
     sig = gates[: 3 * d]
     sig *= 0.5
@@ -254,14 +254,15 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
 
     The cell runs in numpy through ``lstm_step``, one call per position,
     and each hidden state is copied into one preallocated (d, T·B) array.
-    With a shared input the cell reads the folded [w_h | col_t] @ [h; 1]
-    (see the module docstring).  The backward is an analytic BPTT loop; the
-    per-position gates and memory cells it needs are fresh arrays kept only
-    while a tape records the op, and it pops each position's as it consumes
-    them.  It writes position t's (4d, B) gate adjoints into the contiguous
-    ``slab[t]`` of one (T, 4d, B) array with in-place ops, sums the slab over
-    positions for the static input and the bias, and the closing products
-    read the slab relaid out once as the position-major (4d, T·B) ``d_pre``.
+    The cell reads [w_h | w_x] @ [h; x_t], or with a shared input the folded
+    [w_h | col_t] @ [h; 1] (see the module docstring).  The backward is an
+    analytic BPTT loop; the per-position gates and memory cells it needs are
+    fresh arrays kept only while a tape records the op, and it pops each
+    position's as it consumes them.  It writes position t's (4d, B) gate
+    adjoints into the contiguous ``slab[t]`` of one (T, 4d, B) array with
+    in-place ops, sums the slab over positions for the static input and the
+    bias, and the closing products read the slab relaid out once as the
+    position-major (4d, T·B) ``d_pre``.
     Every product keeps the association of the plain expression, e.g.
     ``dc + (dh_t·o)·(1 − tanh(c_t)²)``, so the gradients are bitwise those
     of a loop of fresh temporaries.
@@ -286,15 +287,14 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
     w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
     sd = np.zeros((0, B)) if static is None else static.data
     xd = xs.data
-    base, w_cell = w_s @ sd, w_h
+    base = w_s @ sd
     if shared_input:  # position t's gate column w_x @ x_t + b rides as [w_h | col_t] @ [h; 1]
         cols = w_x @ xd
         cols += bias.data
-        w_cell = np.empty((4 * d, d + 1))
-        w_cell[:, :d] = w_h
-    else:
+    else:  # position t's input rides as [w_h | w_x] @ [h; x_t]
         base += bias.data
-    h = np.ones((d + shared_input, B))  # a shared input's row of ones stays under h
+    w_cell = np.hstack([w_h, cols[:, :1] if shared_input else w_x])
+    h = np.ones((w_cell.shape[1], B))  # [h; 1] keeps its row of ones; [h; x_t] refills
     h[:d] = h0.data
     c = c0.data
     state = (np.empty((4 * d, B)), np.empty((d, B)), h)  # the cell's buffers: gates, c, h
@@ -305,8 +305,9 @@ def lstm_recurrence(xs: Tensor, h0: Tensor, c0: Tensor, params, prefix: str,
             state = (np.empty((4 * d, B)), np.empty((d, B)), state[2])
         if shared_input:
             w_cell[:, d] = cols[:, t]
-        x = None if shared_input else xd[:, t * B: (t + 1) * B]
-        h, c, gates = lstm_step(x, h, c, w_x, w_cell, base, state)
+        else:
+            h[d:] = xd[:, t * B: (t + 1) * B]
+        h, c, gates = lstm_step(h, c, w_cell, base, state)
         H[:, t * B: (t + 1) * B] = h[:d]
         if tape is not None:
             cs.append(c)
@@ -525,21 +526,25 @@ def decode_greedy(z: np.ndarray, max_len: int, params: VaeParams) -> list[list[i
     one ``lstm_step`` over a block and feeds back each column's argmax, until every
     column has emitted END or for ``max_len`` positions.
     """
-    w, n_x, n_s = params["dec.lstm.w"].data, params.embed_dim, params.latent_dim
-    w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
+    w, n_x, n_s, d = (params["dec.lstm.w"].data, params.embed_dim, params.latent_dim,
+                      params.hidden_dim)
+    w_cell, w_s = np.hstack([w[:, n_x + n_s:], w[:, :n_x]]), w[:, n_x: n_x + n_s]
     embed, out_w, out_b = (params[n].data for n in ("dec.embed", "dec.out_w", "dec.out_b"))
     out: list[list[int]] = []
     for start in range(0, z.shape[1], BLOCK):
         zb = z[:, start: start + BLOCK]
         base = w_s @ zb + params["dec.lstm.b"].data
-        h, c = (params[f"dec.{n}_w"].data @ zb + params[f"dec.{n}_b"].data for n in ("h0", "c0"))
-        state = (np.empty((4 * params.hidden_dim, zb.shape[1])), c, h)  # updated in place
+        h = np.empty((d + n_x, zb.shape[1]))  # the operand [h; x_t]
+        h[:d] = params["dec.h0_w"].data @ zb + params["dec.h0_b"].data
+        c = params["dec.c0_w"].data @ zb + params["dec.c0_b"].data
+        state = (np.empty((4 * d, zb.shape[1])), c, h)  # updated in place
         tokens = np.full(zb.shape[1], START)
         ended = np.zeros(zb.shape[1], dtype=bool)
         ids = np.full((zb.shape[1], max_len + 1), END)  # the extra last column ends every row
         for t in range(max_len):
-            h, c, _ = lstm_step(embed[:, tokens], h, c, w_x, w_h, base, state)
-            ids[:, t] = tokens = np.argmax(out_w @ h + out_b, axis=0)
+            np.take(embed, tokens, axis=1, out=h[d:])
+            h, c, _ = lstm_step(h, c, w_cell, base, state)
+            ids[:, t] = tokens = np.argmax(out_w @ h[:d] + out_b, axis=0)
             ended |= tokens == END
             if ended.all():
                 break

@@ -11,7 +11,9 @@ pretraining the decoder reset, then the steps of the standard loop.  The loop
 also sets the KL weight: beta = 0 in pretraining, else the linear warmup
 min(step / warmup_steps, 1), with ``warmup_steps`` from
 ``TrainConfig.resolved``.  The dev ELBO draws its noise from its own
-generator, seeded per epoch.
+generator, ``default_rng([seed, 1000])``, made afresh at every epoch end of
+both phases: each epoch scores its parameters on the same noise, so the
+epoch-to-epoch change in ``val_elbo`` is the parameters' alone.
 
 ``train`` first keeps freed memory in the process heap (``keep_freed_heap``).
 By default glibc serves an array of 128 KiB or more from its own ``mmap``
@@ -283,7 +285,7 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
             # without a dev split the train split's ELBO still refuses diverged
             # parameters, and the epoch is selected on its training total
             elbo = _dev_elbo(corpus.dev or corpus.train, config, params,
-                             seed=[config.seed, 1000 + epoch])
+                             seed=[config.seed, 1000])
             finite = np.isfinite(elbo)
             record["val_elbo"] = elbo if corpus.dev and finite else None  # the log has no NaN
             record["wall_time"] = time.perf_counter() - t0

@@ -111,11 +111,11 @@ def test_affine_is_bitwise_the_plain_expression():
 def test_sigmoid_tanh_at_zero():
     assert ad.exp(Tensor(0.0)).item() == 1.0
     # the LSTM cell's tanh-based gates at zero pre-activation: sigmoid 0.5, tanh 0
-    zero = np.zeros((3, 2))
-    h, c, gates = lstm_step(zero, zero, zero, np.zeros((12, 3)), np.zeros((12, 3)), 0.0,
-                            (np.empty((12, 2)), np.empty((3, 2)), np.empty((3, 2))))
+    zero, operand = np.zeros((3, 2)), np.zeros((6, 2))  # [h; x], three rows each
+    h, c, gates = lstm_step(operand, zero, np.zeros((12, 6)), 0.0,
+                            (np.empty((12, 2)), np.empty((3, 2)), np.empty((6, 2))))
     assert np.array_equal(gates, np.repeat([0.5, 0.0], [9, 3])[:, None] * np.ones((1, 2)))
-    assert np.array_equal(h, zero) and np.array_equal(c, zero)
+    assert np.array_equal(h[:3], zero) and np.array_equal(c, zero)
 
 
 def test_elementwise_shape_mismatch():

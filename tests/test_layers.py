@@ -35,10 +35,14 @@ def tiny_params(seed=0):
 
 
 def cell(x, h, c, w_x, w_h, b):
-    """One ``lstm_step`` into fresh buffers, the last row of h_next's held at 1."""
+    """One ``lstm_step`` of [w_h | w_x] @ [h; x] + b into fresh buffers: (h_next,
+    c_next, gates), h_next holding the hidden rows only."""
     d, B = c.shape
-    return lstm_step(x, h, c, w_x, w_h, b, (np.empty((4 * d, B)), np.empty((d, B)),
-                                            np.ones(h.shape)))
+    operand = np.vstack([h, x])
+    h_next, c_next, gates = lstm_step(operand, c, np.hstack([w_h, w_x]), b,
+                                      (np.empty((4 * d, B)), np.empty((d, B)),
+                                       np.empty(operand.shape)))
+    return h_next[:d], c_next, gates
 
 
 def test_mask_pair_extremes():
@@ -167,6 +171,36 @@ def test_lstm_cell_matches_gate_by_gate_oracle():
     assert np.max(np.abs(c - c_exp)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), n_x=st.integers(1, 4), n_s=st.integers(0, 2), B=st.integers(1, 5),
+       T=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+@example(d=128, n_x=64, n_s=32, B=16, T=13, seed=0).via("the decoder's dims")
+@example(d=128, n_x=64, n_s=0, B=64, T=11, seed=1).via("the encoder's dims, one eval block")
+def test_lstm_repeated_input_fold_matches_separate_products(d, n_x, n_s, B, T, seed):
+    # [w_h | w_x] @ [h; x_t] + base sums the two terms in one product; every position's
+    # state stays within 1e-12 of a loop that adds w_h @ h, w_x @ x_t and base apart
+    rng = np.random.default_rng(seed)
+    p = lstm_params(n_x + n_s, d, rng)
+    xs, h0, c0 = (rng.uniform(-1, 1, shape) for shape in ((n_x, T * B), (d, B), (d, B)))
+    static = rng.uniform(-1, 1, (n_s, B))
+    w, b = p["lstm.w"].data, p["lstm.b"].data
+    w_x, w_s, w_h = w[:, :n_x], w[:, n_x: n_x + n_s], w[:, n_x + n_s:]
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h, c, want = h0, c0, []
+    for t in range(T):
+        pre = w_h @ h + w_x @ xs[:, t * B: (t + 1) * B] + (w_s @ static + b)
+        c = sig(pre[d: 2 * d]) * c + sig(pre[:d]) * np.tanh(pre[3 * d:])
+        h = sig(pre[2 * d: 3 * d]) * np.tanh(c)
+        want.append(h)
+    want = np.hstack(want)
+    H = lstm_recurrence(Tensor(xs), Tensor(h0), Tensor(c0), p, "lstm",
+                        static=Tensor(static) if n_s else None)
+    assert np.max(np.abs(H.data - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_lstm_causality():
     # decoder step t reads input position t: changing token 4 leaves steps 0..3 alone
     p = tiny_params(6)
@@ -255,8 +289,8 @@ def fresh_temporaries_bptt(xs, h0, c0, w, b, static, shared, g):
     """(d_xs, d_h0, d_c0, d_w, d_b, d_static) of the recurrence by a BPTT loop that makes
     fresh temporaries and writes each position's gate adjoints into a strided column
     block of one (4d, T·B) array: the loop the slab replaced, as the reference.  Its
-    forward runs the cell on the recurrence's operands: a shared input's gate column
-    folded into the recurrent product as [w_h | col_t] @ [h; 1]."""
+    forward runs the cell on the recurrence's operands: [w_h | w_x] @ [h; x_t], or a
+    shared input's gate column folded in as [w_h | col_t] @ [h; 1]."""
     d, B = h0.shape
     n_x = xs.shape[0]
     n_s = 0 if static is None else static.shape[0]
@@ -268,19 +302,17 @@ def fresh_temporaries_bptt(xs, h0, c0, w, b, static, shared, g):
     base = w_s @ sd
     if shared:
         cols = w_x @ xs + b
-        w_cell, h = np.hstack([w_h, cols[:, :1]]), np.vstack([h0, np.ones((1, B))])
     else:
         base = base + b
-        w_cell, h = w_h, h0
-    c = c0
+    h, c = h0, c0
     H = np.empty((d, TB))
     cs, gates_seq = [c], []
     for t in range(T):
         if shared:
-            w_cell[:, d] = cols[:, t]
-        x = None if shared else xs[:, t * step: (t + 1) * step]
-        h, c, gates = cell(x, h, c, w_x, w_cell, base)
-        H[:, t * B: (t + 1) * B] = h[:d]
+            h, c, gates = cell(np.ones((1, B)), h, c, cols[:, [t]], w_h, base)
+        else:
+            h, c, gates = cell(xs[:, t * B: (t + 1) * B], h, c, w_x, w_h, base)
+        H[:, t * B: (t + 1) * B] = h
         cs.append(c)
         gates_seq.append(gates)
     d_pre = np.empty((4 * d, TB))

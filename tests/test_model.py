@@ -351,9 +351,9 @@ def spy_lstm_step_widths(monkeypatch):
     widths = []
     real = textvae.model.lstm_step
 
-    def spy(x, h, *rest):
+    def spy(h, *rest):
         widths.append(h.shape[1])
-        return real(x, h, *rest)
+        return real(h, *rest)
 
     monkeypatch.setattr(textvae.model, "lstm_step", spy)
     return widths

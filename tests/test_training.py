@@ -452,6 +452,15 @@ def test_best_checkpoint_is_the_epoch_of_lowest_dev_elbo(monkeypatch):
         assert np.array_equal(t.data, want.data), n
 
 
+def test_dev_elbo_noise_is_common_to_every_epoch():
+    # lr 0 keeps each phase's parameters, so equal dev ELBOs mean the same noise each epoch
+    split, vocab = generate_synthetic(SMALL_SPEC)
+    log = train(split, small_config(lr=0.0, epochs=3, pretrain_epochs=2), len(vocab)).log
+    for phase, epochs in (("pretrain", 2), ("train", 3)):
+        vals = [r["val_elbo"] for r in log if r["phase"] == phase]
+        assert len(vals) == epochs and len({v.hex() for v in vals}) == 1, phase
+
+
 def test_val_elbo_ignores_free_bits():
     # lr 0 keeps the initial parameters, so the two runs' dev ELBOs differ only if the
     # free-bits surrogate, which their training totals show, leaks into the ELBO

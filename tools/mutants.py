@@ -128,7 +128,12 @@ MUTANTS = [
     Mutant("shared gate column not refreshed per position", "model.py",
            "w_cell[:, d] = cols[:, t]", "w_cell[:, d] = cols[:, 0]"),
     Mutant("shared input: the row of ones left out", "model.py",
-           "h = np.ones((d + shared_input, B))", "h = np.zeros((d + shared_input, B))"),
+           "h = np.ones((w_cell.shape[1], B))", "h = np.zeros((w_cell.shape[1], B))"),
+    Mutant("repeated input: operand rows not refreshed per position", "model.py",
+           "h[d:] = xd[:, t * B: (t + 1) * B]", "h[d:] = xd[:, :B]"),
+    # the dev ELBO's common noise
+    Mutant("dev noise reseeded per epoch", "training.py",
+           "seed=[config.seed, 1000])", "seed=[config.seed, 1000 + epoch])"),
     # one per ELBO term
     Mutant("reconstruction: twins summed, not averaged", "objectives.py",
            "mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)", "mean_ll = ad.add(ll_a, ll_b)"),
