@@ -12,9 +12,9 @@ A config file holds one JSON object with at most four keys: the sections
 key, a value of the wrong type or one out of range exits 2, and so does a
 ``synthetic`` section given with --corpus.  A manifest's ``config`` echoes the
 checked file (``train`` with the flags applied and, in a run directory and a
-sweep's manifest, ``warmup_steps`` resolved); for ``train`` and each sweep
-cell it is a config file that re-runs the run, and ``eval`` adds ``split``, a
-sweep ``alphas``.
+sweep's manifest, ``warmup_steps`` resolved and, for --corpus, ``vocab_size``:
+``VOCAB_SIZE`` unless set); for ``train`` and each sweep cell it is a config
+file that re-runs the run, and ``eval`` adds ``split``, a sweep ``alphas``.
 
 A run directory is what ``train`` writes into --out-dir, and ``sweep`` into
 ``alpha_<alpha>/`` for each alpha: ``vocab.txt``, ``checkpoint.bin``,
@@ -76,6 +76,8 @@ EXIT_CODES = {
 
 # the TrainConfig fields that train takes as flags (--epochs ... --pretrain-epochs)
 TRAIN_FLAGS = ("epochs", "lr", "alpha", "keep_prob", "free_bits", "pretrain_epochs")
+# the vocabulary cap of a --corpus directory whose config file sets no vocab_size
+VOCAB_SIZE = 10000
 
 
 def _write_json(path: Path, obj) -> None:
@@ -143,7 +145,7 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
             sents[name] = load_text(path) if path.exists() else []
         if not sents["train"] and vocab is None:
             raise DataError(f"corpus directory {root} has no train.txt with a sentence in it")
-        cap = len(vocab) if vocab is not None else cfg.get("vocab_size", 10000)
+        cap = len(vocab) if vocab is not None else cfg.get("vocab_size", VOCAB_SIZE)
         derived = build_vocab(sents["train"], cap) if sents["train"] else vocab
         split = CorpusSplit(
             train=[derived.encode(s) for s in sents["train"]],
@@ -162,6 +164,14 @@ def _resolve_corpus(cfg: dict, corpus_dir, vocab: Vocabulary | None = None):
         raise DataError("corpus vocabulary does not match the checkpoint vocabulary "
                         f"({derived.hash[:12]} vs {vocab.hash[:12]})")
     return split, derived
+
+
+def _resolved(cfg: dict, split: CorpusSplit) -> dict:
+    """``cfg`` as a run records it, with the defaults that depend on the corpus filled in."""
+    resolved = {**cfg, "train": cfg["train"].resolved(len(split.train))}
+    if "synthetic" not in cfg:  # a --corpus directory
+        resolved["vocab_size"] = cfg.get("vocab_size", VOCAB_SIZE)
+    return resolved
 
 
 def _eval_seed(args) -> int:
@@ -213,8 +223,8 @@ def _train_and_save(args, cfg: dict, split: CorpusSplit, vocab: Vocabulary,
     manifest flagged "diverged" or "interrupted", before the TrainingError
     propagates.
     """
-    tcfg = cfg["train"].resolved(len(split.train))
-    cfg = {**cfg, "train": tcfg}
+    cfg = _resolved(cfg, split)
+    tcfg = cfg["train"]
     manifest = _manifest(args, cfg, split, vocab, tcfg.seed)
     error = None
     try:
@@ -311,7 +321,7 @@ def cmd_sweep(args) -> int:
         print(rows[-1])
 
     write_file(out / "sweep_table.txt", "\n".join(rows) + "\n")
-    echo = {**cfg, "train": cfg["train"].resolved(len(split.train)), "alphas": alphas}
+    echo = {**_resolved(cfg, split), "alphas": alphas}
     manifest = {**_manifest(args, echo, split, vocab, cfg["train"].seed), "failed_alphas": failed}
     _write_json(out / "manifest.json", {**manifest, "interrupted": True} if interrupt else manifest)
     print(f"\nsweep table written to {out / 'sweep_table.txt'}"

@@ -227,7 +227,9 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
     """Full metric suite on a sentence list.
 
     The split is encoded once.  NLL/PPL and their importance-weighted
-    versions pool one sampling pass of ``n_samples`` draws per sentence;
+    versions pool one sampling pass of ``n_samples`` draws per sentence: each
+    sentence's ``rec``, ``iw`` (``reconstruction_nll``) and word count are kept
+    in split order, and each total is summed from them once, left to right.
     BLEU decodes greedily from one posterior sample per sentence against the
     original.  A metric that is not finite raises NumericError.
     """
@@ -236,13 +238,9 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
         raise DataError("cannot evaluate on an empty corpus")
 
     mus, logvars = collect_posteriors(sents, params)
-    total_nll = total_iw = 0.0
-    total_words = 0
-    for sent, mu, logvar in zip(sents, mus, logvars):
-        rec, iw = reconstruction_nll(sent, mu, logvar, params, config.n_samples, rng)
-        total_nll += rec
-        total_iw += iw
-        total_words += len(sent) + 1
+    rec, iw = zip(*(reconstruction_nll(sent, mu, logvar, params, config.n_samples, rng)
+                    for sent, mu, logvar in zip(sents, mus, logvars)))
+    words = [len(sent) + 1 for sent in sents]
     kl = kl_columns(GaussianPosterior(mu=Tensor(mus.T), logvar=Tensor(logvars.T))).data.mean()
 
     au, _ = active_units_from_means(mus, config.au_threshold)
@@ -251,10 +249,10 @@ def evaluate(corpus, params: VaeParams, config: EvalConfig,
     z = mus + np.exp(0.5 * logvars) * rng.standard_normal(mus.shape)  # one draw per sentence
     bleu_score = corpus_bleu(zip(sents, decode_greedy(z.T, config.max_gen_len, params)))
 
-    report = MetricsReport(nll=float(total_nll / len(sents)),
-                           ppl=float(np.exp(total_nll / total_words)),
-                           iw_nll=float(total_iw / len(sents)),
-                           iw_ppl=float(np.exp(total_iw / total_words)),
+    report = MetricsReport(nll=float(sum(rec) / len(sents)),
+                           ppl=float(np.exp(sum(rec) / sum(words))),
+                           iw_nll=float(sum(iw) / len(sents)),
+                           iw_ppl=float(np.exp(sum(iw) / sum(words))),
                            kl=float(kl), au=int(au), mi=float(mi), mi_raw=float(mi_raw),
                            bleu=float(bleu_score), n_sentences=len(sents),
                            config=asdict(config))

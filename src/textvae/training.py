@@ -46,6 +46,8 @@ from .objectives import elbo_step
 
 # elements per Adam slice; the update's two scratch buffers hold one slice each
 CHUNK = 16384
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015, Algorithm 1)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 # glibc's mallopt parameters (malloc.h) and its own 64-bit ceiling on the mmap
 # threshold; glibc's dynamic rule keeps the trim threshold at twice the mmap one
@@ -125,9 +127,8 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """Bias-corrected Adam update, in place on the parameter tensors.
+def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
+    """Bias-corrected Adam update at ``BETA1``/``BETA2``/``EPS``, in place on the parameters.
 
     The gradients must be finite (``clip_gradients`` checks them), and the
     parameters C-contiguous.  The update is Adam's efficient form (Kingma &
@@ -145,9 +146,9 @@ def adam_step(params, grads, state: AdamState, lr: float,
             raise ContractError(f"adam_step: parameter {name!r} is not C-contiguous")
     state.t += 1
     t = state.t
-    root_c2 = np.sqrt(1 - beta2 ** t)
-    alpha_t = lr * root_c2 / (1 - beta1 ** t)
-    eps_hat = eps * root_c2
+    root_c2 = np.sqrt(1 - BETA2 ** t)
+    alpha_t = lr * root_c2 / (1 - BETA1 ** t)
+    eps_hat = EPS * root_c2
     scratch_a, scratch_b = np.empty(CHUNK), np.empty(CHUNK)
     for name, p in params:
         if name not in state.m:
@@ -157,10 +158,10 @@ def adam_step(params, grads, state: AdamState, lr: float,
         for lo in range(0, p.data.size, CHUNK):
             pc, g, m, v = (x[lo: lo + CHUNK] for x in flat)
             a, b = scratch_a[: pc.size], scratch_b[: pc.size]
-            m *= beta1
-            m += np.multiply(1 - beta1, g, out=a)
-            v *= beta2
-            np.multiply(1 - beta2, g, out=a)
+            m *= BETA1
+            m += np.multiply(1 - BETA1, g, out=a)
+            v *= BETA2
+            np.multiply(1 - BETA2, g, out=a)
             a *= g
             v += a
             np.sqrt(v, out=a)
@@ -201,16 +202,16 @@ class TrainResult:
 @np.errstate(over="ignore", invalid="ignore")  # the caller's finite check decides
 def _dev_elbo(sentences, config: TrainConfig, params: VaeParams, seed) -> float:
     """Single-sample negative ELBO of ``sentences`` (beta=1, no dropout), finite or
-    not."""
+    not.  Each batch's (size, mean loss) is kept, in order, and the ELBO is then
+    their sentence-weighted mean, summed left to right."""
     rng = np.random.default_rng(seed)
     eval_cfg = replace(config, alpha=0.0, free_bits=0.0)
-    total, count = 0.0, 0
+    losses = []
     for batch in batches(sentences, config.batch_size, seed=None):
         eps = rng.standard_normal((config.latent_dim, batch.size))
         loss, _ = elbo_step(batch, eval_cfg, params, eps, None, 1.0)
-        total += loss.item() * batch.size
-        count += batch.size
-    return total / count
+        losses.append((batch.size, loss.item()))
+    return sum(loss * n for n, loss in losses) / sum(n for n, _ in losses)
 
 
 def _step(batch, config: TrainConfig, params: VaeParams, state: AdamState, eps, mask,
@@ -239,11 +240,13 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
                rng: np.random.Generator, log: list[dict]) -> VaeParams:
     """Run ``config.epochs`` epochs of one phase, appending a record per epoch to ``log``.
 
-    A record holds the sentence-weighted means of the steps' terms, ``total``
-    and ``beta``.  Each step draws its noise from ``rng`` in the order the
-    module docstring gives.  ``phase="pretrain"`` is the deterministic-
-    autoencoder variant: z = mu and beta = 0.  Returns the best-validation
-    parameters.  A step whose loss or gradients are not finite, or an epoch
+    Each step's (batch size, terms with ``total`` and ``beta``, gradient norm)
+    is kept in order, and the epoch's record is derived from them once: the
+    terms' sentence-weighted means, summed left to right, and ``grad_norm``,
+    the norms' plain mean.  Each step draws its noise from ``rng`` in the
+    order the module docstring gives.  ``phase="pretrain"`` is the
+    deterministic-autoencoder variant: z = mu and beta = 0.  Returns the
+    best-validation parameters.  A step whose loss or gradients are not finite, or an epoch
     whose ELBO on the dev split (the train split when there is none) is not
     finite, raises TrainingError carrying those parameters and ``log``, which
     then ends with the failed epoch's record; a KeyboardInterrupt becomes
@@ -259,9 +262,7 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
 
     try:
         for epoch in range(config.epochs):
-            sums = {}
-            seen = 0
-            norms = []
+            steps = []
             for batch in batches(corpus.train, config.batch_size, seed=config.seed, epoch=epoch):
                 eps = None if pretrain else rng.standard_normal((config.latent_dim, batch.size))
                 mask = (sample_masks((batch.size, batch.ids.shape[1] + 1), config.keep_prob, rng)
@@ -272,14 +273,12 @@ def _run_phase(phase: str, corpus: CorpusSplit, config: TrainConfig, params: Vae
                 except TrainingError as exc:
                     raise TrainingError(f"training diverged in {phase} epoch {epoch}, step {step}: "
                                         f"{exc}", params=best, log=log) from exc
-                norms.append(norm)
-                for k, v in {**terms, "beta": beta}.items():
-                    sums[k] = sums.get(k, 0.0) + v * batch.size
-                seen += batch.size
+                steps.append((batch.size, {**terms, "beta": beta}, norm))
                 step += 1
 
-            record = {k: sums[k] / seen for k in sums}
-            record["grad_norm"] = float(np.mean(norms))
+            n_sents = sum(n for n, _, _ in steps)
+            record = {k: sum(v[k] * n for n, v, _ in steps) / n_sents for k in steps[0][1]}
+            record["grad_norm"] = float(np.mean([norm for _, _, norm in steps]))
             record["epoch"] = epoch
             record["phase"] = phase
             # without a dev split the train split's ELBO still refuses diverged

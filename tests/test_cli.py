@@ -725,6 +725,30 @@ def test_text_corpus_train_and_eval(tmp_path):
     assert_strict_json_artifacts(eval_out)
 
 
+def test_text_corpus_manifest_records_the_default_vocabulary_cap(tmp_path):
+    # a config file without vocab_size reads a --corpus directory at the default cap; the
+    # run's manifest records it, so its config re-trains the run byte for byte, and a
+    # sweep's own manifest records it too
+    corpus_dir, cfg = write_text_corpus(tmp_path)
+    raw = json.loads(cfg.read_text())
+    del raw["vocab_size"]
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    for argv, cell in ((["train"], ""), (["sweep", "--alphas", "0"], "alpha_0")):
+        out = tmp_path / argv[0]
+        assert main([argv[0], "--config", str(cfg), "--corpus", str(corpus_dir),
+                     "--out-dir", str(out), *argv[1:]]) == 0
+        recorded = strict_json((out / cell / "manifest.json").read_text())["config"]
+        assert recorded["vocab_size"] == 10000, argv
+        assert strict_json((out / "manifest.json").read_text())["config"]["vocab_size"] == 10000
+        rerun_cfg = tmp_path / f"{argv[0]}.json"
+        rerun_cfg.write_text(json.dumps(recorded), encoding="utf-8")
+        again = tmp_path / f"{argv[0]} again"
+        assert main(["train", "--config", str(rerun_cfg), "--corpus", str(corpus_dir),
+                     "--out-dir", str(again)]) == 0
+        for artifact in ("checkpoint.bin", "vocab.txt"):
+            assert (again / artifact).read_bytes() == (out / cell / artifact).read_bytes()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
 def test_synthetic_section_with_corpus_is_config_error(tmp_path, capsys, trained_checkpoint,
                                                        command):

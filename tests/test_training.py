@@ -13,8 +13,8 @@ from textvae.autodiff import Tensor
 from textvae.corpus import SyntheticSpec, generate_synthetic
 from textvae.errors import ConfigError, ContractError, TrainingError, read_config
 from textvae.model import VaeParams, save_checkpoint
-from textvae.training import (CHUNK, AdamState, TrainConfig, adam_step, clip_gradients,
-                               keep_freed_heap, sample_masks, train)
+from textvae.training import (BETA1, BETA2, CHUNK, EPS, AdamState, TrainConfig, adam_step,
+                               clip_gradients, keep_freed_heap, sample_masks, train)
 
 SMALL_SPEC = SyntheticSpec(n_templates=2, words_per_slot=5, length_range=(4, 6),
                            n_train=120, n_dev=20, n_test=20, seed=42)
@@ -123,12 +123,12 @@ def test_adam_bitwise_equals_textbook_expression():
     want = {n: t.data.copy() for n, t in named}
     m = {n: np.zeros(s) for (n, _), s in zip(named, shapes)}
     v = {n: np.zeros(s) for (n, _), s in zip(named, shapes)}
-    lr, beta1, beta2, eps = 3e-3, 0.8, 0.99, 1e-6
+    lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8  # the paper's defaults, as adam_step uses
     state = AdamState()
     for t in (1, 2, 3):
         grads = {n: rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 3)
                  for (n, _), s in zip(named, shapes)}
-        adam_step(named, grads, state, lr, beta1, beta2, eps)
+        adam_step(named, grads, state, lr)
         # the efficient form of Kingma & Ba (2015, §2) is the bitwise oracle; the
         # bias-corrected form it rewrites must agree with it to 1e-12 relative
         alpha_t = lr * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
@@ -147,14 +147,14 @@ def test_adam_bitwise_equals_textbook_expression():
             assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
 
 
-def whole_tensor_adam_step(params, grads, state, lr, beta1, beta2, eps):
+def whole_tensor_adam_step(params, grads, state, lr):
     """The unchunked update: two scratch buffers the size of the largest tensor,
     each tensor updated in one pass, in the operation order of Adam's efficient
     form."""
     state.t += 1
     t = state.t
-    alpha_t = lr * np.sqrt(1 - beta2 ** t) / (1 - beta1 ** t)
-    eps_hat = eps * np.sqrt(1 - beta2 ** t)
+    alpha_t = lr * np.sqrt(1 - BETA2 ** t) / (1 - BETA1 ** t)
+    eps_hat = EPS * np.sqrt(1 - BETA2 ** t)
     size = max(p.data.size for _, p in params)
     scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, p in params:
@@ -165,10 +165,10 @@ def whole_tensor_adam_step(params, grads, state, lr, beta1, beta2, eps):
         m, v = state.m[name], state.v[name]
         a = scratch_a[: p.data.size].reshape(p.shape)
         b = scratch_b[: p.data.size].reshape(p.shape)
-        m *= beta1
-        m += np.multiply(1 - beta1, g, out=a)
-        v *= beta2
-        np.multiply(1 - beta2, g, out=a)
+        m *= BETA1
+        m += np.multiply(1 - BETA1, g, out=a)
+        v *= BETA2
+        np.multiply(1 - BETA2, g, out=a)
         a *= g
         v += a
         np.sqrt(v, out=a)
@@ -186,13 +186,13 @@ def test_adam_chunks_bitwise_equal_whole_tensor_update():
     named = [(f"p{i}", Tensor(rng.standard_normal(s), requires_grad=True))
              for i, s in enumerate(shapes)]
     oracle = [(n, Tensor(p.data.copy(), requires_grad=True)) for n, p in named]
-    lr, beta1, beta2, eps = 3e-3, 0.8, 0.99, 1e-6
+    lr = 3e-3
     state, want = AdamState(), AdamState()
     for step in (1, 2, 3):
         grads = {n: rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 3)
                  for (n, _), s in zip(named, shapes)}
-        adam_step(named, grads, state, lr, beta1, beta2, eps)
-        whole_tensor_adam_step(oracle, grads, want, lr, beta1, beta2, eps)
+        adam_step(named, grads, state, lr)
+        whole_tensor_adam_step(oracle, grads, want, lr)
         for (n, p), (_, q) in zip(named, oracle):
             assert np.array_equal(p.data, q.data), (step, n)
             assert np.array_equal(state.m[n], want.m[n]) and np.array_equal(state.v[n], want.v[n])
@@ -482,6 +482,49 @@ def test_logged_beta_is_the_warmup_mean_of_each_epoch():
         want = np.mean([min(step / 20, 1.0) for step in range(15 * epoch, 15 * epoch + 15)])
         assert abs(rec["beta"] - want) < 1e-12, (epoch, rec["beta"], want)
     assert log[-1]["beta"] == 1.0
+
+
+def test_epoch_record_and_dev_elbo_weight_each_batch_by_its_sentences(monkeypatch):
+    # 50 train sentences in batches of 16 end in a batch of 2, and 20 dev sentences in a
+    # batch of 4: each logged mean is the sentence-weighted sum of the spied per-step
+    # (per-batch) values, taken in order, and grad_norm the plain mean of the step norms
+    import textvae.training as training_mod
+
+    spec = replace(SMALL_SPEC, n_train=50, n_dev=20)
+    split, vocab = generate_synthetic(spec)
+    real_step, real_elbo = training_mod._step, training_mod.elbo_step
+    steps, dev, in_step = [], [], []
+
+    def step_spy(batch, *args):
+        in_step.append(True)
+        terms, norm = real_step(batch, *args)
+        in_step.pop()
+        steps.append((batch.size, terms, norm))
+        return terms, norm
+
+    def elbo_spy(batch, *args):
+        loss, terms = real_elbo(batch, *args)
+        if not in_step:
+            dev.append((batch.size, loss.item()))
+        return loss, terms
+
+    monkeypatch.setattr(training_mod, "_step", step_spy)
+    monkeypatch.setattr(training_mod, "elbo_step", elbo_spy)
+    log = train(split, small_config(epochs=2), len(vocab)).log
+
+    def weighted_mean(pairs):
+        total = 0.0
+        for n, value in pairs:
+            total += value * n
+        return total / sum(n for n, _ in pairs)
+
+    assert [n for n, _, _ in steps] == [16, 16, 16, 2] * 2 and [n for n, _ in dev] == [16, 4] * 2
+    for epoch, rec in enumerate(log):
+        mine, mine_dev = steps[4 * epoch: 4 * epoch + 4], dev[2 * epoch: 2 * epoch + 2]
+        for key in ("reconstruction", "total"):
+            assert rec[key] == weighted_mean([(n, t[key]) for n, t, _ in mine]), (epoch, key)
+        assert rec["val_elbo"] == weighted_mean(mine_dev), epoch
+        assert rec["grad_norm"] == np.mean([norm for _, _, norm in mine]), epoch
 
 
 @pytest.mark.parametrize("mode", ["pretrain", "alpha 0", "alpha 1"])

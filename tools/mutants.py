@@ -114,9 +114,9 @@ MUTANTS = [
     Mutant("tape stores one contribution for two inputs", "autodiff.py",
            "and all(contrib is not k for k in kept)", ""),
     Mutant("Adam: eps not rescaled", "training.py",
-           "eps_hat = eps * root_c2", "eps_hat = eps"),
+           "eps_hat = EPS * root_c2", "eps_hat = EPS"),
     Mutant("Adam: alpha_t misses sqrt(1 - beta2^t)", "training.py",
-           "alpha_t = lr * root_c2 / (1 - beta1 ** t)", "alpha_t = lr / (1 - beta1 ** t)"),
+           "alpha_t = lr * root_c2 / (1 - BETA1 ** t)", "alpha_t = lr / (1 - BETA1 ** t)"),
     # the in-place cell, its reused buffers and a shared input's folded gate column
     Mutant("cell: c += i·g before c *= f", "model.py",
            "np.multiply(gates[d: 2 * d], c, out=c_next)\n    c_next += hn",
@@ -134,6 +134,13 @@ MUTANTS = [
     # the dev ELBO's common noise
     Mutant("dev noise reseeded per epoch", "training.py",
            "seed=[config.seed, 1000])", "seed=[config.seed, 1000 + epoch])"),
+    # the sentence weighting of each epoch record and of the dev ELBO
+    Mutant("each step weighted equally", "training.py",
+           "sum(v[k] * n for n, v, _ in steps) / n_sents",
+           "sum(v[k] for n, v, _ in steps) / len(steps)"),
+    Mutant("each dev batch weighted equally", "training.py",
+           "sum(loss * n for n, loss in losses) / sum(n for n, _ in losses)",
+           "sum(loss for n, loss in losses) / len(losses)"),
     # one per ELBO term
     Mutant("reconstruction: twins summed, not averaged", "objectives.py",
            "mean_ll = ad.scale(ad.add(ll_a, ll_b), 0.5)", "mean_ll = ad.add(ll_a, ll_b)"),
